@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 model validation failure (including an infeasible
 allocation problem), 3 assumption failure under --strict, 4 policy/model
-mismatch for simulation.
+mismatch for simulation, 5 numerical failure of the LP solver.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .linprog import NumericalFailure
 from .model import (
     DEFAULT_TOL,
     ModelError,
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_INVALID_MODEL = 2
 EXIT_ASSUMPTIONS = 3
 EXIT_POLICY_MISMATCH = 4
+EXIT_NUMERICAL = 5
 
 
 @dataclass
@@ -390,7 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NumericalFailure as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

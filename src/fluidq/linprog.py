@@ -3,8 +3,7 @@
 The instances produced elsewhere in this package are tiny (at most a few
 dozen variables), so the design optimizes for determinism and robustness
 rather than speed: full-tableau pivoting, lowest-index entering rule, and a
-hard iteration budget. ``optimal_range`` probes how far a single variable can
-move over the optimal face, which is how uniqueness of an optimum is decided.
+hard iteration budget.
 """
 
 from __future__ import annotations
@@ -211,24 +210,3 @@ def _check_residuals(lp: LinearProgram, x: np.ndarray) -> None:
     if worst > 1e-7:
         raise NumericalFailure(f"solution residual {worst:.3e} exceeds sanity bound")
 
-
-def optimal_range(lp: LinearProgram, var: int, opt_value: float) -> tuple[float, float]:
-    """Min and max of ``x[var]`` over the optimal face of a solved program.
-
-    The face is carved out by pinning the objective to ``opt_value`` with an
-    added equality, then minimizing and maximizing the single coordinate. An
-    unbounded direction maps to +/- inf.
-    """
-    if not 0 <= var < lp.n_vars:
-        raise ValueError(f"variable index {var} out of range")
-    pinned = lp.eq + ((lp.objective, float(opt_value)),)
-    unit = np.zeros(lp.n_vars)
-    unit[var] = 1.0
-
-    lo_res = solve_lp(LinearProgram(lp.n_vars, unit, pinned, lp.ub))
-    hi_res = solve_lp(LinearProgram(lp.n_vars, -unit, pinned, lp.ub))
-    if lo_res.status == INFEASIBLE or hi_res.status == INFEASIBLE:
-        raise NumericalFailure("optimal face is empty at the pinned objective value")
-    lo = -np.inf if lo_res.status == UNBOUNDED else float(lo_res.value)
-    hi = np.inf if hi_res.status == UNBOUNDED else float(-hi_res.value)
-    return lo, hi

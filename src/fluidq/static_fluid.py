@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linprog import INFEASIBLE, LinearProgram, solve_lp, optimal_range
+from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, NumericalFailure, solve_lp
 from .model import (
     DEFAULT_TOL,
     NetworkModel,
@@ -152,6 +152,50 @@ def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> tuple
     return not violations, violations
 
 
+def _uniqueness_check(
+    model: NetworkModel, sol: FluidSolution, tol: float
+) -> tuple[bool, list[str]]:
+    """Decide whether ``sol.allocation`` is the only optimal allocation.
+
+    The solver's optimum x* is a vertex, and a vertex is the only point of a
+    polyhedron with its zero coordinates at zero (Mangasarian 1979; Appa
+    2002). So pin the load, which carves out the optimal face, and maximize
+    over that face the sum of the coordinates that vanish at x*: the zero
+    allocations and the slack ``load - sum_i x_ij`` of every station filled
+    to the load. The optimum is unique iff the maximum does not exceed its
+    value at x*; otherwise the maximizer is a second optimal allocation.
+
+    Raises:
+        NumericalFailure: the pinned optimal face is empty.
+    """
+    I, J = model.num_classes, model.num_stations
+    x_star = sol.allocation
+    zero = (x_star <= tol).astype(float)
+    full = sol.load - x_star.sum(axis=0) <= tol
+    # d/dx of sum_Z x_ij + sum_{j full} (load - sum_i x_ij); constants drop out
+    gain = zero - full[None, :]
+
+    lp = _allocation_lp(model)
+    objective = np.zeros(lp.n_vars)
+    objective[: I * J] = -gain.ravel()
+    pinned = lp.eq + ((lp.objective, sol.load),)
+    res = solve_lp(LinearProgram(lp.n_vars, objective, pinned, lp.ub))
+    if res.status != OPTIMAL:
+        raise NumericalFailure("optimal face is empty at the pinned objective value")
+
+    witness = res.x[: I * J].reshape(I, J)
+    if float((gain * (witness - x_star)).sum()) <= tol:
+        return True, []
+    moved = np.abs(witness - x_star)
+    # every pair that moved, or the one that moved most if none moved by tol
+    named = np.argwhere(moved >= min(tol, moved.max()))
+    return False, [
+        f"allocation ({i + 1},{model.num_classes + 1 + j}) is {x_star[i, j]:.6g} at the "
+        f"optimum but {witness[i, j]:.6g} at another optimal allocation"
+        for i, j in named
+    ]
+
+
 def check_assumptions(
     model: NetworkModel, sol: FluidSolution, tol: float = DEFAULT_TOL
 ) -> AssumptionReport:
@@ -159,8 +203,12 @@ def check_assumptions(
 
     Findings are reported, never raised: downstream verdicts decide what a
     violation means for them.
+
+    Raises:
+        NumericalFailure: the solver finds the optimal face empty at
+            ``sol.load``, as happens on rates in extreme units.
     """
-    I, J = model.num_classes, model.num_stations
+    J = model.num_stations
     violations: list[str] = []
 
     critically_loaded = True
@@ -175,18 +223,8 @@ def check_assumptions(
                 f"station {model.num_classes + 1 + j} is allocated {col_sums[j]!r}, not fully"
             )
 
-    # probe every allocation variable's range over the optimal face
-    lp = _allocation_lp(model)
-    unique = True
-    for i in range(I):
-        for j in range(J):
-            lo, hi = optimal_range(lp, i * J + j, sol.load)
-            if hi - lo > 2 * tol:
-                unique = False
-                violations.append(
-                    f"allocation ({i + 1},{model.num_classes + 1 + j}) ranges over "
-                    f"[{lo:.6g}, {hi:.6g}] at the optimum"
-                )
+    unique, uniqueness_violations = _uniqueness_check(model, sol, tol)
+    violations.extend(uniqueness_violations)
 
     is_tree, tree_violations = _tree_check(model, sol.basic_edges)
     violations.extend(tree_violations)
@@ -276,10 +314,13 @@ def generate_critical_instance(
             sol = solve_static_allocation(model)
         except InfeasibleModel:
             continue
-        report = check_assumptions(model, sol)
-        if not report.all_hold:
+        # the cheap tests first: most draws fail on load, and only a draw
+        # that passes both is worth the assumption checks' LP
+        if abs(sol.load - 1.0) > DEFAULT_TOL:
             continue
         if np.abs(sol.allocation - planted).max() > 1e-6:
+            continue
+        if not check_assumptions(model, sol).all_hold:
             continue
         return model, sol
 

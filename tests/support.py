@@ -12,12 +12,17 @@ import itertools
 import numpy as np
 
 from fluidq import (
+    INFEASIBLE,
+    UNBOUNDED,
     GenerationFailed,
     InfeasibleModel,
+    LinearProgram,
+    NumericalFailure,
     activity_set,
     check_assumptions,
     enumerate_simple_paths,
     generate_critical_instance,
+    solve_lp,
     solve_static_allocation,
     validate_model,
 )
@@ -154,6 +159,42 @@ def allocation_unique_oracle(model):
     assert solutions, "allocation program should be feasible here"
     base = solutions[0][:-1]  # drop the load variable
     return all(np.abs(s[:-1] - base).max() <= 1e-6 for s in solutions)
+
+
+def optimal_range(lp, var, opt_value):
+    """Min and max of ``x[var]`` over the optimal face of a solved program.
+
+    The face is carved out by pinning the objective to ``opt_value`` with an
+    added equality, then minimizing and maximizing the single coordinate. An
+    unbounded direction maps to +/- inf.
+    """
+    pinned = lp.eq + ((lp.objective, float(opt_value)),)
+    unit = np.zeros(lp.n_vars)
+    unit[var] = 1.0
+    lo_res = solve_lp(LinearProgram(lp.n_vars, unit, pinned, lp.ub))
+    hi_res = solve_lp(LinearProgram(lp.n_vars, -unit, pinned, lp.ub))
+    if lo_res.status == INFEASIBLE or hi_res.status == INFEASIBLE:
+        raise NumericalFailure("optimal face is empty at the pinned objective value")
+    lo = -np.inf if lo_res.status == UNBOUNDED else float(lo_res.value)
+    hi = np.inf if hi_res.status == UNBOUNDED else float(-hi_res.value)
+    return lo, hi
+
+
+def allocation_unique_by_ranges(model, sol, tol=1e-9):
+    """Uniqueness of the allocation optimum, by probing every allocation
+    variable's range over the optimal face: 2 * I * J LP solves.
+
+    The reference for the one-LP test in ``check_assumptions``: the same
+    allocation program and simplex, a different uniqueness argument.
+    """
+    from fluidq.static_fluid import _allocation_lp
+
+    lp = _allocation_lp(model)
+    for var in range(model.num_classes * model.num_stations):
+        lo, hi = optimal_range(lp, var, sol.load)
+        if hi - lo > 2 * tol:
+            return False
+    return True
 
 
 def erlang_c(servers: int, offered_load: float) -> float:

@@ -125,6 +125,24 @@ def test_generate_minimal_has_no_paths(tmp_path):
     assert json.loads(rep.read_text())["paths"] == []
 
 
+def test_numerical_failure_exit_5(tmp_path, capsys):
+    # the same network with time measured in microseconds: the solver's
+    # absolute tolerances then find the pinned optimal face empty
+    scaled = dict(
+        CASE_A,
+        **{"lambda": [1e6 * v for v in CASE_A["lambda"]],
+           "mu": [[1e6 * v for v in row] for row in CASE_A["mu"]]},
+    )
+    model = _write(tmp_path, "a_1e6.json", scaled)
+    assert main(["analyze", model]) == 5
+    assert "numerical failure" in capsys.readouterr().err
+    code = main([
+        "simulate", model, "--n", "10", "--T", "0.1", "--reps", "1",
+        "--policy", "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 5
+
+
 def test_simulate_policy_mismatch_exit_4(tmp_path, capsys):
     model = _write(tmp_path, "cd.json", CLASS_DEPENDENT_2X2)
     code = main([

@@ -6,8 +6,6 @@ from fluidq import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    NumericalFailure,
-    optimal_range,
     solve_lp,
 )
 from fluidq.static_fluid import _allocation_lp
@@ -165,42 +163,6 @@ def test_fuzz_against_vertex_oracle():
         else:
             assert res.status == OPTIMAL, oracle
             assert res.value == pytest.approx(oracle[0], abs=1e-6)
-
-
-def test_optimal_range_infeasible_pin_raises():
-    lp = LinearProgram(1, [1.0], ub=[([-1.0], -3.0)])
-    with pytest.raises(NumericalFailure):
-        optimal_range(lp, 0, 1.0)  # pinned below the true minimum of 3
-
-
-def test_optimal_range_unique_vertex():
-    # min x1 + 2 x2 with x1 + x2 >= 2 and x1 <= 0.5 pins both coordinates
-    lp = LinearProgram(
-        2, [1.0, 2.0], ub=[([-1.0, -1.0], -2.0), ([1.0, 0.0], 0.5)]
-    )
-    res = solve_lp(lp)
-    assert res.x == pytest.approx([0.5, 1.5], abs=1e-9)
-    lo, hi = optimal_range(lp, 0, res.value)
-    assert hi - lo <= 2e-9
-    lo, hi = optimal_range(lp, 1, res.value)
-    assert hi - lo <= 2e-9
-
-
-def test_optimal_range_degenerate_face():
-    # minimize 0 over x1 + x2 = 1: the whole segment is optimal
-    lp = LinearProgram(2, [0.0, 0.0], eq=[([1.0, 1.0], 1.0)])
-    res = solve_lp(lp)
-    lo, hi = optimal_range(lp, 0, res.value)
-    assert lo == pytest.approx(0.0, abs=1e-9)
-    assert hi == pytest.approx(1.0, abs=1e-9)
-
-
-def test_case_a_allocation_unique_by_ranges(case_a):
-    lp = _allocation_lp(case_a)
-    res = solve_lp(lp)
-    for idx in range(case_a.num_classes * case_a.num_stations):
-        lo, hi = optimal_range(lp, idx, res.value)
-        assert hi - lo <= 2e-9
 
 
 def test_optimal_range_confirmed_by_perturbed_objectives(case_a):

@@ -1,14 +1,26 @@
+import dataclasses
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fluidq.static_fluid
 from fluidq import (
     GenerationFailed,
     InfeasibleModel,
+    NumericalFailure,
     check_assumptions,
     generate_critical_instance,
+    load_model,
     solve_static_allocation,
     validate_model,
 )
+
+from support import allocation_unique_by_ranges, relabel_model
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def test_case_a_solution(case_a):
@@ -143,3 +155,131 @@ def test_uniqueness_probe_against_vertex_oracle(class_dependent_2x2):
         rep = check_assumptions(model, sol)
         assert rep.unique
         assert allocation_unique_oracle(model)
+
+
+def test_non_unique_witness_is_another_optimum(class_dependent_2x2):
+    # each violation names a pair, its value at the optimum and at a witness;
+    # the witness values must form a second optimal allocation
+    model = class_dependent_2x2
+    sol = solve_static_allocation(model)
+    rep = check_assumptions(model, sol)
+    witness = np.array(sol.allocation)
+    pattern = re.compile(r"allocation \((\d+),(\d+)\) is (\S+) at the optimum but (\S+) at another")
+    named = [pattern.match(v) for v in rep.violations]
+    assert named and all(named)
+    for m in named:
+        i, j = int(m[1]) - 1, int(m[2]) - 1 - model.num_classes
+        assert float(m[3]) == pytest.approx(sol.allocation[i, j], abs=1e-6)
+        witness[i, j] = float(m[4])
+    assert np.abs(witness - sol.allocation).max() > 0.1
+    served = (model.service_rates * model.capacities[None, :] * witness).sum(axis=1)
+    assert served == pytest.approx(model.arrival_rates, abs=1e-6)
+    assert witness.sum(axis=0).max() <= sol.load + 1e-6
+    assert witness.min() >= 0.0
+
+
+def test_spare_capacity_non_uniqueness_needs_slacks():
+    # class 2 splits 1.5 over stations 4 and 5, so station 5 has spare
+    # capacity. The optimal vertices (1, 0.5) and (0.5, 1) share their zero
+    # allocations and differ only in which station is full.
+    m = validate_model(
+        {"classes": 2, "stations": 3, "lambda": [1, 1.5], "nu": [1, 1, 1],
+         "mu": [[1, 0, 0], [0, 1, 1]]}
+    )
+    sol = solve_static_allocation(m)
+    assert sol.load == pytest.approx(1.0, abs=1e-9)
+    rep = check_assumptions(m, sol)
+    assert not rep.unique
+    assert not allocation_unique_by_ranges(m, sol)
+
+
+def test_empty_optimal_face_raises_numerical_failure(case_a):
+    # a load below the true optimum pins the allocation program to nothing
+    sol = dataclasses.replace(solve_static_allocation(case_a), load=0.5)
+    with pytest.raises(NumericalFailure, match="optimal face is empty"):
+        check_assumptions(case_a, sol)
+
+
+def _random_model(rng, rank_one):
+    I, J = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    if rank_one:
+        # mu_ij = a_i * b_j: many allocations tie, so uniqueness often fails
+        mu = np.outer(rng.integers(1, 4, I), rng.integers(1, 4, J))
+        mu = mu * (rng.random((I, J)) < 0.8)
+    else:
+        mu = rng.integers(0, 5, (I, J))
+    return validate_model(
+        {"classes": I, "stations": J, "lambda": rng.integers(1, 6, I).tolist(),
+         "nu": rng.integers(1, 4, J).tolist(), "mu": mu.tolist()}
+    )
+
+
+def _uniqueness_agrees(model):
+    sol = solve_static_allocation(model)
+    unique = check_assumptions(model, sol).unique
+    assert unique == allocation_unique_by_ranges(model, sol), model
+    return unique
+
+
+def test_uniqueness_agrees_with_range_oracle():
+    rng = np.random.default_rng(2024)
+    models = [load_model(str(p)) for p in sorted(MODELS.glob("*.json"))]
+    for rank_one in (False, True):
+        for _ in range(150):
+            try:
+                model = _random_model(rng, rank_one)
+                solve_static_allocation(model)
+            except InfeasibleModel:
+                continue
+            models.append(model)
+    verdicts = [_uniqueness_agrees(model) for model in models]
+    # both answers occur, so agreement is not vacuous
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_uniqueness_invariant_under_relabeling():
+    rng = np.random.default_rng(5)
+    models = [load_model(str(p)) for p in sorted(MODELS.glob("*.json"))]
+    for model in models:
+        unique = _uniqueness_agrees(model)
+        for cp in itertools.permutations(range(model.num_classes)):
+            for sp in itertools.permutations(range(model.num_stations)):
+                assert _uniqueness_agrees(relabel_model(model, cp, sp)) == unique
+    for _ in range(40):
+        try:
+            model = _random_model(rng, rank_one=bool(rng.integers(2)))
+            unique = _uniqueness_agrees(model)
+        except InfeasibleModel:
+            continue
+        cp = rng.permutation(model.num_classes)
+        sp = rng.permutation(model.num_stations)
+        assert _uniqueness_agrees(relabel_model(model, cp, sp)) == unique
+
+
+def test_generator_accepts_the_same_draws():
+    # draw k from seed s is the first draw from seed s + k
+    for seed, accepted in [(1, 53), (300, 354)]:
+        model, sol = generate_critical_instance(seed, 5, 5)
+        model2, sol2 = generate_critical_instance(accepted, 5, 5, max_retries=1)
+        assert np.array_equal(model.arrival_rates, model2.arrival_rates)
+        assert np.array_equal(model.capacities, model2.capacities)
+        assert np.array_equal(model.service_rates, model2.service_rates)
+        assert np.array_equal(sol.allocation, sol2.allocation)
+
+
+def test_rejected_draws_skip_assumption_checks(monkeypatch):
+    calls = []
+    real = fluidq.static_fluid.check_assumptions
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", counting)
+    # every 6x6 draw from seed 1 fails on load
+    with pytest.raises(GenerationFailed):
+        generate_critical_instance(1, 6, 6)
+    assert calls == []
+    # seed 1 at 5x5 passes the cheap tests on its accepted draw only
+    generate_critical_instance(1, 5, 5)
+    assert calls == [1]
