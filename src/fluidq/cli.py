@@ -285,20 +285,25 @@ def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkMode
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         model = load_model(args.model)
-        analysis = run_analysis(model, tol=args.tol)
+        sol = solve_static_allocation(model, args.tol)
+        # the one-LP uniqueness check is what finds an optimum the solver cannot
+        # confirm, as with rates in extreme units: NumericalFailure, exit 5
+        check_assumptions(model, sol, args.tol)
     except (ModelError, OSError, json.JSONDecodeError, InfeasibleModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    paths = analysis.paths or []
+    try:
+        paths = enumerate_simple_paths(sol, activity_set(model), model, args.tol)
+    except NotATree:
+        paths = []
     if args.policy == "negative-path" and not any(p.sign_class == "negative" for p in paths):
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
 
     n_list = [int(v) for v in args.n.split(",")]
-    policy = make_policy(args.policy, model, analysis.solution, paths)
+    policy = make_policy(args.policy, model, sol, paths)
     result = run_nc_experiment(
-        model, analysis.solution, policy, n_list, args.T, args.reps, args.seed,
-        paths=paths,
+        model, sol, policy, n_list, args.T, args.reps, args.seed, paths=paths,
     )
 
     out = Path(args.out)

@@ -8,12 +8,20 @@ change and may reassign everything, subject only to head counts, server
 counts and the activity mask. The tracked output is the time the total head
 count spends at or above the total server count, the quantity whose decay
 distinguishes drainable systems from undrainable ones.
+
+The event loop and the built-in policies run on Python ints and floats: the
+arrays are a few entries long, and a numpy call on them costs more than the
+arithmetic it does. Policies therefore see the state as lists (see
+``SystemState``) and may answer with lists; ``SimResult`` holds numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import asdict, dataclass
+from itertools import accumulate, chain
+from operator import gt, mul
 
 import numpy as np
 
@@ -92,27 +100,31 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
 
 
 class SystemState:
-    """Mutable snapshot handed to policies: time, head counts, in-service."""
+    """Mutable snapshot handed to policies.
+
+    ``t`` is the time of the event just handled. ``heads`` (I ints) counts the
+    customers of each class in the system and ``servers`` (J ints) the servers
+    of each station, both as lists. ``in_service`` is the previous assignment
+    as I lists of J ints, less the customer whose completion was the event.
+    Policies read the state and must not change it.
+    """
 
     __slots__ = ("t", "heads", "in_service", "servers")
 
-    def __init__(self, t: float, heads: np.ndarray, in_service: np.ndarray, servers: np.ndarray):
+    def __init__(self, t: float, heads: list[int], in_service: list[list[int]],
+                 servers: list[int]):
         self.t = t
         self.heads = heads
         self.in_service = in_service
         self.servers = servers
 
-    @property
-    def queued(self) -> np.ndarray:
-        return self.heads - self.in_service.sum(axis=1)
-
-    @property
-    def idle(self) -> np.ndarray:
-        return self.servers - self.in_service.sum(axis=0)
-
 
 class Policy:
-    """Decision rule mapping a state to a full in-service matrix.
+    """Decision rule mapping a state to a full in-service assignment.
+
+    ``assign`` returns how many customers of each class are in service at
+    each station: I lists of J ints, or an (I, J) integer array. The
+    simulator checks every assignment against the state and keeps a copy.
 
     ``prepare`` runs once per simulation before the first assignment and may
     cache scale-dependent data; it must also reset any internal state, since
@@ -124,7 +136,7 @@ class Policy:
     def prepare(self, sys: SystemInstance) -> None:
         pass
 
-    def assign(self, state: SystemState, sys: SystemInstance) -> np.ndarray:
+    def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]] | np.ndarray:
         raise NotImplementedError
 
 
@@ -133,8 +145,8 @@ class IdlePolicy(Policy):
 
     name = "idle"
 
-    def assign(self, state: SystemState, sys: SystemInstance) -> np.ndarray:
-        return np.zeros_like(sys.service_rates, dtype=np.int64)
+    def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
+        return [[0] * len(state.servers) for _ in state.heads]
 
 
 class GreedyBasic(Policy):
@@ -148,17 +160,9 @@ class GreedyBasic(Policy):
             key=lambda pos: (-model.service_rates[pos], pos),
         )
 
-    def assign(self, state: SystemState, sys: SystemInstance) -> np.ndarray:
-        psi = np.zeros_like(sys.service_rates, dtype=np.int64)
-        rem_heads = state.heads.copy()
-        rem_servers = sys.servers.copy()
-        for i, j in self._order:
-            k = min(rem_heads[i], rem_servers[j])
-            if k > 0:
-                psi[i, j] = k
-                rem_heads[i] -= k
-                rem_servers[j] -= k
-        return psi
+    def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
+        psi = [[0] * len(state.servers) for _ in state.heads]
+        return _fill(psi, list(state.heads), list(state.servers), self._order)
 
 
 class NegativePathPump(Policy):
@@ -186,55 +190,35 @@ class NegativePathPump(Policy):
         negative = [p for p in paths if p.sign_class == NEGATIVE]
         self.path = min(negative, key=lambda p: p.weight) if negative else None
         self._model = model
-        self._sol = sol
 
     def prepare(self, sys: SystemInstance) -> None:
-        model, sol = self._model, self._sol
-        core = _round_half_up(sys.n * sol.masses)
-        _clip_columns(core, sys.servers)
-        self._core = core
+        rates = sys.service_rates
+        self._core = _core_split(sys)
         self._servers_total = int(sys.servers.sum())
         self._step = math.ceil(math.sqrt(sys.n))
         self._shift = 0
-        self._desc_active = sorted(
-            (
-                (i, j)
-                for i in range(model.num_classes)
-                for j in range(model.num_stations)
-                if model.service_rates[i, j] > 0
-            ),
-            key=lambda pos: (-model.service_rates[pos], pos),
+        self._fastest_first = sorted(
+            ((i, j) for i in range(rates.shape[0]) for j in range(rates.shape[1])
+             if rates[i, j] > 0),
+            key=lambda pos: (-rates[pos], pos),
         )
-        # per class: drop work from the slowest pairs first when heads run short
-        self._asc_by_class = [
-            sorted(range(model.num_stations), key=lambda j: (model.service_rates[i, j], j))
-            for i in range(model.num_classes)
-        ]
+        self._slowest_first = _slowest_first(rates)
         if self.path is not None:
-            self._dec = [
-                self._model.edge_positions(e) for e, s in self.path.signed_edges if s > 0
-            ]
-            self._inc = [
-                self._model.edge_positions(e) for e, s in self.path.signed_edges if s < 0
-            ]
-            self._max_shift = int(min(core[pos] for pos in self._dec))
+            edges = self.path.signed_edges
+            self._dec = [self._model.edge_positions(e) for e, s in edges if s > 0]
+            self._inc = [self._model.edge_positions(e) for e, s in edges if s < 0]
+            self._max_shift = min(self._core[i][j] for i, j in self._dec)
         else:
             self._max_shift = 0
 
-    def assign(self, state: SystemState, sys: SystemInstance) -> np.ndarray:
-        psi = self._core.copy()
+    def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
+        heads = state.heads
+        psi = [row[:] for row in self._core]
         # clip rows to the available heads before sizing the displacement
-        for i in range(psi.shape[0]):
-            excess = int(psi[i].sum()) - int(state.heads[i])
-            for j in self._asc_by_class[i]:
-                if excess <= 0:
-                    break
-                take = min(excess, int(psi[i, j]))
-                psi[i, j] -= take
-                excess -= take
+        _shave(psi, heads, self._slowest_first)
         if self.path is not None:
-            surplus = int(state.heads.sum()) - self._servers_total
-            headroom = min(int(psi[pos]) for pos in self._dec)
+            surplus = sum(heads) - self._servers_total
+            headroom = min(psi[i][j] for i, j in self._dec)
             target = self._max_shift if surplus >= 0 else 0
             if target > self._shift:
                 self._shift = min(self._shift + self._step, target)
@@ -242,20 +226,14 @@ class NegativePathPump(Policy):
                 self._shift = max(self._shift - self._step, target)
             applied = min(self._shift, headroom)
             if applied:
-                for pos in self._dec:
-                    psi[pos] -= applied
-                for pos in self._inc:
-                    psi[pos] += applied
+                for i, j in self._dec:
+                    psi[i][j] -= applied
+                for i, j in self._inc:
+                    psi[i][j] += applied
         # work-conserving completion, fastest activities first
-        rem_heads = state.heads - psi.sum(axis=1)
-        rem_servers = sys.servers - psi.sum(axis=0)
-        for i, j in self._desc_active:
-            k = min(rem_heads[i], rem_servers[j])
-            if k > 0:
-                psi[i, j] += k
-                rem_heads[i] -= k
-                rem_servers[j] -= k
-        return psi
+        heads_left = [h - sum(row) for h, row in zip(heads, psi)]
+        servers_left = [s - sum(col) for s, col in zip(state.servers, zip(*psi))]
+        return _fill(psi, heads_left, servers_left, self._fastest_first)
 
 
 POLICIES = {
@@ -278,46 +256,75 @@ def make_policy(
     return factory(model, sol, paths)
 
 
-def _clip_columns(core: np.ndarray, servers: np.ndarray) -> None:
-    """Shave rounded masses so no station exceeds its server count."""
-    for j in range(core.shape[1]):
-        while core[:, j].sum() > servers[j]:
-            core[int(np.argmax(core[:, j])), j] -= 1
-
-
-def _initial_assignment(sys: SystemInstance) -> np.ndarray:
-    """Rounded fluid masses, clipped to feasibility; residual heads queue."""
-    psi = _round_half_up(sys.n * sys.solution.masses)
-    _clip_columns(psi, sys.servers)
-    rates = sys.service_rates
-    for i in range(psi.shape[0]):
-        excess = int(psi[i].sum()) - int(sys.x0[i])
-        if excess <= 0:
-            continue
-        for j in sorted(range(psi.shape[1]), key=lambda jj: (rates[i, jj], jj)):
-            take = min(excess, int(psi[i, j]))
-            psi[i, j] -= take
-            excess -= take
-            if excess <= 0:
-                break
+def _fill(psi: list[list[int]], heads_left: list[int], servers_left: list[int],
+          order: list[tuple[int, int]]) -> list[list[int]]:
+    """Work-conserving fill: at each pair of ``order`` in turn, put in service
+    as many of the class's remaining heads as the station has servers left."""
+    for i, j in order:
+        k = min(heads_left[i], servers_left[j])
+        if k > 0:
+            psi[i][j] += k
+            heads_left[i] -= k
+            servers_left[j] -= k
     return psi
 
 
-def _infeasibility(psi: np.ndarray, heads: np.ndarray, sys: SystemInstance,
-                   act_mask: np.ndarray) -> str | None:
-    if psi.shape != sys.service_rates.shape:
-        return f"assignment shape {psi.shape} does not match the network"
-    if not np.issubdtype(psi.dtype, np.integer):
-        return "assignment is not integer-valued"
-    if (psi < 0).any():
-        return "negative in-service count"
-    if psi[~act_mask].any():
-        return "in-service count on a pair with zero service rate"
-    if (psi.sum(axis=1) > heads).any():
-        return "class has more customers in service than in the system"
-    if (psi.sum(axis=0) > sys.servers).any():
-        return "station has more customers in service than servers"
-    return None
+def _slowest_first(rates: np.ndarray) -> list[list[int]]:
+    """Per class, the stations by increasing service rate, ties by index."""
+    return [sorted(range(len(row)), key=lambda j: (row[j], j)) for row in rates.tolist()]
+
+
+def _shave(psi: list[list[int]], heads: list[int], slowest_first: list[list[int]]) -> None:
+    """Cut each row of ``psi`` down to its head count, slowest pairs first."""
+    for row, h, order in zip(psi, heads, slowest_first):
+        excess = sum(row) - h
+        for j in order:
+            if excess <= 0:
+                break
+            take = min(excess, row[j])
+            row[j] -= take
+            excess -= take
+
+
+def _core_split(sys: SystemInstance) -> list[list[int]]:
+    """Rounded fluid masses, shaved so no station exceeds its server count."""
+    core = _round_half_up(sys.n * sys.solution.masses)
+    for j in range(core.shape[1]):
+        while core[:, j].sum() > sys.servers[j]:
+            core[int(np.argmax(core[:, j])), j] -= 1
+    return core.tolist()
+
+
+def _checked(psi, heads: list[int], servers: list[int],
+             inactive: list[tuple[int, int]]) -> list[list[int]]:
+    """A copy of the assignment ``psi`` as lists of ints, once it is feasible.
+
+    Anything but I lists of J ``int`` goes through ``np.asarray`` first.
+
+    Raises:
+        PolicyViolation: the reason alone; the caller names the policy and event.
+    """
+    shape = (len(heads), len(servers))
+    if (type(psi) is list and len(psi) == shape[0]
+            and all(type(row) is list and len(row) == shape[1] for row in psi)
+            and all(type(v) is int for v in chain.from_iterable(psi))):
+        psi = [row[:] for row in psi]
+    else:
+        arr = np.asarray(psi)
+        if arr.shape != shape:
+            raise PolicyViolation(f"assignment shape {arr.shape} does not match the network")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise PolicyViolation("assignment is not integer-valued")
+        psi = arr.tolist()
+    if min(map(min, psi)) < 0:
+        raise PolicyViolation("negative in-service count")
+    if any(psi[i][j] for i, j in inactive):
+        raise PolicyViolation("in-service count on a pair with zero service rate")
+    if any(map(gt, map(sum, psi), heads)):
+        raise PolicyViolation("class has more customers in service than in the system")
+    if any(map(gt, map(sum, zip(*psi)), servers)):
+        raise PolicyViolation("station has more customers in service than servers")
+    return psi
 
 
 @dataclass
@@ -369,6 +376,11 @@ def simulate(
     (head counts vs. in-service counts, the activity mask, and the integrated
     arrival/completion identity) is checked after every event.
 
+    The service clocks are summed in one running pass, which gives both the
+    total rate and the table the completing pair is drawn from. For fewer than
+    8 pairs numpy's ``sum`` adds in the same order; from 8 pairs on it adds
+    pairwise, so a total rate may differ from that sum in its last bit.
+
     Raises:
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
@@ -378,27 +390,34 @@ def simulate(
     if not 0 <= warmup < T:
         raise ValueError("warmup must lie in [0, T)")
     rng = np.random.default_rng(seed)
-    model = sys.model
-    I, J = model.num_classes, model.num_stations
-    act_mask = sys.service_rates > 0
+    exponential, uniform = rng.exponential, rng.random
+    I, J = sys.model.num_classes, sys.model.num_stations
+    rates = sys.service_rates.ravel().tolist()
+    inactive = [divmod(k, J) for k, rate in enumerate(rates) if not rate > 0]
+    servers = sys.servers.tolist()
+    servers_total = sum(servers)
+    x0 = sys.x0.tolist()
+    heads = list(x0)
+    arrivals = [0] * I
+    completions = [[0] * J for _ in range(I)]
+    lam_total = float(sys.arrival_rates.sum())
+    lam_cum = np.cumsum(sys.arrival_rates).tolist()
 
-    heads = sys.x0.astype(np.int64).copy()
-    state = SystemState(0.0, heads, _initial_assignment(sys), sys.servers)
+    initial = _core_split(sys)
+    _shave(initial, heads, _slowest_first(sys.service_rates))
+    state = SystemState(0.0, heads, initial, servers)
     policy.prepare(sys)
-    psi = np.asarray(policy.assign(state, sys))
-    problem = _infeasibility(psi, heads, sys, act_mask)
-    if problem is not None:
-        raise PolicyViolation(f"policy {policy.name!r} at event 0: {problem}")
-    state.in_service = psi
 
-    arrivals = np.zeros(I, dtype=np.int64)
-    completions = np.zeros((I, J), dtype=np.int64)
-    lam = sys.arrival_rates
-    lam_total = float(lam.sum())
-    lam_cum = np.cumsum(lam)
-    servers_total = int(sys.servers.sum())
+    def decide(event: int) -> list[list[int]]:
+        try:
+            state.in_service = _checked(policy.assign(state, sys), heads, servers, inactive)
+        except PolicyViolation as exc:
+            raise PolicyViolation(f"policy {policy.name!r} at event {event}: {exc}") from None
+        return state.in_service
 
+    psi = decide(0)
     sample_ts = np.linspace(0.0, T, sample_points)
+    times = sample_ts.tolist()
     s_heads = np.empty((sample_points, I), dtype=np.int64)
     s_psi = np.empty((sample_points, I, J), dtype=np.int64)
     s_occ = np.empty(sample_points)
@@ -413,18 +432,17 @@ def simulate(
         return t1 - lo if t1 > lo else 0.0
 
     while True:
-        busy = int(heads.sum()) >= servers_total
-        svc = sys.service_rates * state.in_service
-        total_rate = lam_total + float(svc.sum())
-        t_next = t + rng.exponential() / total_rate
+        busy = sum(heads) >= servers_total
+        svc_cum = list(accumulate(map(mul, rates, chain.from_iterable(psi))))
+        total_rate = lam_total + svc_cum[-1]
+        t_next = t + exponential() / total_rate
         final = t_next >= T
         seg_end = T if final else t_next
 
-        while si < sample_points and (sample_ts[si] < seg_end or (final and sample_ts[si] <= seg_end)):
-            ts = float(sample_ts[si])
+        while si < sample_points and (times[si] < seg_end or (final and times[si] <= seg_end)):
             s_heads[si] = heads
-            s_psi[si] = state.in_service
-            s_occ[si] = occupancy + (occ_piece(t, ts) if busy else 0.0)
+            s_psi[si] = psi
+            s_occ[si] = occupancy + (occ_piece(t, times[si]) if busy else 0.0)
             si += 1
         if busy:
             occupancy += occ_piece(t, seg_end)
@@ -432,29 +450,21 @@ def simulate(
             break
 
         t = t_next
-        u = rng.random() * total_rate
+        u = uniform() * total_rate
         if u < lam_total:
-            i = int(np.searchsorted(lam_cum, u, side="right"))
-            i = min(i, I - 1)
+            i = min(bisect_right(lam_cum, u), I - 1)
             heads[i] += 1
             arrivals[i] += 1
         else:
-            flat = np.cumsum(svc.ravel())
-            k = int(np.searchsorted(flat, u - lam_total, side="right"))
-            k = min(k, I * J - 1)
-            i, j = divmod(k, J)
+            i, j = divmod(min(bisect_right(svc_cum, u - lam_total), I * J - 1), J)
             heads[i] -= 1
-            state.in_service[i, j] -= 1
-            completions[i, j] += 1
+            psi[i][j] -= 1
+            completions[i][j] += 1
         events += 1
 
         state.t = t
-        psi = np.asarray(policy.assign(state, sys))
-        problem = _infeasibility(psi, heads, sys, act_mask)
-        if problem is not None:
-            raise PolicyViolation(f"policy {policy.name!r} at event {events}: {problem}")
-        state.in_service = psi
-        if not np.array_equal(heads, sys.x0 + arrivals - completions.sum(axis=1)):
+        psi = decide(events)
+        if heads != [x + a - sum(c) for x, a, c in zip(x0, arrivals, completions)]:
             raise RuntimeError("event accounting broke the counting identity")
 
     return SimResult(
@@ -469,10 +479,10 @@ def simulate(
         sample_heads=s_heads,
         sample_in_service=s_psi,
         sample_occupancy=s_occ,
-        arrivals=arrivals,
-        completions=completions,
+        arrivals=np.array(arrivals, dtype=np.int64),
+        completions=np.array(completions, dtype=np.int64),
         x0=sys.x0.copy(),
-        final_heads=heads.copy(),
+        final_heads=np.array(heads, dtype=np.int64),
         events=events,
         invariants_checked=True,
     )
@@ -526,17 +536,7 @@ class ExperimentResult:
     results: list[SimResult]
 
     def summary(self) -> list[dict]:
-        return [
-            {
-                "n": row.n,
-                "reps": row.reps,
-                "mean": row.mean,
-                "median": row.median,
-                "q10": row.q10,
-                "q90": row.q90,
-            }
-            for row in self.rows
-        ]
+        return [asdict(row) for row in self.rows]
 
 
 def run_nc_experiment(

@@ -8,16 +8,21 @@ linear algebra, which is exact on the tiny instances used in tests.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from fluidq import (
     INFEASIBLE,
+    NEGATIVE,
     UNBOUNDED,
     GenerationFailed,
     InfeasibleModel,
     LinearProgram,
     NumericalFailure,
+    PolicyViolation,
+    SimResult,
+    SystemState,
     activity_set,
     check_assumptions,
     enumerate_simple_paths,
@@ -272,4 +277,253 @@ def relabel_model(model, class_perm, station_perm):
             "nu": nu.tolist(),
             "mu": mu.tolist(),
         }
+    )
+
+
+# The simulator's earlier event loop and policies, on numpy arrays, kept as the
+# reference for the list-based ones: same draws, so the same trajectories.
+
+def _ref_round_half_up(values) -> np.ndarray:
+    return np.floor(np.asarray(values, dtype=float) + 0.5).astype(np.int64)
+
+
+def _ref_clip_columns(core, servers):
+    for j in range(core.shape[1]):
+        while core[:, j].sum() > servers[j]:
+            core[int(np.argmax(core[:, j])), j] -= 1
+
+
+def _ref_initial_assignment(sys):
+    psi = _ref_round_half_up(sys.n * sys.solution.masses)
+    _ref_clip_columns(psi, sys.servers)
+    rates = sys.service_rates
+    for i in range(psi.shape[0]):
+        excess = int(psi[i].sum()) - int(sys.x0[i])
+        if excess <= 0:
+            continue
+        for j in sorted(range(psi.shape[1]), key=lambda jj: (rates[i, jj], jj)):
+            take = min(excess, int(psi[i, j]))
+            psi[i, j] -= take
+            excess -= take
+            if excess <= 0:
+                break
+    return psi
+
+
+def _ref_infeasibility(psi, heads, sys, act_mask):
+    if psi.shape != sys.service_rates.shape:
+        return f"assignment shape {psi.shape} does not match the network"
+    if not np.issubdtype(psi.dtype, np.integer):
+        return "assignment is not integer-valued"
+    if (psi < 0).any():
+        return "negative in-service count"
+    if psi[~act_mask].any():
+        return "in-service count on a pair with zero service rate"
+    if (psi.sum(axis=1) > heads).any():
+        return "class has more customers in service than in the system"
+    if (psi.sum(axis=0) > sys.servers).any():
+        return "station has more customers in service than servers"
+    return None
+
+
+class RefIdle:
+    name = "idle"
+
+    def prepare(self, sys):
+        pass
+
+    def assign(self, state, sys):
+        return np.zeros_like(sys.service_rates, dtype=np.int64)
+
+
+class RefGreedyBasic(RefIdle):
+    name = "greedy-basic"
+
+    def __init__(self, model, sol):
+        self._order = sorted(
+            (model.edge_positions(e) for e in sol.basic_pairs),
+            key=lambda pos: (-model.service_rates[pos], pos),
+        )
+
+    def assign(self, state, sys):
+        psi = np.zeros_like(sys.service_rates, dtype=np.int64)
+        rem_heads = state.heads.copy()
+        rem_servers = sys.servers.copy()
+        for i, j in self._order:
+            k = min(rem_heads[i], rem_servers[j])
+            if k > 0:
+                psi[i, j] = k
+                rem_heads[i] -= k
+                rem_servers[j] -= k
+        return psi
+
+
+class RefNegativePathPump(RefIdle):
+    name = "negative-path"
+
+    def __init__(self, model, sol, paths=()):
+        negative = [p for p in paths if p.sign_class == NEGATIVE]
+        self.path = min(negative, key=lambda p: p.weight) if negative else None
+        self._model = model
+        self._sol = sol
+
+    def prepare(self, sys):
+        model, sol = self._model, self._sol
+        core = _ref_round_half_up(sys.n * sol.masses)
+        _ref_clip_columns(core, sys.servers)
+        self._core = core
+        self._servers_total = int(sys.servers.sum())
+        self._step = math.ceil(math.sqrt(sys.n))
+        self._shift = 0
+        self._desc_active = sorted(
+            (
+                (i, j)
+                for i in range(model.num_classes)
+                for j in range(model.num_stations)
+                if model.service_rates[i, j] > 0
+            ),
+            key=lambda pos: (-model.service_rates[pos], pos),
+        )
+        self._asc_by_class = [
+            sorted(range(model.num_stations), key=lambda j: (model.service_rates[i, j], j))
+            for i in range(model.num_classes)
+        ]
+        if self.path is not None:
+            self._dec = [model.edge_positions(e) for e, s in self.path.signed_edges if s > 0]
+            self._inc = [model.edge_positions(e) for e, s in self.path.signed_edges if s < 0]
+            self._max_shift = int(min(core[pos] for pos in self._dec))
+        else:
+            self._max_shift = 0
+
+    def assign(self, state, sys):
+        psi = self._core.copy()
+        for i in range(psi.shape[0]):
+            excess = int(psi[i].sum()) - int(state.heads[i])
+            for j in self._asc_by_class[i]:
+                if excess <= 0:
+                    break
+                take = min(excess, int(psi[i, j]))
+                psi[i, j] -= take
+                excess -= take
+        if self.path is not None:
+            surplus = int(state.heads.sum()) - self._servers_total
+            headroom = min(int(psi[pos]) for pos in self._dec)
+            target = self._max_shift if surplus >= 0 else 0
+            if target > self._shift:
+                self._shift = min(self._shift + self._step, target)
+            else:
+                self._shift = max(self._shift - self._step, target)
+            applied = min(self._shift, headroom)
+            if applied:
+                for pos in self._dec:
+                    psi[pos] -= applied
+                for pos in self._inc:
+                    psi[pos] += applied
+        rem_heads = state.heads - psi.sum(axis=1)
+        rem_servers = sys.servers - psi.sum(axis=0)
+        for i, j in self._desc_active:
+            k = min(rem_heads[i], rem_servers[j])
+            if k > 0:
+                psi[i, j] += k
+                rem_heads[i] -= k
+                rem_servers[j] -= k
+        return psi
+
+
+def reference_policy(name, model, sol, paths=None):
+    """The numpy version of the built-in policy ``name``."""
+    if name == "idle":
+        return RefIdle()
+    if name == "greedy-basic":
+        return RefGreedyBasic(model, sol)
+    return RefNegativePathPump(model, sol, paths or ())
+
+
+def reference_simulate(sys, policy, T, seed, warmup=0.0, sample_points=101):
+    """The numpy event loop: one replication of ``fluidq.simulate``, whose
+    trajectories must match it exactly."""
+    rng = np.random.default_rng(seed)
+    I, J = sys.model.num_classes, sys.model.num_stations
+    act_mask = sys.service_rates > 0
+
+    heads = sys.x0.astype(np.int64).copy()
+    state = SystemState(0.0, heads, _ref_initial_assignment(sys), sys.servers)
+    policy.prepare(sys)
+    psi = np.asarray(policy.assign(state, sys))
+    problem = _ref_infeasibility(psi, heads, sys, act_mask)
+    if problem is not None:
+        raise PolicyViolation(f"policy {policy.name!r} at event 0: {problem}")
+    state.in_service = psi
+
+    arrivals = np.zeros(I, dtype=np.int64)
+    completions = np.zeros((I, J), dtype=np.int64)
+    lam = sys.arrival_rates
+    lam_total = float(lam.sum())
+    lam_cum = np.cumsum(lam)
+    servers_total = int(sys.servers.sum())
+
+    sample_ts = np.linspace(0.0, T, sample_points)
+    s_heads = np.empty((sample_points, I), dtype=np.int64)
+    s_psi = np.empty((sample_points, I, J), dtype=np.int64)
+    s_occ = np.empty(sample_points)
+    si = 0
+    t = 0.0
+    occupancy = 0.0
+    events = 0
+
+    def occ_piece(t0, t1):
+        lo = max(t0, warmup)
+        return t1 - lo if t1 > lo else 0.0
+
+    while True:
+        busy = int(heads.sum()) >= servers_total
+        svc = sys.service_rates * state.in_service
+        total_rate = lam_total + float(svc.sum())
+        t_next = t + rng.exponential() / total_rate
+        final = t_next >= T
+        seg_end = T if final else t_next
+
+        while si < sample_points and (
+            sample_ts[si] < seg_end or (final and sample_ts[si] <= seg_end)
+        ):
+            ts = float(sample_ts[si])
+            s_heads[si] = heads
+            s_psi[si] = state.in_service
+            s_occ[si] = occupancy + (occ_piece(t, ts) if busy else 0.0)
+            si += 1
+        if busy:
+            occupancy += occ_piece(t, seg_end)
+        if final:
+            break
+
+        t = t_next
+        u = rng.random() * total_rate
+        if u < lam_total:
+            i = min(int(np.searchsorted(lam_cum, u, side="right")), I - 1)
+            heads[i] += 1
+            arrivals[i] += 1
+        else:
+            flat = np.cumsum(svc.ravel())
+            k = min(int(np.searchsorted(flat, u - lam_total, side="right")), I * J - 1)
+            i, j = divmod(k, J)
+            heads[i] -= 1
+            state.in_service[i, j] -= 1
+            completions[i, j] += 1
+        events += 1
+
+        state.t = t
+        psi = np.asarray(policy.assign(state, sys))
+        problem = _ref_infeasibility(psi, heads, sys, act_mask)
+        if problem is not None:
+            raise PolicyViolation(f"policy {policy.name!r} at event {events}: {problem}")
+        state.in_service = psi
+        if not np.array_equal(heads, sys.x0 + arrivals - completions.sum(axis=1)):
+            raise RuntimeError("event accounting broke the counting identity")
+
+    return SimResult(
+        n=sys.n, rep=0, seed=seed, policy=policy.name, T=T, warmup=warmup,
+        queue_occupancy=occupancy, sample_times=sample_ts, sample_heads=s_heads,
+        sample_in_service=s_psi, sample_occupancy=s_occ, arrivals=arrivals,
+        completions=completions, x0=sys.x0.copy(), final_heads=heads.copy(),
+        events=events, invariants_checked=True,
     )

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fluidq import (
     Policy,
     PolicyViolation,
     ScalingViolation,
+    SimResult,
     activity_set,
     build_system,
     derive_seed,
@@ -19,7 +22,8 @@ from fluidq import (
     validate_model,
 )
 
-from support import erlang_c, relabel_model
+from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
+from support import erlang_c, reference_policy, reference_simulate, relabel_model
 
 
 def _case_a_setup(case_a, n):
@@ -249,3 +253,130 @@ def test_warmup_validation(case_a):
         simulate(sys, IdlePolicy(), T=1.0, seed=1, warmup=1.0)
     with pytest.raises(ValueError):
         simulate(sys, IdlePolicy(), T=0.0, seed=1)
+
+
+ERLANG_1X1 = {"classes": 1, "stations": 1, "lambda": [0.9], "nu": [1], "mu": [[1]]}
+# critically loaded on the tree (1,3)-(1,4)-(2,4) with x = [[1, 0.4], [0, 0.6]];
+# the path through the idle pair (2,3) has weight -0.1
+NON_INTEGER_2X2 = {
+    "classes": 2,
+    "stations": 2,
+    "lambda": [2.375, 1.35],
+    "nu": [0.75, 1.25],
+    "mu": [[1.5, 2.5], [0.9, 1.8]],
+}
+ORACLE_MODELS = {
+    "case_a": CASE_A,
+    "case_b": CASE_B,
+    "class_dependent_2x2": CLASS_DEPENDENT_2X2,
+    "erlang_1x1": ERLANG_1X1,
+    "non_integer_2x2": NON_INTEGER_2X2,
+}
+POLICY_NAMES = ("greedy-basic", "negative-path", "idle")
+ORACLE_CASES = (
+    [(name, policy, 40, 1.0) for name in ("case_a", "case_b", "class_dependent_2x2")
+     for policy in POLICY_NAMES]
+    + [("erlang_1x1", "greedy-basic", 100, 5.0)]
+    + [("non_integer_2x2", policy, 20, 1.0) for policy in POLICY_NAMES]
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name,policy,n,T", ORACLE_CASES)
+def test_simulate_matches_numpy_reference(name, policy, n, T, seed):
+    model = validate_model(ORACLE_MODELS[name])
+    sol = solve_static_allocation(model)
+    paths = enumerate_simple_paths(sol, activity_set(model), model)
+    sys = build_system(model, sol, n)
+    new = simulate(sys, make_policy(policy, model, sol, paths), T, seed,
+                   warmup=0.2 * T, sample_points=11)
+    ref = reference_simulate(sys, reference_policy(policy, model, sol, paths), T, seed,
+                             warmup=0.2 * T, sample_points=11)
+    assert new.events > 0 and new.invariants_checked
+    for field in fields(SimResult):
+        a, b = getattr(new, field.name), getattr(ref, field.name)
+        assert np.array_equal(a, b), field.name
+        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+
+
+class Rogue(Policy):
+    """Serves nobody at events 0 to 2, then returns ``bad(state)``."""
+
+    name = "rogue"
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def prepare(self, sys):
+        self.calls = 0
+
+    def assign(self, state, sys):
+        self.calls += 1
+        if self.calls <= 3:
+            return [[0] * len(state.servers) for _ in state.heads]
+        return self.bad(state)
+
+
+def _over_heads(state):
+    k = state.heads[0] + 1  # spread so no station exceeds its servers
+    return [[k - 2 * (k // 3), k // 3, k // 3], [0, 0, 0]]
+
+
+def _over_servers(state):
+    k = state.servers[1] + 1  # split so no class exceeds its heads
+    return [[0, k // 2, 0], [0, k - k // 2, 0]]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (lambda state: [[0, 0], [0, 0]], "assignment shape (2, 2) does not match the network"),
+    (lambda state: np.zeros((2, 3)), "assignment is not integer-valued"),
+    (lambda state: [[True, False, False], [False] * 3], "assignment is not integer-valued"),
+    (lambda state: [[-1, 0, 0], [0, 0, 0]], "negative in-service count"),
+    (lambda state: [[0, 0, 0], [1, 0, 0]], "in-service count on a pair with zero service rate"),
+    (_over_heads, "class has more customers in service than in the system"),
+    (_over_servers, "station has more customers in service than servers"),
+], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers"])
+def test_each_infeasibility_raises(case_b, bad, message):
+    sol = solve_static_allocation(case_b)
+    sys = build_system(case_b, sol, 10)
+    with pytest.raises(PolicyViolation) as err:
+        simulate(sys, Rogue(bad), T=1.0, seed=1)
+    assert str(err.value) == f"policy 'rogue' at event 3: {message}"
+
+
+@pytest.mark.parametrize("convert", [
+    lambda psi: psi,
+    lambda psi: np.array(psi, dtype=np.int64),
+    lambda psi: np.array(psi, dtype=np.int32),
+    lambda psi: [[np.int64(v) for v in row] for row in psi],
+    lambda psi: tuple(tuple(row) for row in psi),
+], ids=["int-lists", "int64-array", "int32-array", "numpy-int-lists", "tuples"])
+def test_assignment_forms_accepted(case_a, convert):
+    class Converted(GreedyBasic):
+        def assign(self, state, sys):
+            return convert(super().assign(state, sys))
+
+    sol, sys = _case_a_setup(case_a, 20)
+    expected = simulate(sys, GreedyBasic(case_a, sol), T=0.5, seed=4)
+    got = simulate(sys, Converted(case_a, sol), T=0.5, seed=4)
+    assert got.events == expected.events
+    assert np.array_equal(got.sample_in_service, expected.sample_in_service)
+    assert got.queue_occupancy == expected.queue_occupancy
+
+
+def test_returned_assignment_is_not_mutated(case_a):
+    # the simulator decrements its own copy when a customer completes
+    class Fixed(Policy):
+        name = "fixed"
+
+        def prepare(self, sys):
+            self.psi = [[0, 1, 0], [0, 0, 0]]
+
+        def assign(self, state, sys):
+            return self.psi
+
+    sol, sys = _case_a_setup(case_a, 10)
+    policy = Fixed()
+    res = simulate(sys, policy, T=2.0, seed=3)
+    assert res.completions.sum() > 0
+    assert policy.psi == [[0, 1, 0], [0, 0, 0]]
