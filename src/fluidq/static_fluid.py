@@ -266,11 +266,30 @@ def generate_critical_instance(
 ) -> tuple[NetworkModel, FluidSolution]:
     """Draw a random instance that passes every assumption check.
 
-    Construction plants the solution: a uniform spanning tree carries positive
-    allocations normalized per station, arrival rates are defined as exactly
-    the planted service rates, and optional extra activities are sprinkled on
-    non-tree pairs. Deterministic in ``seed``; failed draws retry with
-    ``seed + 1``.
+    The construction plants a dual certificate, so the optimum is known
+    before the solve (the basic-activity tree of Harrison & Lopez 1999):
+
+    - a uniform spanning tree of the class-station graph;
+    - station prices w_j > 0 with sum 1 and class prices y_i > 0, a feasible
+      dual solution of the allocation program when y_i mu_ij nu_j <= w_j;
+    - tree pairs get mu_ij = w_j / (y_i nu_j), so their dual constraints are
+      tight; each non-tree pair gets, with probability 1/2, a rate strictly
+      below that bound and otherwise none, so its constraint is slack;
+    - a positive allocation on the tree whose columns each sum to 1 fixes
+      lambda.
+
+    That allocation has load 1, and the dual objective sum_i y_i lambda_i
+    equals sum_j w_j = 1, so both are optimal. By complementary slackness
+    every optimal allocation vanishes off the tree and fills every station,
+    since every w_j > 0; a spanning tree carries only one such allocation.
+    The planted tree is therefore the unique optimum at load 1, at any size,
+    and the first draw is accepted. Price and share ranges keep most rates
+    within [0.5, 10].
+
+    Each returned instance is still solved and checked: load 1, the planted
+    allocation recovered, and every assumption. A draw that fails, which
+    only numerical trouble can cause, retries with ``seed + 1``.
+    Deterministic in ``seed``.
 
     Raises:
         GenerationFailed: no draw within ``max_retries`` passed the checks.
@@ -281,24 +300,21 @@ def generate_critical_instance(
 
     for attempt in range(max_retries):
         rng = np.random.default_rng(seed + attempt)
-        tree = _uniform_spanning_tree(rng, I, J)
-        tree_set = set(tree)
+        classes, stations = zip(*_uniform_spanning_tree(rng, I, J))
+        on_tree = np.zeros((I, J), dtype=bool)
+        on_tree[classes, stations] = True
 
-        planted = np.zeros((I, J))
-        for j in range(J):
-            neighbors = sorted(i for (i, jj) in tree if jj == j)
-            weights = rng.uniform(0.1, 1.0, size=len(neighbors))
-            planted[neighbors, j] = weights / weights.sum()
-
-        mu = np.zeros((I, J))
-        for (i, j) in sorted(tree_set):
-            mu[i, j] = rng.uniform(0.5, 10.0)
-        for i in range(I):
-            for j in range(J):
-                if (i, j) not in tree_set and rng.random() < 0.5:
-                    mu[i, j] = rng.uniform(0.5, 10.0)
-
+        station_price = rng.uniform(0.5, 1.5, size=J)
+        station_price /= station_price.sum()
+        class_price = rng.uniform(0.1, 1.0, size=I) / J
         nu = rng.uniform(0.5, 2.0, size=J)
+        bound = station_price[None, :] / (class_price[:, None] * nu[None, :])
+        extra = ~on_tree & (rng.random((I, J)) < 0.5)
+        share = rng.uniform(0.1, 0.9, size=(I, J))
+        mu = np.where(on_tree, bound, np.where(extra, share * bound, 0.0))
+
+        planted = np.where(on_tree, rng.uniform(0.1, 1.0, size=(I, J)), 0.0)
+        planted /= planted.sum(axis=0, keepdims=True)
         lam = (mu * nu[None, :] * planted).sum(axis=1)
 
         model = validate_model(
@@ -314,8 +330,6 @@ def generate_critical_instance(
             sol = solve_static_allocation(model)
         except InfeasibleModel:
             continue
-        # the cheap tests first: most draws fail on load, and only a draw
-        # that passes both is worth the assumption checks' LP
         if abs(sol.load - 1.0) > DEFAULT_TOL:
             continue
         if np.abs(sol.allocation - planted).max() > 1e-6:

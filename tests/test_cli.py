@@ -125,6 +125,20 @@ def test_generate_minimal_has_no_paths(tmp_path):
     assert json.loads(rep.read_text())["paths"] == []
 
 
+def test_generate_6x6_round_trip(tmp_path):
+    out = tmp_path / "gen6.json"
+    assert main(["generate", "--I", "6", "--J", "6", "--seed", "1", "--out", str(out)]) == 0
+    planted = json.loads((tmp_path / "gen6.solution.json").read_text())
+    assert abs(planted["load"] - 1.0) <= 1e-9
+    assert len(planted["basic_edges"]) == 11
+    report_path = tmp_path / "rep.json"
+    assert main(["analyze", str(out), "--json", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assumptions = report["assumptions"]
+    assert assumptions["critically_loaded"] and assumptions["unique"] and assumptions["is_tree"]
+    assert report["fluid"]["basic_edges"] == planted["basic_edges"]
+
+
 def test_numerical_failure_exit_5(tmp_path, capsys):
     # the same network with time measured in microseconds: the solver's
     # absolute tolerances then find the pinned optimal face empty

@@ -112,11 +112,14 @@ def test_generator_minimal_shape():
 
 
 def test_generator_deterministic():
-    m1, s1 = generate_critical_instance(12, 2, 3)
-    m2, s2 = generate_critical_instance(12, 2, 3)
-    assert np.array_equal(m1.service_rates, m2.service_rates)
-    assert np.array_equal(m1.arrival_rates, m2.arrival_rates)
-    assert np.array_equal(s1.allocation, s2.allocation)
+    cases = [(12, 2, 3)] + [(seed, n, n) for n in (5, 6, 8, 12, 16) for seed in (1, 2, 3)]
+    for seed, I, J in cases:
+        m1, s1 = generate_critical_instance(seed, I, J)
+        m2, s2 = generate_critical_instance(seed, I, J)
+        assert np.array_equal(m1.service_rates, m2.service_rates)
+        assert np.array_equal(m1.arrival_rates, m2.arrival_rates)
+        assert np.array_equal(m1.capacities, m2.capacities)
+        assert np.array_equal(s1.allocation, s2.allocation)
 
 
 def test_generator_rejects_bad_dimensions():
@@ -256,30 +259,76 @@ def test_uniqueness_invariant_under_relabeling():
         assert _uniqueness_agrees(relabel_model(model, cp, sp)) == unique
 
 
-def test_generator_accepts_the_same_draws():
-    # draw k from seed s is the first draw from seed s + k
-    for seed, accepted in [(1, 53), (300, 354)]:
-        model, sol = generate_critical_instance(seed, 5, 5)
-        model2, sol2 = generate_critical_instance(accepted, 5, 5, max_retries=1)
-        assert np.array_equal(model.arrival_rates, model2.arrival_rates)
-        assert np.array_equal(model.capacities, model2.capacities)
-        assert np.array_equal(model.service_rates, model2.service_rates)
-        assert np.array_equal(sol.allocation, sol2.allocation)
+def _planted_tree(seed, I, J):
+    # the first draw from ``seed`` is the accepted one, and it draws its tree first
+    tree = fluidq.static_fluid._uniform_spanning_tree(np.random.default_rng(seed), I, J)
+    return frozenset((i + 1, I + 1 + j) for i, j in tree)
 
 
-def test_rejected_draws_skip_assumption_checks(monkeypatch):
+def test_generator_accepts_its_first_draw(monkeypatch):
     calls = []
+    for name in ("solve_static_allocation", "check_assumptions"):
+        real = getattr(fluidq.static_fluid, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fluidq.static_fluid, name, counting)
+    for size in (5, 6, 8, 12, 16):
+        for seed in (1, 2, 3):
+            calls.clear()
+            model, sol = generate_critical_instance(seed, size, size)
+            assert calls == ["solve_static_allocation", "check_assumptions"], (size, seed)
+            assert sol.basic_edges == _planted_tree(seed, size, size)
+            assert sol.load == pytest.approx(1.0, abs=1e-9)
+
+
+def test_generator_retries_with_the_next_seed(monkeypatch):
+    # a draw that fails a check is replaced by the first draw from seed + 1
     real = fluidq.static_fluid.check_assumptions
+    calls = []
 
-    def counting(*args, **kwargs):
+    def fail_first(model, sol, *args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        report = real(model, sol, *args, **kwargs)
+        return dataclasses.replace(report, unique=False) if len(calls) == 1 else report
 
-    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", counting)
-    # every 6x6 draw from seed 1 fails on load
-    with pytest.raises(GenerationFailed):
-        generate_critical_instance(1, 6, 6)
-    assert calls == []
-    # seed 1 at 5x5 passes the cheap tests on its accepted draw only
-    generate_critical_instance(1, 5, 5)
-    assert calls == [1]
+    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", fail_first)
+    model, sol = generate_critical_instance(1, 5, 5)
+    assert len(calls) == 2
+    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", real)
+    model2, sol2 = generate_critical_instance(2, 5, 5, max_retries=1)
+    assert np.array_equal(model.arrival_rates, model2.arrival_rates)
+    assert np.array_equal(model.capacities, model2.capacities)
+    assert np.array_equal(model.service_rates, model2.service_rates)
+    assert np.array_equal(sol.allocation, sol2.allocation)
+
+
+@pytest.mark.parametrize("size", [8, 12, 16])
+def test_generated_allocation_agrees_with_highs(size):
+    # the allocation program solved independently, by HiGHS
+    optimize = pytest.importorskip("scipy.optimize")
+    for seed in (1, 2, 3):
+        model, sol = generate_critical_instance(seed, size, size)
+        n = size * size
+        mubar = model.service_rates * model.capacities[None, :]
+        cost = np.zeros(n + 1)
+        cost[-1] = 1.0
+        a_eq = np.zeros((size, n + 1))
+        a_ub = np.zeros((size, n + 1))
+        for k in range(size):
+            a_eq[k, k * size:(k + 1) * size] = mubar[k]
+            a_ub[k, k:n:size] = 1.0
+        a_ub[:, -1] = -1.0
+        bounds = [(0.0, None if rate > 0 else 0.0) for rate in mubar.ravel()] + [(0.0, None)]
+        res = optimize.linprog(
+            cost, A_ub=a_ub, b_ub=np.zeros(size), A_eq=a_eq, b_eq=model.arrival_rates,
+            bounds=bounds, method="highs",
+        )
+        assert res.status == 0, res.message
+        allocation = res.x[:n].reshape(size, size)
+        assert abs(res.fun - sol.load) <= 1e-9
+        assert np.abs(allocation - sol.allocation).max() <= 1e-9
+        basic = {(i + 1, size + 1 + j) for i, j in np.argwhere(allocation > 1e-9)}
+        assert basic == _planted_tree(seed, size, size)
