@@ -1,8 +1,10 @@
 """Command-line front end: analyze a model, run experiments, generate instances.
 
 Exit codes: 0 success, 2 model validation failure (including an infeasible
-allocation problem), 3 assumption failure under --strict, 4 policy/model
-mismatch for simulation, 5 numerical failure of the LP solver.
+allocation problem) or an invalid simulation request (malformed or
+non-ascending --n, a scale, horizon or replication count below 1, or a scale
+too small to round the server counts), 3 assumption failure under --strict,
+4 policy/model mismatch for simulation, 5 numerical failure of the LP solver.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
 from .model import (
     DEFAULT_TOL,
@@ -23,15 +23,11 @@ from .model import (
     NetworkModel,
     activity_set,
     load_model,
-    model_to_dict,
     save_model,
 )
-from .optimality import KAPPA_GRID, NCVerdict, nc_verdict
-from .paths import NotATree, SimplePath, basic_cycle_weights, enumerate_simple_paths
-from .simulator import ExperimentResult, make_policy, run_nc_experiment
+from .paths import NotATree, enumerate_simple_paths
+from .simulator import ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
 from .static_fluid import (
-    AssumptionReport,
-    FluidSolution,
     GenerationFailed,
     InfeasibleModel,
     check_assumptions,
@@ -44,202 +40,6 @@ EXIT_INVALID_MODEL = 2
 EXIT_ASSUMPTIONS = 3
 EXIT_POLICY_MISMATCH = 4
 EXIT_NUMERICAL = 5
-
-
-@dataclass
-class AnalysisReport:
-    """Everything the analyze command knows about one model."""
-
-    model: NetworkModel
-    tol: float
-    solution: FluidSolution
-    assumptions: AssumptionReport
-    paths: list[SimplePath] | None          # None when the basic graph is not a tree
-    cycles: list[tuple[tuple[int, ...], float]]
-    nc: NCVerdict
-    defects: list[str]
-
-    def to_dict(self) -> dict:
-        sol = self.solution
-        nc = self.nc
-        lp_v = nc.throughput
-        path_v = nc.path_verdict
-        return {
-            "model": model_to_dict(self.model),
-            "tolerance": self.tol,
-            "fluid": {
-                "allocation": sol.allocation.tolist(),
-                "load": sol.load,
-                "masses": sol.masses.tolist(),
-                "class_masses": sol.class_masses.tolist(),
-                "basic_edges": [list(e) for e in sol.basic_pairs],
-            },
-            "assumptions": {
-                "critically_loaded": self.assumptions.critically_loaded,
-                "unique": self.assumptions.unique,
-                "is_tree": self.assumptions.is_tree,
-                "violations": list(self.assumptions.violations),
-            },
-            "paths": [p.to_dict() for p in self.paths] if self.paths is not None else None,
-            "basic_cycles": [
-                {"vertices": list(v), "weight": w} for v, w in self.cycles
-            ],
-            "throughput": {
-                "lp": None
-                if lp_v is None
-                else {
-                    "optimal": lp_v.optimal,
-                    "max_throughput": lp_v.max_throughput,
-                    "arrival_total": lp_v.arrival_total,
-                    "witness_allocation": None
-                    if lp_v.witness_allocation is None
-                    else lp_v.witness_allocation.tolist(),
-                    "verdict": lp_v.text,
-                },
-                "paths": None
-                if path_v is None
-                else {
-                    "optimal": path_v.optimal,
-                    "witness_weight": None
-                    if path_v.witness_path is None
-                    else path_v.witness_path.weight,
-                    "witness_leaves": None
-                    if path_v.witness_path is None
-                    else list(path_v.witness_path.leaf_pair),
-                    "verdict": path_v.text,
-                },
-                "defects": self.defects,
-            },
-            "perturbation": {
-                "kappa_grid_divisors": list(KAPPA_GRID),
-                "zero_paths": [
-                    {
-                        "leaves": list(ev.path.leaf_pair),
-                        "dependence": ev.dependence,
-                        "kappa": ev.check.kappa,
-                        "perturbed_max": ev.check.perturbed_max,
-                        "baseline": ev.check.baseline,
-                        "satisfied": ev.check.satisfied,
-                        "strict": ev.check.strict,
-                        "degenerate": ev.check.degenerate,
-                        "grid": [list(g) for g in ev.check.grid],
-                    }
-                    for ev in nc.zero_path_evidence
-                ],
-                "combined": None
-                if nc.combined_check is None
-                else {
-                    "kappa": nc.combined_check.kappa,
-                    "perturbed_max": nc.combined_check.perturbed_max,
-                    "baseline": nc.combined_check.baseline,
-                    "satisfied": nc.combined_check.satisfied,
-                    "strict": nc.combined_check.strict,
-                },
-            },
-            "null_controllability": {
-                "status": nc.status,
-                "basis": nc.basis,
-                "explanation": nc.explanation,
-                "violations": list(nc.violations),
-            },
-        }
-
-
-def run_analysis(model: NetworkModel, tol: float = DEFAULT_TOL) -> AnalysisReport:
-    """Full pipeline: solve, check assumptions, enumerate paths, all verdicts."""
-    sol = solve_static_allocation(model, tol)
-    report = check_assumptions(model, sol, tol)
-    acts = activity_set(model)
-    paths: list[SimplePath] | None
-    cycles: list[tuple[tuple[int, ...], float]] = []
-    try:
-        paths = enumerate_simple_paths(sol, acts, model, tol)
-    except NotATree:
-        paths = None
-        cycles = basic_cycle_weights(sol, model)
-    verdict = nc_verdict(model, sol, report, paths, tol)
-
-    defects: list[str] = []
-    if (
-        verdict.throughput is not None
-        and verdict.path_verdict is not None
-        and verdict.throughput.optimal != verdict.path_verdict.optimal
-    ):
-        defects.append(
-            "LP and path optimality criteria disagree although the assumptions hold"
-        )
-    return AnalysisReport(
-        model=model,
-        tol=tol,
-        solution=sol,
-        assumptions=report,
-        paths=paths,
-        cycles=cycles,
-        nc=verdict,
-        defects=defects,
-    )
-
-
-def _fmt_matrix(mat: np.ndarray) -> str:
-    return "\n".join("    [" + "  ".join(f"{v:.6g}" for v in row) + "]" for row in mat)
-
-
-def render_report(rep: AnalysisReport) -> str:
-    sol = rep.solution
-    nc = rep.nc
-    lines = [
-        f"model: {rep.model.num_classes} classes, {rep.model.num_stations} stations"
-        f" (tolerance {rep.tol:g})",
-        f"optimal load: {sol.load:.9g}",
-        "allocation fractions:",
-        _fmt_matrix(sol.allocation),
-        f"class masses: [{'  '.join(f'{v:.6g}' for v in sol.class_masses)}]",
-        "basic activities: " + " ".join(f"({i},{j})" for i, j in sol.basic_pairs),
-        f"assumptions: critically_loaded={rep.assumptions.critically_loaded}"
-        f" unique={rep.assumptions.unique} tree={rep.assumptions.is_tree}",
-    ]
-    for v in rep.assumptions.violations:
-        lines.append(f"  violation: {v}")
-    if rep.paths is None:
-        lines.append("simple paths: unavailable (basic graph is not a tree)")
-        for verts, w in rep.cycles:
-            lines.append(f"  basic cycle {verts}: weight {w:.6g}")
-    elif not rep.paths:
-        lines.append("simple paths: none")
-    else:
-        lines.append(f"simple paths ({len(rep.paths)}):")
-        for p in rep.paths:
-            m_str = "[" + "  ".join(f"{v:.6g}" for v in p.class_weights) + "]"
-            lines.append(
-                f"  {p.kind:6s} leaves ({p.class_leaf},{p.station_leaf})"
-                f"  class sums {m_str}  weight {p.weight:.6g}"
-                f"  {p.sign_class}  dependence={p.dependence}"
-            )
-    if nc.throughput is not None:
-        lines.append(
-            f"throughput LP: max {nc.throughput.max_throughput:.9g} vs arrivals"
-            f" {nc.throughput.arrival_total:.9g} -> {nc.throughput.text}"
-        )
-    if nc.path_verdict is not None:
-        if nc.path_verdict.witness_path is None:
-            lines.append(f"path criterion: no negative path -> {nc.path_verdict.text}")
-        else:
-            lines.append(
-                f"path criterion: most negative weight"
-                f" {nc.path_verdict.witness_path.weight:.6g} -> {nc.path_verdict.text}"
-            )
-    for d in rep.defects:
-        lines.append(f"DEFECT: {d}")
-    for ev in nc.zero_path_evidence:
-        lines.append(
-            f"zero-path check ({ev.path.class_leaf},{ev.path.station_leaf}):"
-            f" dependence={ev.dependence} satisfied={ev.check.satisfied}"
-            f" strict={ev.check.strict}"
-        )
-    lines.append(
-        f"null controllability: {nc.status.upper()} (basis: {nc.basis}) - {nc.explanation}"
-    )
-    return "\n".join(lines)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -300,11 +100,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
 
-    n_list = [int(v) for v in args.n.split(",")]
-    policy = make_policy(args.policy, model, sol, paths)
-    result = run_nc_experiment(
-        model, sol, policy, n_list, args.T, args.reps, args.seed, paths=paths,
-    )
+    try:
+        n_list = [int(v) for v in args.n.split(",")]
+        policy = make_policy(args.policy, model, sol, paths)
+        result = run_nc_experiment(
+            model, sol, policy, n_list, args.T, args.reps, args.seed, paths=paths,
+        )
+    except (ValueError, ScalingViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_MODEL
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -342,15 +146,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     save_model(model, str(out))
     sidecar = out.with_suffix(".solution.json")
     sidecar.write_text(
-        json.dumps(
-            {
-                "allocation": sol.allocation.tolist(),
-                "load": sol.load,
-                "class_masses": sol.class_masses.tolist(),
-                "basic_edges": [list(e) for e in sol.basic_pairs],
-            },
-            indent=2,
-        )
+        json.dumps(_fields(sol, "allocation", "load", "class_masses", "basic_edges"), indent=2)
         + "\n"
     )
     print(f"wrote {out} (solution sidecar: {sidecar})")

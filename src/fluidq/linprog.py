@@ -1,9 +1,9 @@
 """Self-contained dense LP solver: two-phase simplex with Bland's rule.
 
-The instances produced elsewhere in this package are tiny (at most a few
-dozen variables), so the design optimizes for determinism and robustness
-rather than speed: full-tableau pivoting, lowest-index entering rule, and a
-hard iteration budget.
+The programs built elsewhere in this package are small (the allocation LP
+has I*J + 1 variables, 257 at 16x16), so the design optimizes for
+determinism and robustness rather than speed: full-tableau pivoting,
+lowest-index entering rule, and a hard iteration budget.
 """
 
 from __future__ import annotations

@@ -78,24 +78,6 @@ class NetworkModel:
         return self.class_pos(edge[0]), self.station_pos(edge[1])
 
 
-@dataclass(frozen=True)
-class ActivitySet:
-    """Class-station pairs with positive service rate, by vertex labels."""
-
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
-
-@dataclass(frozen=True)
-class EffectiveRates:
-    """Mass-per-unit-time matrix at full allocation: rate * capacity."""
-
-    matrix: np.ndarray  # (num_classes, num_stations)
-
-
 def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     """Validate candidate data and return an immutable :class:`NetworkModel`.
 
@@ -150,19 +132,14 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     )
 
 
-def activity_set(model: NetworkModel) -> ActivitySet:
+def activity_set(model: NetworkModel) -> frozenset[tuple[int, int]]:
     """Return the pairs along which service is possible (rate > 0)."""
-    edges = set()
-    for i in model.class_labels:
-        for j in model.station_labels:
-            if model.service_rates[model.class_pos(i), model.station_pos(j)] > 0.0:
-                edges.add((i, j))
-    return ActivitySet(edges=frozenset(edges))
-
-
-def effective_rates(model: NetworkModel) -> EffectiveRates:
-    """Elementwise rate * capacity, the drain rate of a fully allocated pair."""
-    return EffectiveRates(matrix=_readonly(model.service_rates * model.capacities[None, :]))
+    return frozenset(
+        (i, j)
+        for i in model.class_labels
+        for j in model.station_labels
+        if model.rate(i, j) > 0.0
+    )
 
 
 def model_to_dict(model: NetworkModel) -> dict[str, Any]:

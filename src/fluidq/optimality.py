@@ -165,25 +165,39 @@ def throughput_verdict_paths(
     )
 
 
-def _baseline_throughput(model: NetworkModel, sol: FluidSolution) -> float:
-    return float((model.service_rates * sol.masses).sum())
-
-
-def _min_basic_mass(sol: FluidSolution, model: NetworkModel) -> float:
-    return min(
-        float(sol.masses[model.edge_positions(edge)]) for edge in sol.basic_pairs
-    )
-
-
 def _run_perturbation(
     sol: FluidSolution,
     model: NetworkModel,
-    direction: np.ndarray,
-    kappa: float,
+    directions: list[np.ndarray],
     path: SimplePath | None,
     tol: float,
 ) -> PerturbationCheck:
-    baseline = _baseline_throughput(model, sol)
+    """Put equal mass on every direction at once and re-maximize throughput.
+
+    Each direction's step is 1e-3 of the smallest basic mass, normalized by
+    its sup norm; the smallest step is shared out equally among the
+    directions. The check is repeated at half and quarter steps, and all
+    three must agree for ``satisfied``; ``strict`` is judged at the largest
+    step. When every direction vanishes the perturbation is the identity and
+    the check is degenerate.
+    """
+    baseline = float((model.service_rates * sol.masses).sum())
+    sups = [float(np.abs(d).max()) for d in directions]
+    if max(sups) <= tol:
+        return PerturbationCheck(
+            path=path,
+            kappa=0.0,
+            perturbed_x=sol.class_masses,
+            perturbed_max=baseline,
+            baseline=baseline,
+            satisfied=True,
+            strict=False,
+            degenerate=True,
+        )
+    min_mass = min(float(sol.masses[model.edge_positions(e)]) for e in sol.basic_pairs)
+    kappa = min(1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > tol)
+    kappa /= len(directions)
+    direction = np.sum(directions, axis=0)
     grid = []
     for factor in KAPPA_GRID:
         step = kappa * factor
@@ -206,31 +220,10 @@ def _run_perturbation(
 def zero_path_check(
     sol: FluidSolution, path: SimplePath, model: NetworkModel, tol: float = DEFAULT_TOL
 ) -> PerturbationCheck:
-    """Perturb the class masses along one zero path and re-maximize throughput.
-
-    The step is 1e-3 of the smallest basic mass, normalized by the direction's
-    sup norm, and the check is repeated at half and quarter steps; all three
-    must agree for ``satisfied``. ``strict`` is judged at the largest step.
-    """
+    """Perturb the class masses along one zero path and re-maximize throughput."""
     if path.sign_class != ZERO:
         raise ValueError("perturbation checks apply to zero paths only")
-    m = path.class_weights
-    sup = float(np.abs(m).max()) if m.size else 0.0
-    baseline = _baseline_throughput(model, sol)
-    if sup <= tol:
-        # the direction vanishes: the perturbation is the identity
-        return PerturbationCheck(
-            path=path,
-            kappa=0.0,
-            perturbed_x=sol.class_masses,
-            perturbed_max=baseline,
-            baseline=baseline,
-            satisfied=True,
-            strict=False,
-            degenerate=True,
-        )
-    kappa = 1e-3 * _min_basic_mass(sol, model) / max(1.0, sup)
-    return _run_perturbation(sol, model, m, kappa, path, tol)
+    return _run_perturbation(sol, model, [path.class_weights], path, tol)
 
 
 def combined_zero_path_check(
@@ -242,26 +235,7 @@ def combined_zero_path_check(
     """Single check with equal mass placed on every zero path at once."""
     if not zero_paths:
         return None
-    sups = [float(np.abs(p.class_weights).max()) for p in zero_paths]
-    if max(sups) <= tol:
-        baseline = _baseline_throughput(model, sol)
-        return PerturbationCheck(
-            path=None,
-            kappa=0.0,
-            perturbed_x=sol.class_masses,
-            perturbed_max=baseline,
-            baseline=baseline,
-            satisfied=True,
-            strict=False,
-            degenerate=True,
-        )
-    min_mass = _min_basic_mass(sol, model)
-    kappas = [
-        1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > tol
-    ]
-    share = min(kappas) / len(zero_paths)
-    direction = np.sum([p.class_weights for p in zero_paths], axis=0)
-    return _run_perturbation(sol, model, direction, share, None, tol)
+    return _run_perturbation(sol, model, [p.class_weights for p in zero_paths], None, tol)
 
 
 @dataclass(frozen=True)
@@ -393,80 +367,41 @@ def nc_verdict(
         if len(zero_paths) > 1
         else None
     )
-    common = dict(
-        throughput=lp_v,
-        path_verdict=path_v,
-        zero_path_evidence=evidence,
-        combined_check=combined,
-        violations=report.violations,
-    )
     all_dependent = bool(zero_paths) and all(
         ev.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT) for ev in evidence
     )
-
-    if not report.unique:
-        if lp_v.optimal and all_dependent:
-            return NCVerdict(
-                status=NC_IMPOSSIBLE,
-                basis="dependence-route",
-                explanation=(
-                    "optimal with every zero path class- or pool-dependent; the rate "
-                    "structure rules out draining regardless of allocation uniqueness"
-                ),
-                **common,
-            )
-        return NCVerdict(
-            status=NC_UNKNOWN,
-            basis="assumptions",
-            explanation="the optimal allocation is not unique",
-            **common,
-        )
-
-    if not lp_v.optimal:
-        return NCVerdict(
-            status=NC_POSSIBLE,
-            basis="sub-optimal",
-            explanation=(
-                "throughput sub-optimal: known policy constructions drain the queues "
-                "over any finite horizon (supported here empirically by simulation)"
-            ),
-            **common,
-        )
-    if model.num_classes == 2 or model.num_stations == 2:
-        return NCVerdict(
-            status=NC_IMPOSSIBLE,
-            basis="two-sided",
-            explanation="optimal with two classes or two pools: queueing time cannot vanish",
-            **common,
-        )
-    if not zero_paths:
-        return NCVerdict(
-            status=NC_IMPOSSIBLE,
-            basis="no-zero-paths",
-            explanation="optimal and no zero paths exist",
-            **common,
-        )
     neutralized = all(
         ev.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT)
         or (ev.check.satisfied and ev.check.strict)
         for ev in evidence
     )
-    if neutralized:
-        return NCVerdict(
-            status=NC_IMPOSSIBLE,
-            basis="zero-paths-neutralized",
-            explanation=(
-                "optimal and every zero path is class-/pool-dependent or strictly "
-                "throughput-contracting under mass perturbation"
-            ),
-            **common,
-        )
+    # the rule chain, in order: (holds, status, basis, explanation); the first that holds decides
+    rules = [
+        (not report.unique and lp_v.optimal and all_dependent, NC_IMPOSSIBLE, "dependence-route",
+         "optimal with every zero path class- or pool-dependent; the rate structure rules out "
+         "draining regardless of allocation uniqueness"),
+        (not report.unique, NC_UNKNOWN, "assumptions", "the optimal allocation is not unique"),
+        (not lp_v.optimal, NC_POSSIBLE, "sub-optimal",
+         "throughput sub-optimal: known policy constructions drain the queues over any finite "
+         "horizon (supported here empirically by simulation)"),
+        (model.num_classes == 2 or model.num_stations == 2, NC_IMPOSSIBLE, "two-sided",
+         "optimal with two classes or two pools: queueing time cannot vanish"),
+        (not zero_paths, NC_IMPOSSIBLE, "no-zero-paths", "optimal and no zero paths exist"),
+        (neutralized, NC_IMPOSSIBLE, "zero-paths-neutralized",
+         "optimal and every zero path is class-/pool-dependent or strictly "
+         "throughput-contracting under mass perturbation"),
+        (True, NC_UNKNOWN, "gap",
+         "optimal, but some zero path is neither class- nor pool-dependent and its "
+         "perturbation check is not strict; the question is open here"),
+    ]
+    status, basis, explanation = next(rule[1:] for rule in rules if rule[0])
     return NCVerdict(
-        status=NC_UNKNOWN,
-        basis="gap",
-        explanation=(
-            "optimal, but some zero path is neither class- nor pool-dependent and "
-            "its perturbation check is not strict; the question is open here"
-        ),
-        **common,
+        status=status,
+        basis=basis,
+        explanation=explanation,
+        throughput=lp_v,
+        path_verdict=path_v,
+        zero_path_evidence=evidence,
+        combined_check=combined,
+        violations=report.violations,
     )

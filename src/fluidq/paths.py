@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import DEFAULT_TOL, ActivitySet, NetworkModel
-from .static_fluid import FluidSolution
+from .model import DEFAULT_TOL, NetworkModel
+from .static_fluid import FluidSolution, spanning_forest, tree_path
 
 OPEN = "open"
 CLOSED = "closed"
@@ -92,9 +92,10 @@ def assign_signs(vertices: Sequence[int], closed: bool) -> tuple[SignedEdge, ...
     return tuple(signed)
 
 
-def _weights_from_edges(
+def path_weights(
     signed_edges: Iterable[SignedEdge], model: NetworkModel
 ) -> tuple[np.ndarray, float]:
+    """Per-class signed rate sums and their total along signed edges."""
     m = np.zeros(model.num_classes)
     for (i, j), s in signed_edges:
         m[model.class_pos(i)] += s * model.rate(i, j)
@@ -102,14 +103,12 @@ def _weights_from_edges(
     return m, float(m.sum())
 
 
-def path_weights(path: SimplePath, model: NetworkModel) -> tuple[np.ndarray, float]:
-    """Per-class signed rate sums and their total for a signed path."""
-    return _weights_from_edges(path.signed_edges, model)
-
-
-def _classify_edges(
-    signed_edges: Iterable[SignedEdge], model: NetworkModel, tol: float
+def classify_dependence(
+    signed_edges: Iterable[SignedEdge], model: NetworkModel, tol: float = DEFAULT_TOL
 ) -> str:
+    """Class-dependent if every class's signed sum along the path vanishes,
+    pool-dependent if every station's does; class-dependence wins when both
+    hold. Either one forces a zero path."""
     per_class: dict[int, float] = {}
     per_station: dict[int, float] = {}
     for (i, j), s in signed_edges:
@@ -123,52 +122,15 @@ def _classify_edges(
     return NEITHER
 
 
-def classify_dependence(
-    path: SimplePath, model: NetworkModel, tol: float = DEFAULT_TOL
-) -> str:
-    """Class-dependent if every class's signed sum along the path vanishes,
-    pool-dependent if every station's does; class-dependence wins when both
-    hold. Either one forces a zero path."""
-    return _classify_edges(path.signed_edges, model, tol)
-
-
 def _sign_class(weight: float, tol: float) -> str:
     if abs(weight) <= tol:
         return ZERO
     return NEGATIVE if weight < 0 else POSITIVE
 
 
-def _adjacency(edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
-
-
-def _tree_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
-    parent = {src: src}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            break
-        for w in adj.get(v, ()):
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def enumerate_simple_paths(
     sol: FluidSolution,
-    acts: ActivitySet,
+    acts: frozenset[tuple[int, int]],
     model: NetworkModel,
     tol: float = DEFAULT_TOL,
 ) -> list[SimplePath]:
@@ -180,13 +142,8 @@ def enumerate_simple_paths(
     Raises:
         NotATree: the basic graph is not a spanning tree of all vertices.
     """
-    n_vertices = model.num_classes + model.num_stations
-    adj = _adjacency(sol.basic_edges)
-    spanning = len(adj) == n_vertices and len(sol.basic_edges) == n_vertices - 1
-    if spanning:
-        reach = _reachable(adj, next(iter(adj)))
-        spanning = len(reach) == n_vertices
-    if not spanning:
+    parent, closing = spanning_forest(model, sol.basic_edges)
+    if closing or len(sol.basic_edges) != len(parent) - 1:
         raise NotATree("basic activities do not form a spanning tree")
 
     paths: list[SimplePath] = []
@@ -194,10 +151,10 @@ def enumerate_simple_paths(
         for j in model.station_labels:
             if (i, j) in sol.basic_edges:
                 continue
-            vertices = tuple(_tree_path(adj, i, j))
-            closed = (i, j) in acts.edges
+            vertices = tuple(tree_path(parent, i, j))
+            closed = (i, j) in acts
             signed = assign_signs(vertices, closed)
-            m, weight = _weights_from_edges(signed, model)
+            m, weight = path_weights(signed, model)
             paths.append(
                 SimplePath(
                     kind=CLOSED if closed else OPEN,
@@ -208,22 +165,10 @@ def enumerate_simple_paths(
                     class_weights=m,
                     weight=weight,
                     sign_class=_sign_class(weight, tol),
-                    dependence=_classify_edges(signed, model, tol),
+                    dependence=classify_dependence(signed, model, tol),
                 )
             )
     return paths
-
-
-def _reachable(adj: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def basic_cycle_weights(
@@ -237,22 +182,10 @@ def basic_cycle_weights(
     sign of a cycle weight depends on traversal direction; its zero-ness does
     not.
     """
-    edges = sorted(sol.basic_edges)
-    forest_adj: dict[int, list[int]] = {}
-    in_forest: list[tuple[int, int]] = []
-    extra: list[tuple[int, int]] = []
-    for i, j in edges:
-        if i in forest_adj and j in forest_adj and j in _reachable(forest_adj, i):
-            extra.append((i, j))
-            continue
-        forest_adj.setdefault(i, []).append(j)
-        forest_adj.setdefault(j, []).append(i)
-        in_forest.append((i, j))
-
+    parent, closing = spanning_forest(model, sol.basic_edges)
     cycles = []
-    for i, j in extra:
-        walk = _tree_path(forest_adj, j, i)  # station ... class
-        sequence = [i] + walk  # i -> j -> ... -> i
+    for i, j in closing:
+        sequence = [i] + tree_path(parent, j, i)  # i -> j -> ... -> i
         cycle_vertices = tuple(sequence[:-1])
         weight = 0.0
         for idx in range(len(sequence) - 1):

@@ -532,7 +532,6 @@ class ExperimentRow:
 @dataclass
 class ExperimentResult:
     rows: list[ExperimentRow]
-    occupancies: dict[int, np.ndarray]
     results: list[SimResult]
 
     def summary(self) -> list[dict]:
@@ -564,7 +563,6 @@ def run_nc_experiment(
     pol = make_policy(policy, model, sol, paths) if isinstance(policy, str) else policy
 
     rows: list[ExperimentRow] = []
-    occupancies: dict[int, np.ndarray] = {}
     results: list[SimResult] = []
     for n in n_list:
         sys = build_system(model, sol, n)
@@ -578,7 +576,6 @@ def run_nc_experiment(
             results.append(res)
             values.append(res.queue_occupancy)
         arr = np.array(values)
-        occupancies[n] = arr
         rows.append(
             ExperimentRow(
                 n=n,
@@ -589,4 +586,4 @@ def run_nc_experiment(
                 q90=float(np.quantile(arr, 0.9)),
             )
         )
-    return ExperimentResult(rows=rows, occupancies=occupancies, results=results)
+    return ExperimentResult(rows=rows, results=results)

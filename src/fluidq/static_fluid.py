@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, NumericalFailure, solve_lp
-from .model import (
-    DEFAULT_TOL,
-    NetworkModel,
-    effective_rates,
-    validate_model,
-)
+from .model import DEFAULT_TOL, NetworkModel, validate_model
 
 
 class InfeasibleModel(RuntimeError):
@@ -66,7 +61,7 @@ def _allocation_lp(model: NetworkModel) -> LinearProgram:
     I, J = model.num_classes, model.num_stations
     n = I * J + 1
     load_idx = I * J
-    mubar = effective_rates(model).matrix
+    mubar = model.service_rates * model.capacities[None, :]
 
     objective = np.zeros(n)
     objective[load_idx] = 1.0
@@ -127,27 +122,63 @@ def solve_static_allocation(model: NetworkModel, tol: float = DEFAULT_TOL) -> Fl
     )
 
 
+def spanning_forest(
+    model: NetworkModel, edges: frozenset[tuple[int, int]]
+) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Spanning forest of the class-station graph with edge set ``edges``.
+
+    Edges are taken in sorted order: each either joins two trees, which hangs
+    the re-rooted tree of its station below its class, or closes a cycle.
+    Returns parent pointers over every vertex label (a root is its own
+    parent) and the cycle-closing edges, in order.
+    """
+    parent = {v: v for v in range(1, model.num_classes + model.num_stations + 1)}
+    closing = []
+    for i, j in sorted(edges):
+        if _to_root(parent, i)[-1] == _to_root(parent, j)[-1]:
+            closing.append((i, j))
+            continue
+        above, v = i, j
+        while parent[v] != v:
+            parent[v], above, v = above, v, parent[v]
+        parent[v] = above
+    return parent, closing
+
+
+def _to_root(parent: dict[int, int], v: int) -> list[int]:
+    """``v`` and its ancestors, up to the root of its tree."""
+    chain = [v]
+    while parent[chain[-1]] != chain[-1]:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
+def tree_path(parent: dict[int, int], src: int, dst: int) -> list[int]:
+    """Vertices of the forest path from ``src`` to ``dst``.
+
+    Raises:
+        ValueError: the two vertices lie in different trees.
+    """
+    up, down = _to_root(parent, src), _to_root(parent, dst)
+    if up[-1] != down[-1]:
+        raise ValueError(f"vertices {src} and {dst} lie in different trees")
+    # drop the ancestors above the lowest common one
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    return up + down[-2::-1]
+
+
 def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> tuple[bool, list[str]]:
-    n_vertices = model.num_classes + model.num_stations
+    parent, closing = spanning_forest(model, edges)
     violations = []
-    expected = n_vertices - 1
+    expected = len(parent) - 1
     if len(edges) != expected:
         violations.append(
             f"basic graph has {len(edges)} edges, a spanning tree needs {expected}"
         )
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n_vertices + 1)}
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n_vertices:
+    # the forest connects all I+J vertices iff it has I+J-1 edges
+    if len(edges) - len(closing) < expected:
         violations.append("basic graph is disconnected")
     return not violations, violations
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -200,6 +201,77 @@ def allocation_unique_by_ranges(model, sol, tol=1e-9):
         if hi - lo > 2 * tol:
             return False
     return True
+
+
+def _reachable(adj, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in adj.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _tree_path(adj, src, dst):
+    parent = {src: src}
+    stack = [src]
+    while stack:
+        v = stack.pop()
+        if v == dst:
+            break
+        for w in adj.get(v, ()):
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def forest_oracle(n_vertices, edges):
+    """The graph walks the package used before its single spanning-forest
+    helper, by depth-first search over adjacency lists.
+
+    Returns ``closing``, the cycle-closing edges (each sorted edge whose ends
+    the forest so far already connects); ``spanning``, whether ``edges`` form
+    a spanning tree; ``messages``, the tree-check violations; and the
+    functions ``connected(u, v)`` and ``path(src, dst)`` over the forest.
+    """
+    forest: dict[int, list[int]] = {}
+    closing = []
+    for i, j in sorted(edges):
+        if i in forest and j in forest and j in _reachable(forest, i):
+            closing.append((i, j))
+            continue
+        forest.setdefault(i, []).append(j)
+        forest.setdefault(j, []).append(i)
+
+    adj: dict[int, list[int]] = {}
+    for i, j in edges:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    spanning = len(adj) == n_vertices and len(edges) == n_vertices - 1
+    spanning = spanning and len(_reachable(adj, next(iter(adj)))) == n_vertices
+
+    messages = []
+    if len(edges) != n_vertices - 1:
+        messages.append(
+            f"basic graph has {len(edges)} edges, a spanning tree needs {n_vertices - 1}"
+        )
+    if len(_reachable(adj, 1)) != n_vertices:
+        messages.append("basic graph is disconnected")
+    return types.SimpleNamespace(
+        closing=closing,
+        spanning=spanning,
+        messages=messages,
+        connected=lambda u, v: v in _reachable(forest, u),
+        path=lambda src, dst: _tree_path(forest, src, dst),
+    )
 
 
 def erlang_c(servers: int, offered_load: float) -> float:

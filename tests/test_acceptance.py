@@ -27,7 +27,7 @@ from fluidq import (
     validate_model,
     zero_path_check,
 )
-from fluidq.cli import run_analysis
+from fluidq.analysis import run_analysis
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
 from support import erlang_c, tune_zero_path

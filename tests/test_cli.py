@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fluidq.cli import main, run_analysis
+from fluidq.analysis import run_analysis
+from fluidq.cli import main
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
 
@@ -165,6 +166,35 @@ def test_simulate_policy_mismatch_exit_4(tmp_path, capsys):
     ])
     assert code == 4
     assert "negative" in capsys.readouterr().err
+
+
+# a valid 1x2 model whose capacities 1.4 round to 1 server each at n = 1
+ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], "mu": [[1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "payload, flag, value, message",
+    [
+        (CASE_A, "--n", "10,x", "invalid literal"),
+        (CASE_A, "--n", "40,10", "ascending"),
+        (CASE_A, "--n", "0", "at least 1"),
+        (CASE_A, "--reps", "0", "at least one replication"),
+        (CASE_A, "--T", "0", "must be positive"),
+        (ROUNDS_BADLY, "--n", "1", "drifted"),
+    ],
+    ids=["malformed-n", "descending-n", "n-zero", "reps-zero", "T-zero", "scaling"],
+)
+def test_simulate_invalid_request_exit_2(tmp_path, capsys, payload, flag, value, message):
+    model = _write(tmp_path, "m.json", payload)
+    args = {"--n": "10", "--T": "0.1", "--reps": "1", flag: value}
+    code = main([
+        "simulate", model, *[a for kv in args.items() for a in kv],
+        "--policy", "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_writes_outputs(tmp_path):

@@ -7,7 +7,6 @@ from fluidq import (
     NegativeServiceRate,
     NonPositiveRate,
     activity_set,
-    effective_rates,
     model_to_dict,
     validate_model,
 )
@@ -65,13 +64,13 @@ def test_model_arrays_are_readonly(case_a):
 
 
 def test_activity_set_case_a(case_a):
-    assert activity_set(case_a).pairs == (
+    assert sorted(activity_set(case_a)) == [
         (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
-    )
+    ]
 
 
 def test_activity_set_case_b_excludes_disabled(case_b):
-    edges = activity_set(case_b).edges
+    edges = activity_set(case_b)
     assert (2, 3) not in edges
     assert len(edges) == 5
 
@@ -80,41 +79,19 @@ def test_activity_set_single_pair():
     m = validate_model(
         {"classes": 2, "stations": 2, "lambda": [1, 1], "nu": [1, 1], "mu": [[2, 0], [0, 0]]}
     )
-    assert activity_set(m).pairs == ((1, 3),)
+    assert activity_set(m) == frozenset({(1, 3)})
 
 
-def test_effective_rates_identity_when_unit_capacity(case_a):
-    assert np.array_equal(effective_rates(case_a).matrix, case_a.service_rates)
-
-
-def test_effective_rates_scaling():
-    m = validate_model(
-        {"classes": 1, "stations": 3, "lambda": [1], "nu": [2, 2, 2], "mu": [[3, 10, 1]]}
-    )
-    assert effective_rates(m).matrix.tolist() == [[6.0, 20.0, 2.0]]
-
-
-def test_effective_rates_random_entrywise():
+def test_activity_set_is_positive_rates():
     rng = np.random.default_rng(5)
     for _ in range(20):
         I, J = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        mu = rng.uniform(0, 5, (I, J))
-        nu = rng.uniform(0.5, 2, J)
+        mu = np.where(rng.random((I, J)) < 0.4, 0.0, rng.uniform(0, 5, (I, J)))
         m = validate_model(
-            {"classes": I, "stations": J, "lambda": [1] * I, "nu": nu.tolist(), "mu": mu.tolist()}
+            {"classes": I, "stations": J, "lambda": [1] * I, "nu": [1] * J, "mu": mu.tolist()}
         )
-        mat = effective_rates(m).matrix
-        for i in range(I):
-            for j in range(J):
-                assert mat[i, j] == pytest.approx(mu[i, j] * nu[j], abs=1e-12)
-
-
-def test_effective_rates_positive_iff_activity(case_b):
-    mat = effective_rates(case_b).matrix
-    acts = activity_set(case_b).edges
-    for i in case_b.class_labels:
-        for j in case_b.station_labels:
-            assert (mat[case_b.class_pos(i), case_b.station_pos(j)] > 0) == ((i, j) in acts)
+        expect = {(i + 1, I + 1 + j) for i, j in np.argwhere(mu > 0)}
+        assert activity_set(m) == expect
 
 
 def test_relabeling_commutes(case_a):
@@ -125,14 +102,14 @@ def test_relabeling_commutes(case_a):
         relabeled = relabel_model(case_a, cp, sp)
         # activities computed after relabeling match relabeled activities
         expect = set()
-        for i, j in activity_set(case_a).edges:
+        for i, j in activity_set(case_a):
             new_i = int(np.flatnonzero(cp == case_a.class_pos(i))[0]) + 1
             new_j = int(np.flatnonzero(sp == case_a.station_pos(j))[0]) + case_a.num_classes + 1
             expect.add((new_i, new_j))
-        assert activity_set(relabeled).edges == expect
-        mat = effective_rates(relabeled).matrix
-        base = effective_rates(case_a).matrix
-        assert np.allclose(mat, base[np.ix_(cp, sp)])
+        assert activity_set(relabeled) == expect
+        assert np.array_equal(
+            relabeled.service_rates, case_a.service_rates[np.ix_(cp, sp)]
+        )
 
 
 def test_json_round_trip(case_a, tmp_path):

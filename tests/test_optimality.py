@@ -316,6 +316,20 @@ def test_nc_assumption_failure_unknown():
     assert v.violations
 
 
+def test_nc_non_unique_allocation_unknown():
+    # critically loaded on a tree and optimal, but a second optimal allocation
+    # exists and a zero path is neither class- nor pool-dependent
+    m = validate_model(
+        {"classes": 3, "stations": 3, "lambda": [1.25, 1, 1.5], "nu": [1, 1, 1],
+         "mu": [[0, 1, 1], [1, 2, 2], [1, 2, 0]]}
+    )
+    v = nc_verdict(m)
+    assert v.throughput.optimal
+    assert (v.status, v.basis) == (NC_UNKNOWN, "assumptions")
+    assert v.explanation == "the optimal allocation is not unique"
+    assert any(ev.dependence == "neither" for ev in v.zero_path_evidence)
+
+
 def test_nc_possible_iff_sub_optimal_under_assumptions():
     rng = np.random.default_rng(909)
     for _ in range(25):

@@ -121,7 +121,7 @@ def test_weight_equals_class_weight_sum_exactly():
         model, sol = generate_critical_instance(int(rng.integers(0, 5000)), I, J)
         for p in enumerate_simple_paths(sol, activity_set(model), model):
             assert p.weight == float(p.class_weights.sum())
-            m, w = path_weights(p, model)
+            m, w = path_weights(p.signed_edges, model)
             assert np.array_equal(m, p.class_weights)
             assert w == p.weight
 
@@ -134,7 +134,7 @@ def test_class_dependent_rates_give_zero_class_weights():
     paths = enumerate_simple_paths(sol, activity_set(m), m)
     assert len(paths) == 1
     p = paths[0]
-    assert classify_dependence(p, m) == CLASS_DEPENDENT
+    assert classify_dependence(p.signed_edges, m) == CLASS_DEPENDENT
     assert np.abs(p.class_weights).max() <= 1e-9
     assert p.sign_class == "zero"
 
@@ -145,9 +145,7 @@ def test_pool_dependent_rates_classified():
         {"classes": 2, "stations": 2, "lambda": [5, 2], "nu": [1, 1], "mu": [[3, 2], [3, 2]]}
     )
     edges = (((2, 4), +1), ((1, 4), -1), ((1, 3), +1), ((2, 3), -1))
-    from fluidq.paths import _classify_edges
-
-    assert _classify_edges(edges, m, 1e-9) == POOL_DEPENDENT
+    assert classify_dependence(edges, m, 1e-9) == POOL_DEPENDENT
 
 
 def test_nonzero_weight_is_neither(case_a):

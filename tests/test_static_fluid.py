@@ -10,15 +10,18 @@ import fluidq.static_fluid
 from fluidq import (
     GenerationFailed,
     InfeasibleModel,
+    NotATree,
     NumericalFailure,
+    activity_set,
     check_assumptions,
+    enumerate_simple_paths,
     generate_critical_instance,
     load_model,
     solve_static_allocation,
     validate_model,
 )
 
-from support import allocation_unique_by_ranges, relabel_model
+from support import allocation_unique_by_ranges, forest_oracle, relabel_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -43,6 +46,18 @@ def test_minimal_forced_allocation(minimal):
     assert sol.allocation.tolist() == [[1.0]]
     assert sol.load == pytest.approx(1.0, abs=1e-9)
     assert sol.class_masses.tolist() == [1.0]
+
+
+def test_allocation_lp_serves_at_rate_times_capacity():
+    m = validate_model(
+        {"classes": 1, "stations": 3, "lambda": [1], "nu": [1, 2, 3], "mu": [[3, 10, 0]]}
+    )
+    lp = fluidq.static_fluid._allocation_lp(m)
+    # one service row per class, then the pin of each pair without service
+    assert [(coef.tolist(), rhs) for coef, rhs in lp.eq] == [
+        ([3.0, 20.0, 0.0, 0.0], 1.0),
+        ([0.0, 0.0, 1.0, 0.0], 0.0),
+    ]
 
 
 def test_infeasible_when_class_has_no_activity():
@@ -332,3 +347,60 @@ def test_generated_allocation_agrees_with_highs(size):
         assert np.abs(allocation - sol.allocation).max() <= 1e-9
         basic = {(i + 1, size + 1 + j) for i, j in np.argwhere(allocation > 1e-9)}
         assert basic == _planted_tree(seed, size, size)
+
+
+def _edge_sets(rng, count):
+    """Random edge sets of K_{I,J}: sparse and dense subsets, spanning trees,
+    and trees with one edge added or removed."""
+    for _ in range(count):
+        I, J = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        pairs = [(i, I + j) for i in range(1, I + 1) for j in range(1, J + 1)]
+        kind = int(rng.integers(5))
+        if kind < 2:
+            keep = rng.random(len(pairs)) < (0.3, 0.7)[kind]
+            edges = {p for p, k in zip(pairs, keep) if k}
+        else:
+            tree = fluidq.static_fluid._uniform_spanning_tree(rng, I, J)
+            edges = {(i + 1, I + 1 + j) for i, j in tree}
+            if kind == 3:
+                edges.add(pairs[int(rng.integers(len(pairs)))])
+            elif kind == 4:
+                edges.discard(sorted(edges)[int(rng.integers(len(edges)))])
+        yield I, J, frozenset(edges)
+
+
+def test_spanning_forest_agrees_with_graph_walks():
+    from fluidq.static_fluid import _tree_check, spanning_forest, tree_path
+
+    rng = np.random.default_rng(23)
+    seen_cycles = seen_trees = seen_split = 0
+    for I, J, edges in _edge_sets(rng, 400):
+        model = validate_model(
+            {"classes": I, "stations": J, "lambda": [1] * I, "nu": [1] * J,
+             "mu": [[1] * J] * I}
+        )
+        oracle = forest_oracle(I + J, edges)
+        parent, closing = spanning_forest(model, edges)
+        assert closing == oracle.closing
+        is_tree, messages = _tree_check(model, edges)
+        assert is_tree == oracle.spanning
+        assert messages == oracle.messages
+        zeros = np.zeros((I, J))
+        sol = fluidq.static_fluid.FluidSolution(zeros, 1.0, zeros, zeros[:, 0], edges)
+        if oracle.spanning:
+            assert len(enumerate_simple_paths(sol, activity_set(model), model)) == (
+                I * J - (I + J - 1))
+        else:
+            with pytest.raises(NotATree):
+                enumerate_simple_paths(sol, activity_set(model), model)
+        for u, v in itertools.product(parent, repeat=2):
+            if oracle.connected(u, v):
+                assert tree_path(parent, u, v) == oracle.path(u, v)
+            else:
+                with pytest.raises(ValueError):
+                    tree_path(parent, u, v)
+        seen_cycles += bool(closing)
+        seen_trees += oracle.spanning
+        seen_split += "basic graph is disconnected" in messages
+    # every case occurs often
+    assert min(seen_cycles, seen_trees, seen_split) >= 50
