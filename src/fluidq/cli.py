@@ -1,10 +1,12 @@
 """Command-line front end: analyze a model, run experiments, generate instances.
 
 Exit codes: 0 success, 2 model validation failure (including an infeasible
-allocation problem) or an invalid simulation request (malformed or
+allocation problem), an invalid simulation request (malformed or
 non-ascending --n, a scale, horizon or replication count below 1, or a scale
-too small to round the server counts), 3 assumption failure under --strict,
-4 policy/model mismatch for simulation, 5 numerical failure of the LP solver.
+too small to round the server counts) or an output path that cannot be
+written (simulate checks --out before it runs), 3 assumption failure under
+--strict, 4 policy/model mismatch for simulation, 5 numerical failure of the
+LP solver.
 """
 
 from __future__ import annotations
@@ -99,6 +101,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.policy == "negative-path" and not any(p.sign_class == "negative" for p in paths):
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: --out: {existing} is not a directory", file=sys.stderr)
+        return EXIT_INVALID_MODEL
 
     try:
         n_list = [int(v) for v in args.n.split(",")]
@@ -110,7 +117,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out / "trajectories.csv", result, model)
     summary = {
@@ -198,6 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # models are read inside the commands, so what reaches here is an output write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID_MODEL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
-"""Self-contained dense LP solver: two-phase simplex with Bland's rule.
+"""Self-contained dense LP solver: two-phase simplex, Dantzig pricing.
 
-The programs built elsewhere in this package are small (the allocation LP
-has I*J + 1 variables, 257 at 16x16), so the design optimizes for
-determinism and robustness rather than speed: full-tableau pivoting,
-lowest-index entering rule, and a hard iteration budget.
+The programs built elsewhere in this package are small: they carry one
+variable per activity (pair with mu_ij > 0), so the allocation LP has at most
+I*J + 1 variables (257 at 16x16). The design keeps full-tableau pivoting and
+a hard iteration budget. The most negative reduced cost enters (Dantzig),
+ties going to the lowest index; after DEGENERATE_RUN consecutive degenerate
+pivots the lowest eligible index enters instead (Bland), until the next
+pivot that moves the objective. Bland's rule cannot cycle within a
+degenerate run and every other pivot strictly lowers the objective, so the
+method terminates, and it is deterministic in the input.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from .model import DEFAULT_TOL
 
 # Entries below this magnitude are never used as pivots.
 PIVOT_TOL = 1e-10
+# Consecutive degenerate pivots after which Bland's rule replaces Dantzig's.
+DEGENERATE_RUN = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,6 +67,7 @@ class LPResult:
     status: str
     x: np.ndarray | None = None
     value: float | None = None
+    pivots: int = 0
 
 
 def _pivot(A: np.ndarray, b: np.ndarray, row: int, col: int) -> None:
@@ -92,15 +100,20 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     """Run simplex iterations in place; returns OPTIMAL or UNBOUNDED.
 
     ``allowed`` bounds the entering-column index so phase 2 never re-admits
-    artificial columns. Bland's rule: lowest eligible index enters, ties in
-    the ratio test break on the lowest basis label, so cycling is impossible.
+    artificial columns. Ties in the ratio test break on the lowest basis
+    label, as Bland's rule needs.
     """
+    degenerate = 0
     while True:
         reduced = c - c[basis] @ A
         eligible = np.flatnonzero(reduced[:allowed] < -PIVOT_TOL)
         if eligible.size == 0:
             return OPTIMAL
-        enter = int(eligible[0])
+        # Bland's lowest index once a degenerate run is long, else Dantzig's
+        if degenerate >= DEGENERATE_RUN:
+            enter = int(eligible[0])
+        else:
+            enter = int(eligible[np.argmin(reduced[eligible])])
         col = A[:, enter]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
@@ -109,6 +122,7 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         best = ratios.min()
         tied = rows[ratios == best]
         leave = int(tied[np.argmin(basis[tied])])
+        degenerate = degenerate + 1 if best <= 0.0 else 0
         budget.spend()
         _pivot(A, b, leave, enter)
         basis[leave] = enter
@@ -160,20 +174,20 @@ def solve_lp(lp: LinearProgram) -> LPResult:
         if status != OPTIMAL:
             raise NumericalFailure("phase-1 subproblem reported unbounded")
         if float(phase1[basis] @ b) > DEFAULT_TOL:
-            return LPResult(status=INFEASIBLE)
+            return LPResult(status=INFEASIBLE, pivots=budget.used)
         A, b, basis = _expel_artificials(A, b, basis, n_real, budget)
 
     c = np.zeros(A.shape[1])
     c[:n] = lp.objective
     status = _iterate(A, b, c, basis, budget, allowed=n_real)
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
+        return LPResult(status=UNBOUNDED, pivots=budget.used)
 
     full = np.zeros(A.shape[1])
     full[basis] = b
     x = full[:n].copy()
     _check_residuals(lp, x)
-    return LPResult(status=OPTIMAL, x=x, value=float(lp.objective @ x))
+    return LPResult(status=OPTIMAL, x=x, value=float(lp.objective @ x), pivots=budget.used)
 
 
 def _expel_artificials(A, b, basis, n_real, budget):

@@ -23,7 +23,13 @@ from .paths import (
     SimplePath,
     enumerate_simple_paths,
 )
-from .static_fluid import AssumptionReport, FluidSolution, check_assumptions, solve_static_allocation
+from .static_fluid import (
+    AssumptionReport,
+    FluidSolution,
+    check_assumptions,
+    lp_columns,
+    solve_static_allocation,
+)
 
 NC_POSSIBLE = "possible"
 NC_IMPOSSIBLE = "impossible"
@@ -114,23 +120,14 @@ def max_throughput(
     The polytope is never empty (the zero matrix is feasible), so this always
     succeeds.
     """
-    I, J = model.num_classes, model.num_stations
-    x_bar = np.asarray(class_masses, dtype=float)
-    nu_bar = np.asarray(capacities, dtype=float)
-    n = I * J
-    ub = []
-    for i in range(I):
-        coef = np.zeros(n)
-        coef[i * J:(i + 1) * J] = 1.0
-        ub.append((coef, float(x_bar[i])))
-    for j in range(J):
-        coef = np.zeros(n)
-        coef[np.arange(I) * J + j] = 1.0
-        ub.append((coef, float(nu_bar[j])))
+    rows, cols = lp_columns(model)
+    ub = [(rows == i, float(x)) for i, x in enumerate(np.asarray(class_masses, dtype=float))]
+    ub += [(cols == j, float(v)) for j, v in enumerate(np.asarray(capacities, dtype=float))]
     res = solve_lp(
-        LinearProgram(n_vars=n, objective=-model.service_rates.ravel(), ub=tuple(ub))
+        LinearProgram(n_vars=rows.size, objective=-model.service_rates[rows, cols], ub=tuple(ub))
     )
-    psi = np.clip(res.x.reshape(I, J), 0.0, None)
+    psi = np.zeros(model.service_rates.shape)
+    psi[rows, cols] = np.clip(res.x, 0.0, None)
     return -float(res.value), psi
 
 
@@ -140,7 +137,7 @@ def throughput_verdict_lp(
     """Optimal iff no feasible mass rearrangement serves faster than arrivals."""
     value, psi = max_throughput(sol.class_masses, model.capacities, model)
     arrivals = float(model.arrival_rates.sum())
-    optimal = value <= arrivals + tol
+    optimal = value <= arrivals * (1.0 + tol)
     return ThroughputVerdict(
         optimal=optimal,
         method="lp",

@@ -56,36 +56,26 @@ class AssumptionReport:
         return self.critically_loaded and self.unique and self.is_tree
 
 
+def lp_columns(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """Class and station positions of the activities (mu_ij > 0) in row-major
+    order: the LP columns of the static programs. Pairs without service get
+    no variable, so they carry no allocation."""
+    return np.nonzero(model.service_rates > 0.0)
+
+
 def _allocation_lp(model: NetworkModel) -> LinearProgram:
-    """Variables: allocation fractions flattened row-major, then the load."""
-    I, J = model.num_classes, model.num_stations
-    n = I * J + 1
-    load_idx = I * J
-    mubar = model.service_rates * model.capacities[None, :]
+    """Variables: allocation fractions on the ``lp_columns``, then the load."""
+    rows, cols = lp_columns(model)
+    n = rows.size + 1
+    mubar = model.service_rates[rows, cols] * model.capacities[cols]
 
     objective = np.zeros(n)
-    objective[load_idx] = 1.0
-
-    eq = []
-    for i in range(I):
-        coef = np.zeros(n)
-        coef[i * J:(i + 1) * J] = mubar[i]
-        eq.append((coef, float(model.arrival_rates[i])))
-    # pairs without service are pinned to zero allocation
-    for i in range(I):
-        for j in range(J):
-            if mubar[i, j] == 0.0:
-                coef = np.zeros(n)
-                coef[i * J + j] = 1.0
-                eq.append((coef, 0.0))
-
-    ub = []
-    for j in range(J):
-        coef = np.zeros(n)
-        coef[np.arange(I) * J + j] = 1.0
-        coef[load_idx] = -1.0
-        ub.append((coef, 0.0))
-
+    objective[-1] = 1.0
+    eq = [
+        (np.append(np.where(rows == i, mubar, 0.0), 0.0), float(model.arrival_rates[i]))
+        for i in range(model.num_classes)
+    ]
+    ub = [(np.append(cols == j, -1.0), 0.0) for j in range(model.num_stations)]
     return LinearProgram(n_vars=n, objective=objective, eq=tuple(eq), ub=tuple(ub))
 
 
@@ -101,7 +91,8 @@ def solve_static_allocation(model: NetworkModel, tol: float = DEFAULT_TOL) -> Fl
     if res.status == INFEASIBLE:
         raise InfeasibleModel("arrival rates cannot be served by any allocation")
 
-    allocation = np.clip(res.x[: I * J].reshape(I, J), 0.0, None)
+    allocation = np.zeros((I, J))
+    allocation[lp_columns(model)] = np.clip(res.x[:-1], 0.0, None)
     load = float(res.value)
     masses = allocation * model.capacities[None, :]
     class_masses = masses.sum(axis=1)
@@ -199,7 +190,6 @@ def _uniqueness_check(
     Raises:
         NumericalFailure: the pinned optimal face is empty.
     """
-    I, J = model.num_classes, model.num_stations
     x_star = sol.allocation
     zero = (x_star <= tol).astype(float)
     full = sol.load - x_star.sum(axis=0) <= tol
@@ -207,14 +197,14 @@ def _uniqueness_check(
     gain = zero - full[None, :]
 
     lp = _allocation_lp(model)
-    objective = np.zeros(lp.n_vars)
-    objective[: I * J] = -gain.ravel()
+    columns = lp_columns(model)
     pinned = lp.eq + ((lp.objective, sol.load),)
-    res = solve_lp(LinearProgram(lp.n_vars, objective, pinned, lp.ub))
+    res = solve_lp(LinearProgram(lp.n_vars, np.append(-gain[columns], 0.0), pinned, lp.ub))
     if res.status != OPTIMAL:
         raise NumericalFailure("optimal face is empty at the pinned objective value")
 
-    witness = res.x[: I * J].reshape(I, J)
+    witness = np.zeros_like(x_star)
+    witness[columns] = res.x[:-1]
     if float((gain * (witness - x_star)).sum()) <= tol:
         return True, []
     moved = np.abs(witness - x_star)

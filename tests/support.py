@@ -114,6 +114,43 @@ def max_throughput_oracle(class_masses, capacities, model):
     return out[0]
 
 
+def full_allocation_lp(model):
+    """The allocation program over every (class, station) pair: I*J
+    allocation fractions flattened row-major, then the load, with each pair
+    without service pinned to zero by an equality row. The package's own
+    program carries only the activities; the oracles use this one so they
+    do not share its builder.
+    """
+    I, J = model.num_classes, model.num_stations
+    n = I * J + 1
+    load_idx = I * J
+    mubar = model.service_rates * model.capacities[None, :]
+
+    objective = np.zeros(n)
+    objective[load_idx] = 1.0
+
+    eq = []
+    for i in range(I):
+        coef = np.zeros(n)
+        coef[i * J:(i + 1) * J] = mubar[i]
+        eq.append((coef, float(model.arrival_rates[i])))
+    for i in range(I):
+        for j in range(J):
+            if mubar[i, j] == 0.0:
+                coef = np.zeros(n)
+                coef[i * J + j] = 1.0
+                eq.append((coef, 0.0))
+
+    ub = []
+    for j in range(J):
+        coef = np.zeros(n)
+        coef[np.arange(I) * J + j] = 1.0
+        coef[load_idx] = -1.0
+        ub.append((coef, 0.0))
+
+    return LinearProgram(n_vars=n, objective=objective, eq=tuple(eq), ub=tuple(ub))
+
+
 def allocation_unique_oracle(model):
     """Uniqueness of the allocation optimum, by optimal-face vertex counting.
 
@@ -121,9 +158,7 @@ def allocation_unique_oracle(model):
     chosen tight rows), keeps those attaining the optimal load, and reports
     whether the allocation part is unique across them.
     """
-    from fluidq.static_fluid import _allocation_lp
-
-    lp = _allocation_lp(model)
+    lp = full_allocation_lp(model)
     n = lp.n_vars
     a_eq = np.vstack([c for c, _ in lp.eq])
     b_eq = np.array([r for _, r in lp.eq])
@@ -191,11 +226,9 @@ def allocation_unique_by_ranges(model, sol, tol=1e-9):
     variable's range over the optimal face: 2 * I * J LP solves.
 
     The reference for the one-LP test in ``check_assumptions``: the same
-    allocation program and simplex, a different uniqueness argument.
+    simplex, a different uniqueness argument, and its own allocation program.
     """
-    from fluidq.static_fluid import _allocation_lp
-
-    lp = _allocation_lp(model)
+    lp = full_allocation_lp(model)
     for var in range(model.num_classes * model.num_stations):
         lo, hi = optimal_range(lp, var, sol.load)
         if hi - lo > 2 * tol:

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import fluidq.cli
+import fluidq.static_fluid
+from fluidq import NumericalFailure
 from fluidq.analysis import run_analysis
 from fluidq.cli import main
 
@@ -140,22 +143,49 @@ def test_generate_6x6_round_trip(tmp_path):
     assert report["fluid"]["basic_edges"] == planted["basic_edges"]
 
 
-def test_numerical_failure_exit_5(tmp_path, capsys):
-    # the same network with time measured in microseconds: the solver's
-    # absolute tolerances then find the pinned optimal face empty
-    scaled = dict(
-        CASE_A,
-        **{"lambda": [1e6 * v for v in CASE_A["lambda"]],
-           "mu": [[1e6 * v for v in row] for row in CASE_A["mu"]]},
-    )
-    model = _write(tmp_path, "a_1e6.json", scaled)
-    assert main(["analyze", model]) == 5
-    assert "numerical failure" in capsys.readouterr().err
-    code = main([
-        "simulate", model, "--n", "10", "--T", "0.1", "--reps", "1",
-        "--policy", "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out"),
-    ])
-    assert code == 5
+def test_numerical_failure_exit_5(tmp_path, capsys, monkeypatch):
+    # a solver that cannot confirm its optimum, as absolute tolerances once
+    # made it on rates in extreme units
+    def failing(lp):
+        raise NumericalFailure("simplex exceeded 0 pivots")
+
+    monkeypatch.setattr(fluidq.static_fluid, "solve_lp", failing)
+    model = _write(tmp_path, "a.json", CASE_A)
+    runs = {
+        "analyze": ["analyze", model],
+        "simulate": ["simulate", model, "--n", "10", "--T", "0.1", "--reps", "1",
+                     "--policy", "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out")],
+        "generate": ["generate", "--I", "3", "--J", "3", "--seed", "1",
+                     "--out", str(tmp_path / "g.json")],
+    }
+    for command, argv in runs.items():
+        assert main(argv) == 5, command
+        assert "numerical failure" in capsys.readouterr().err, command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+@pytest.mark.parametrize("case", ["analyze-json", "generate-out", "simulate-out-file"])
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, case):
+    model = _write(tmp_path, "a.json", CASE_A)
+    missing = str(tmp_path / "missing" / "x.json")
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(fluidq.cli, "run_nc_experiment", never)
+    argv = {
+        "analyze-json": ["analyze", model, "--json", missing],
+        "generate-out": ["generate", "--I", "2", "--J", "2", "--seed", "1", "--out", missing],
+        "simulate-out-file": ["simulate", model, "--n", "10", "--T", "0.1", "--reps", "1",
+                              "--policy", "greedy-basic", "--seed", "1", "--out", str(taken)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert taken.read_text() == "keep"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_simulate_policy_mismatch_exit_4(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import fluidq.linprog
 from fluidq import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    NumericalFailure,
+    generate_critical_instance,
     solve_lp,
 )
 from fluidq.static_fluid import _allocation_lp
@@ -172,9 +175,32 @@ def test_optimal_range_confirmed_by_perturbed_objectives(case_a):
     rng = np.random.default_rng(17)
     for _ in range(10):
         bump = np.zeros(lp.n_vars)
-        bump[: case_a.num_classes * case_a.num_stations] = rng.uniform(
-            0, 1e-7, case_a.num_classes * case_a.num_stations
-        )
+        bump[:-1] = rng.uniform(0, 1e-7, lp.n_vars - 1)
         shifted = LinearProgram(lp.n_vars, lp.objective + bump, lp.eq, lp.ub)
         res = solve_lp(shifted)
         assert np.abs(res.x - base.x).max() <= 1e-6
+
+
+def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch):
+    # Beale's degenerate program, on which Dantzig's rule alone cycles
+    lp = LinearProgram(
+        4, [-0.75, 20.0, -0.5, 6.0],
+        ub=[([0.25, -8.0, -1.0, 9.0], 0.0), ([0.5, -12.0, -0.5, 3.0], 0.0),
+            ([0.0, 0.0, 1.0, 0.0], 1.0)],
+    )
+    res = solve_lp(lp)
+    assert res.status == OPTIMAL
+    assert res.value == pytest.approx(-1.25, abs=1e-12)
+    assert res.pivots > fluidq.linprog.DEGENERATE_RUN
+    monkeypatch.setattr(fluidq.linprog, "DEGENERATE_RUN", 10**9)
+    with pytest.raises(NumericalFailure, match="exceeded"):
+        solve_lp(lp)
+
+
+def test_allocation_lp_pivot_count():
+    # Bland's rule over every pair took 4,382 pivots on this program
+    model, _ = generate_critical_instance(1, 32, 32)
+    res = solve_lp(_allocation_lp(model))
+    assert res.status == OPTIMAL
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert res.pivots <= 400

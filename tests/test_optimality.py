@@ -6,6 +6,8 @@ from fluidq import (
     NC_POSSIBLE,
     NC_UNKNOWN,
     AllocationPolytope,
+    FluidSolution,
+    NumericalFailure,
     activity_set,
     check_assumptions,
     combined_zero_path_check,
@@ -21,6 +23,9 @@ from fluidq import (
     zero_path_check,
 )
 
+from fluidq.analysis import run_analysis
+
+from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
 from support import max_throughput_oracle, tune_zero_path
 
 # a 3x3 instance found by randomized search: throughput optimal, assumptions
@@ -323,7 +328,14 @@ def test_nc_non_unique_allocation_unknown():
         {"classes": 3, "stations": 3, "lambda": [1.25, 1, 1.5], "nu": [1, 1, 1],
          "mu": [[0, 1, 1], [1, 2, 2], [1, 2, 0]]}
     )
-    v = nc_verdict(m)
+    # the optimal vertex whose basic graph is a tree; the solver may return
+    # another optimal vertex, which fails the tree assumption instead
+    allocation = np.array([[0, 0.75, 0.5], [0, 0, 0.5], [1, 0.25, 0]])
+    sol = FluidSolution(
+        allocation, 1.0, allocation, allocation.sum(axis=1),
+        frozenset({(1, 5), (1, 6), (2, 6), (3, 4), (3, 5)}),
+    )
+    v = nc_verdict(m, sol)
     assert v.throughput.optimal
     assert (v.status, v.basis) == (NC_UNKNOWN, "assumptions")
     assert v.explanation == "the optimal allocation is not unique"
@@ -339,3 +351,28 @@ def test_nc_possible_iff_sub_optimal_under_assumptions():
         v = nc_verdict(model, sol, rep)
         sub_optimal = not v.throughput.optimal
         assert (v.status == NC_POSSIBLE) == sub_optimal
+
+
+SCALES = (1e-12, 1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 1e-8, 1e-4, 1e4, 1e6, 1e8, 1e10)
+
+
+@pytest.mark.parametrize("unit", ["time", "capacity"])
+@pytest.mark.parametrize(
+    "raw", [CASE_A, CASE_B, CLASS_DEPENDENT_2X2], ids=["case_a", "case_b", "class_dependent_2x2"]
+)
+def test_verdict_does_not_depend_on_units(raw, unit):
+    # lambda and mu scale with time, lambda and nu with capacity; the verdict
+    # may degrade to unknown or a numerical failure, never to a wrong one
+    expected = run_analysis(validate_model(raw)).nc.status
+    rates = "mu" if unit == "time" else "nu"
+    for c in SCALES:
+        scaled = dict(raw, **{"lambda": [c * v for v in raw["lambda"]]})
+        scaled[rates] = (np.asarray(raw[rates], dtype=float) * c).tolist()
+        try:
+            status = run_analysis(validate_model(scaled)).nc.status
+        except NumericalFailure:
+            assert c not in (1e4, 1e6, 1e8), c
+            continue
+        if c in (1e4, 1e6, 1e8):
+            assert status == expected, c
+        assert status in (expected, NC_UNKNOWN), c

@@ -53,10 +53,14 @@ def test_allocation_lp_serves_at_rate_times_capacity():
         {"classes": 1, "stations": 3, "lambda": [1], "nu": [1, 2, 3], "mu": [[3, 10, 0]]}
     )
     lp = fluidq.static_fluid._allocation_lp(m)
-    # one service row per class, then the pin of each pair without service
-    assert [(coef.tolist(), rhs) for coef, rhs in lp.eq] == [
-        ([3.0, 20.0, 0.0, 0.0], 1.0),
-        ([0.0, 0.0, 1.0, 0.0], 0.0),
+    # one variable per activity, then the load; the pair without service has
+    # no variable and no pin row, so the only equality is the service row
+    assert lp.n_vars == 3
+    assert [(coef.tolist(), rhs) for coef, rhs in lp.eq] == [([3.0, 20.0, 0.0], 1.0)]
+    assert [(coef.tolist(), rhs) for coef, rhs in lp.ub] == [
+        ([1.0, 0.0, -1.0], 0.0),
+        ([0.0, 1.0, -1.0], 0.0),
+        ([0.0, 0.0, -1.0], 0.0),
     ]
 
 
@@ -320,7 +324,7 @@ def test_generator_retries_with_the_next_seed(monkeypatch):
     assert np.array_equal(sol.allocation, sol2.allocation)
 
 
-@pytest.mark.parametrize("size", [8, 12, 16])
+@pytest.mark.parametrize("size", [8, 12, 16, 24, 32, 50])
 def test_generated_allocation_agrees_with_highs(size):
     # the allocation program solved independently, by HiGHS
     optimize = pytest.importorskip("scipy.optimize")
