@@ -1,7 +1,10 @@
 """Byte-for-byte regression of the command-line outputs.
 
 The files under ``tests/golden/`` were captured from the CLI before the
-package was cut down to its core; the analysis must reproduce them exactly.
+package was cut down to its core, and regenerated when the LP solver moved
+to activity-only programs and Dantzig pricing: that changed float rounding
+and, where the optimal allocation is not unique, the vertex returned. The
+analysis must reproduce them exactly.
 Regenerate them (only when an output is meant to change) with
 
     PYTHONPATH=src:tests python tests/test_golden.py
