@@ -77,8 +77,8 @@ class AnalysisReport:
             "perturbation": {
                 "kappa_grid_divisors": list(KAPPA_GRID),
                 "zero_paths": [
-                    {"leaves": list(ev.path.leaf_pair), "dependence": ev.dependence}
-                    | _fields(ev.check, *check, "degenerate", "grid")
+                    {"leaves": list(ev.path.leaf_pair), "dependence": ev.path.dependence}
+                    | _fields(ev, *check, "degenerate", "grid")
                     for ev in nc.zero_path_evidence
                 ],
                 "combined": _fields(nc.combined_check, *check),
@@ -170,8 +170,7 @@ def render_report(rep: AnalysisReport) -> str:
     for ev in nc.zero_path_evidence:
         lines.append(
             f"zero-path check ({ev.path.class_leaf},{ev.path.station_leaf}):"
-            f" dependence={ev.dependence} satisfied={ev.check.satisfied}"
-            f" strict={ev.check.strict}"
+            f" dependence={ev.path.dependence} satisfied={ev.satisfied} strict={ev.strict}"
         )
     lines.append(
         f"null controllability: {nc.status.upper()} (basis: {nc.basis}) - {nc.explanation}"

@@ -1,7 +1,9 @@
 """Self-contained dense LP solver: two-phase simplex, Dantzig pricing.
 
-The programs built elsewhere in this package are small: they carry one
-variable per activity (pair with mu_ij > 0), so the allocation LP has at most
+A program is given in matrix form, a_eq x = b_eq, a_ub x <= b_ub, x >= 0,
+and row k of ``a_eq`` (then of ``a_ub``) is row k of the tableau. The
+programs built elsewhere in this package are small: they carry one variable
+per activity (pair with mu_ij > 0), so the allocation LP has at most
 I*J + 1 variables (257 at 16x16). The design keeps full-tableau pivoting and
 a hard iteration budget. The most negative reduced cost enters (Dantzig),
 ties going to the lowest index; after DEGENERATE_RUN consecutive degenerate
@@ -13,8 +15,7 @@ method terminates, and it is deterministic in the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,32 +35,35 @@ class NumericalFailure(RuntimeError):
     """Pivoting stalled beyond the iteration budget."""
 
 
-def _as_constraints(rows: Iterable[tuple[Sequence[float], float]], n_vars: int, kind: str):
-    out = []
-    for coef, rhs in rows:
-        arr = np.asarray(coef, dtype=float)
-        if arr.shape != (n_vars,):
-            raise ValueError(f"{kind} coefficient vector has shape {arr.shape}, expected ({n_vars},)")
-        out.append((arr, float(rhs)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  subject to  eq rows (=), ub rows (<=) and x >= 0."""
+    """min objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
-    n_vars: int
+    A block left out has no rows.
+    """
+
     objective: np.ndarray
-    eq: tuple[tuple[np.ndarray, float], ...] = field(default=())
-    ub: tuple[tuple[np.ndarray, float], ...] = field(default=())
+    a_eq: np.ndarray | None = None
+    b_eq: np.ndarray | None = None
+    a_ub: np.ndarray | None = None
+    b_ub: np.ndarray | None = None
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
-        if obj.shape != (self.n_vars,):
-            raise ValueError(f"objective has shape {obj.shape}, expected ({self.n_vars},)")
+        if obj.ndim != 1:
+            raise ValueError(f"objective has shape {obj.shape}, expected a vector")
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "eq", _as_constraints(self.eq, self.n_vars, "equality"))
-        object.__setattr__(self, "ub", _as_constraints(self.ub, self.n_vars, "upper-bound"))
+        n = obj.size
+        for kind in ("eq", "ub"):
+            a, b = getattr(self, "a_" + kind), getattr(self, "b_" + kind)
+            a = np.zeros((0, n)) if a is None else np.asarray(a, dtype=float)
+            b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+            if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
+                raise ValueError(
+                    f"{kind} block has shapes {a.shape} and {b.shape}, expected (m, {n}) and (m,)"
+                )
+            object.__setattr__(self, "a_" + kind, a)
+            object.__setattr__(self, "b_" + kind, b)
 
 
 @dataclass(frozen=True)
@@ -135,21 +139,16 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     Raises:
         NumericalFailure: iteration count passed 50 * (variables + rows).
     """
-    n = lp.n_vars
-    m_eq, m_ub = len(lp.eq), len(lp.ub)
+    n = lp.objective.size
+    m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
     m = m_eq + m_ub
     budget = _Budget(50 * (n + m))
 
     A = np.zeros((m, n + m_ub))
-    b = np.zeros(m)
-    for r, (coef, rhs) in enumerate(lp.eq):
-        A[r, :n] = coef
-        b[r] = rhs
-    for k, (coef, rhs) in enumerate(lp.ub):
-        r = m_eq + k
-        A[r, :n] = coef
-        A[r, n + k] = 1.0
-        b[r] = rhs
+    A[:m_eq, :n] = lp.a_eq
+    A[m_eq:, :n] = lp.a_ub
+    A[m_eq:, n:] = np.eye(m_ub)
+    b = np.concatenate([lp.b_eq, lp.b_ub])
 
     flipped = b < 0
     A[flipped] *= -1.0
@@ -157,17 +156,13 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
     n_real = n + m_ub
     basis = np.full(m, -1, dtype=int)
-    for k in range(m_ub):
-        r = m_eq + k
-        if not flipped[r]:
-            basis[r] = n + k
+    basis[m_eq:] = np.where(flipped[m_eq:], -1, np.arange(n, n_real))
     needs_artificial = np.flatnonzero(basis < 0)
 
     if needs_artificial.size:
         A = np.hstack([A, np.zeros((m, needs_artificial.size))])
-        for t, r in enumerate(needs_artificial):
-            A[r, n_real + t] = 1.0
-            basis[r] = n_real + t
+        basis[needs_artificial] = n_real + np.arange(needs_artificial.size)
+        A[needs_artificial, basis[needs_artificial]] = 1.0
         phase1 = np.zeros(A.shape[1])
         phase1[n_real:] = 1.0
         status = _iterate(A, b, phase1, basis, budget, allowed=A.shape[1])
@@ -214,13 +209,11 @@ def _expel_artificials(A, b, basis, n_real, budget):
 
 def _check_residuals(lp: LinearProgram, x: np.ndarray) -> None:
     # a gross violation here is a solver bug, not a property of the instance
-    worst = 0.0
-    for coef, rhs in lp.eq:
-        worst = max(worst, abs(float(coef @ x) - rhs))
-    for coef, rhs in lp.ub:
-        worst = max(worst, float(coef @ x) - rhs)
-    if x.size:
-        worst = max(worst, float(-x.min()))
+    worst = max(
+        np.abs(lp.a_eq @ x - lp.b_eq).max(initial=0.0),
+        (lp.a_ub @ x - lp.b_ub).max(initial=0.0),
+        -x.min(initial=0.0),
+    )
     if worst > 1e-7:
         raise NumericalFailure(f"solution residual {worst:.3e} exceeds sanity bound")
 

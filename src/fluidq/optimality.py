@@ -94,20 +94,13 @@ class PerturbationCheck:
 
 
 @dataclass(frozen=True)
-class ZeroPathEvidence:
-    path: SimplePath
-    dependence: str
-    check: PerturbationCheck
-
-
-@dataclass(frozen=True)
 class NCVerdict:
     status: str                     # NC_POSSIBLE, NC_IMPOSSIBLE or NC_UNKNOWN
     basis: str                      # machine-readable key for the deciding rule
     explanation: str
     throughput: ThroughputVerdict | None
     path_verdict: ThroughputVerdict | None
-    zero_path_evidence: tuple[ZeroPathEvidence, ...] = ()
+    zero_path_evidence: tuple[PerturbationCheck, ...] = ()
     combined_check: PerturbationCheck | None = None
     violations: tuple[str, ...] = ()
 
@@ -121,11 +114,14 @@ def max_throughput(
     succeeds.
     """
     rows, cols = lp_columns(model)
-    ub = [(rows == i, float(x)) for i, x in enumerate(np.asarray(class_masses, dtype=float))]
-    ub += [(cols == j, float(v)) for j, v in enumerate(np.asarray(capacities, dtype=float))]
-    res = solve_lp(
-        LinearProgram(n_vars=rows.size, objective=-model.service_rates[rows, cols], ub=tuple(ub))
-    )
+    incidence = np.vstack([
+        rows == np.arange(model.num_classes)[:, None],
+        cols == np.arange(model.num_stations)[:, None],
+    ])
+    res = solve_lp(LinearProgram(
+        -model.service_rates[rows, cols],
+        a_ub=incidence, b_ub=np.concatenate([class_masses, capacities]),
+    ))
     psi = np.zeros(model.service_rates.shape)
     psi[rows, cols] = np.clip(res.x, 0.0, None)
     return -float(res.value), psi
@@ -355,21 +351,17 @@ def nc_verdict(
         )
 
     zero_paths = [p for p in paths if p.sign_class == ZERO]
-    evidence = tuple(
-        ZeroPathEvidence(p, p.dependence, zero_path_check(sol, p, model, tol))
-        for p in zero_paths
-    )
+    evidence = tuple(zero_path_check(sol, p, model, tol) for p in zero_paths)
     combined = (
         combined_zero_path_check(sol, zero_paths, model, tol)
         if len(zero_paths) > 1
         else None
     )
     all_dependent = bool(zero_paths) and all(
-        ev.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT) for ev in evidence
+        p.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT) for p in zero_paths
     )
     neutralized = all(
-        ev.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT)
-        or (ev.check.satisfied and ev.check.strict)
+        ev.path.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT) or (ev.satisfied and ev.strict)
         for ev in evidence
     )
     # the rule chain, in order: (holds, status, basis, explanation); the first that holds decides

@@ -385,8 +385,8 @@ def simulate(
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, not {T}")
     if not 0 <= warmup < T:
         raise ValueError("warmup must lie in [0, T)")
     rng = np.random.default_rng(seed)

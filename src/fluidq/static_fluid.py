@@ -67,16 +67,15 @@ def _allocation_lp(model: NetworkModel) -> LinearProgram:
     """Variables: allocation fractions on the ``lp_columns``, then the load."""
     rows, cols = lp_columns(model)
     n = rows.size + 1
-    mubar = model.service_rates[rows, cols] * model.capacities[cols]
-
+    k = np.arange(rows.size)
     objective = np.zeros(n)
     objective[-1] = 1.0
-    eq = [
-        (np.append(np.where(rows == i, mubar, 0.0), 0.0), float(model.arrival_rates[i]))
-        for i in range(model.num_classes)
-    ]
-    ub = [(np.append(cols == j, -1.0), 0.0) for j in range(model.num_stations)]
-    return LinearProgram(n_vars=n, objective=objective, eq=tuple(eq), ub=tuple(ub))
+    a_eq = np.zeros((model.num_classes, n))
+    a_eq[rows, k] = model.service_rates[rows, cols] * model.capacities[cols]
+    a_ub = np.zeros((model.num_stations, n))
+    a_ub[cols, k] = 1.0
+    a_ub[:, -1] = -1.0
+    return LinearProgram(objective, a_eq, model.arrival_rates, a_ub, np.zeros(model.num_stations))
 
 
 def solve_static_allocation(model: NetworkModel, tol: float = DEFAULT_TOL) -> FluidSolution:
@@ -198,8 +197,11 @@ def _uniqueness_check(
 
     lp = _allocation_lp(model)
     columns = lp_columns(model)
-    pinned = lp.eq + ((lp.objective, sol.load),)
-    res = solve_lp(LinearProgram(lp.n_vars, np.append(-gain[columns], 0.0), pinned, lp.ub))
+    res = solve_lp(LinearProgram(
+        np.append(-gain[columns], 0.0),
+        np.vstack([lp.a_eq, lp.objective]), np.append(lp.b_eq, sol.load),
+        lp.a_ub, lp.b_ub,
+    ))
     if res.status != OPTIMAL:
         raise NumericalFailure("optimal face is empty at the pinned objective value")
 
@@ -236,7 +238,8 @@ def check_assumptions(
     if abs(sol.load - 1.0) > tol:
         critically_loaded = False
         violations.append(f"optimal load is {sol.load!r}, not 1")
-    col_sums = sol.allocation.sum(axis=0)
+    # plain floats: a numpy scalar's repr would print as np.float64(...)
+    col_sums = sol.allocation.sum(axis=0).tolist()
     for j in range(J):
         if abs(col_sums[j] - 1.0) > tol:
             critically_loaded = False

@@ -93,22 +93,12 @@ def vertex_optimum(objective, a_eq, b_eq, a_ub, b_ub, maximize=False):
 def max_throughput_oracle(class_masses, capacities, model):
     """Maximum service rate over the mass polytope, by vertex enumeration."""
     I, J = model.num_classes, model.num_stations
-    n = I * J
-    rows = []
-    rhs = []
-    for i in range(I):
-        coef = np.zeros(n)
-        coef[i * J:(i + 1) * J] = 1.0
-        rows.append(coef)
-        rhs.append(float(class_masses[i]))
-    for j in range(J):
-        coef = np.zeros(n)
-        coef[np.arange(I) * J + j] = 1.0
-        rows.append(coef)
-        rhs.append(float(capacities[j]))
+    row_sums = np.kron(np.eye(I), np.ones(J))
+    column_sums = np.tile(np.eye(J), I)
     out = vertex_optimum(
-        model.service_rates.ravel(), np.zeros((0, n)), np.zeros(0),
-        np.vstack(rows), np.array(rhs), maximize=True,
+        model.service_rates.ravel(), np.zeros((0, I * J)), np.zeros(0),
+        np.vstack([row_sums, column_sums]), np.concatenate([class_masses, capacities]),
+        maximize=True,
     )
     assert out is not None
     return out[0]
@@ -122,33 +112,17 @@ def full_allocation_lp(model):
     do not share its builder.
     """
     I, J = model.num_classes, model.num_stations
-    n = I * J + 1
-    load_idx = I * J
-    mubar = model.service_rates * model.capacities[None, :]
+    mubar = (model.service_rates * model.capacities[None, :]).ravel()
+    pins = np.flatnonzero(mubar == 0.0)
 
-    objective = np.zeros(n)
-    objective[load_idx] = 1.0
-
-    eq = []
-    for i in range(I):
-        coef = np.zeros(n)
-        coef[i * J:(i + 1) * J] = mubar[i]
-        eq.append((coef, float(model.arrival_rates[i])))
-    for i in range(I):
-        for j in range(J):
-            if mubar[i, j] == 0.0:
-                coef = np.zeros(n)
-                coef[i * J + j] = 1.0
-                eq.append((coef, 0.0))
-
-    ub = []
-    for j in range(J):
-        coef = np.zeros(n)
-        coef[np.arange(I) * J + j] = 1.0
-        coef[load_idx] = -1.0
-        ub.append((coef, 0.0))
-
-    return LinearProgram(n_vars=n, objective=objective, eq=tuple(eq), ub=tuple(ub))
+    objective = np.zeros(I * J + 1)
+    objective[-1] = 1.0
+    a_eq = np.zeros((I + pins.size, I * J + 1))
+    a_eq[:I, :-1] = np.kron(np.eye(I), np.ones(J)) * mubar
+    a_eq[I + np.arange(pins.size), pins] = 1.0
+    b_eq = np.append(model.arrival_rates, np.zeros(pins.size))
+    a_ub = np.hstack([np.tile(np.eye(J), I), -np.ones((J, 1))])
+    return LinearProgram(objective, a_eq, b_eq, a_ub, np.zeros(J))
 
 
 def allocation_unique_oracle(model):
@@ -159,11 +133,8 @@ def allocation_unique_oracle(model):
     whether the allocation part is unique across them.
     """
     lp = full_allocation_lp(model)
-    n = lp.n_vars
-    a_eq = np.vstack([c for c, _ in lp.eq])
-    b_eq = np.array([r for _, r in lp.eq])
-    a_ub = np.vstack([c for c, _ in lp.ub])
-    b_ub = np.array([r for _, r in lp.ub])
+    n = lp.objective.size
+    a_eq, b_eq, a_ub, b_ub = lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub
 
     candidates = [(a_ub[r], b_ub[r]) for r in range(a_ub.shape[0])]
     for i in range(n):
@@ -209,11 +180,12 @@ def optimal_range(lp, var, opt_value):
     added equality, then minimizing and maximizing the single coordinate. An
     unbounded direction maps to +/- inf.
     """
-    pinned = lp.eq + ((lp.objective, float(opt_value)),)
-    unit = np.zeros(lp.n_vars)
+    a_eq = np.vstack([lp.a_eq, lp.objective])
+    b_eq = np.append(lp.b_eq, opt_value)
+    unit = np.zeros(lp.objective.size)
     unit[var] = 1.0
-    lo_res = solve_lp(LinearProgram(lp.n_vars, unit, pinned, lp.ub))
-    hi_res = solve_lp(LinearProgram(lp.n_vars, -unit, pinned, lp.ub))
+    lo_res = solve_lp(LinearProgram(unit, a_eq, b_eq, lp.a_ub, lp.b_ub))
+    hi_res = solve_lp(LinearProgram(-unit, a_eq, b_eq, lp.a_ub, lp.b_ub))
     if lo_res.status == INFEASIBLE or hi_res.status == INFEASIBLE:
         raise NumericalFailure("optimal face is empty at the pinned objective value")
     lo = -np.inf if lo_res.status == UNBOUNDED else float(lo_res.value)

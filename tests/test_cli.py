@@ -210,9 +210,12 @@ ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], 
         (CASE_A, "--n", "0", "at least 1"),
         (CASE_A, "--reps", "0", "at least one replication"),
         (CASE_A, "--T", "0", "must be positive"),
+        (CASE_A, "--T", "inf", "horizon T"),
+        (CASE_A, "--T", "nan", "horizon T"),
         (ROUNDS_BADLY, "--n", "1", "drifted"),
     ],
-    ids=["malformed-n", "descending-n", "n-zero", "reps-zero", "T-zero", "scaling"],
+    ids=["malformed-n", "descending-n", "n-zero", "reps-zero", "T-zero", "T-inf", "T-nan",
+         "scaling"],
 )
 def test_simulate_invalid_request_exit_2(tmp_path, capsys, payload, flag, value, message):
     model = _write(tmp_path, "m.json", payload)

@@ -3,8 +3,9 @@
 The files under ``tests/golden/`` were captured from the CLI before the
 package was cut down to its core, and regenerated when the LP solver moved
 to activity-only programs and Dantzig pricing: that changed float rounding
-and, where the optimal allocation is not unique, the vertex returned. The
-analysis must reproduce them exactly.
+and, where the optimal allocation is not unique, the vertex returned; and
+once more when assumption violations stopped printing numpy scalar reprs.
+The analysis must reproduce them exactly.
 Regenerate them (only when an output is meant to change) with
 
     PYTHONPATH=src:tests python tests/test_golden.py

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from support import vertex_optimum
 
 def test_simple_lower_bound():
     # min x subject to x >= 3, expressed as -x <= -3
-    lp = LinearProgram(1, [1.0], ub=[([-1.0], -3.0)])
+    lp = LinearProgram([1.0], a_ub=[[-1.0]], b_ub=[-3.0])
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(3.0, abs=1e-9)
@@ -32,18 +34,29 @@ def test_case_a_allocation_lp_value(case_a):
 
 def test_infeasible_reported():
     # x1 + x2 = -1 with x >= 0
-    lp = LinearProgram(2, [1.0, 1.0], eq=[([1.0, 1.0], -1.0)])
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0])
     assert solve_lp(lp).status == INFEASIBLE
 
 
 def test_unbounded_reported():
-    lp = LinearProgram(1, [-1.0])
+    lp = LinearProgram([-1.0])
     assert solve_lp(lp).status == UNBOUNDED
 
 
-def test_mismatched_coefficients_rejected():
+@pytest.mark.parametrize(
+    "objective, blocks",
+    [
+        ([1.0, 1.0], dict(a_eq=[[1.0]], b_eq=[1.0])),
+        ([1.0, 1.0], dict(a_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])),
+        ([1.0, 1.0], dict(a_ub=[1.0, 1.0], b_ub=[1.0])),
+        ([1.0, 1.0], dict(b_ub=[1.0])),
+        ([[1.0, 1.0]], {}),
+    ],
+    ids=["a_eq-too-narrow", "b_eq-wrong-length", "a_ub-1d", "b_ub-without-a_ub", "objective-2d"],
+)
+def test_mismatched_coefficients_rejected(objective, blocks):
     with pytest.raises(ValueError):
-        LinearProgram(2, [1.0, 1.0], eq=[([1.0], 1.0)])
+        LinearProgram(objective, **blocks)
 
 
 def _random_transportation(rng):
@@ -53,32 +66,17 @@ def _random_transportation(rng):
     supply = rng.uniform(1, 5, I)
     demand_cap = rng.uniform(1, 5, J)
     demand_cap *= (supply.sum() / demand_cap.sum()) * rng.uniform(1.1, 2.0)
-    n = I * J
-    eq = []
-    for i in range(I):
-        coef = np.zeros(n)
-        coef[i * J:(i + 1) * J] = 1.0
-        eq.append((coef, float(supply[i])))
-    ub = []
-    for j in range(J):
-        coef = np.zeros(n)
-        coef[np.arange(I) * J + j] = 1.0
-        ub.append((coef, float(demand_cap[j])))
-    return LinearProgram(n, cost.ravel(), eq=tuple(eq), ub=tuple(ub)), eq, ub
+    row_sums = np.kron(np.eye(I), np.ones(J))
+    column_sums = np.tile(np.eye(J), I)
+    return LinearProgram(cost.ravel(), row_sums, supply, column_sums, demand_cap)
 
 
 def test_random_transportation_against_vertex_enumeration():
     rng = np.random.default_rng(42)
     for _ in range(40):
-        lp, eq, ub = _random_transportation(rng)
+        lp = _random_transportation(rng)
         res = solve_lp(lp)
-        oracle = vertex_optimum(
-            lp.objective,
-            np.vstack([c for c, _ in eq]),
-            np.array([r for _, r in eq]),
-            np.vstack([c for c, _ in ub]),
-            np.array([r for _, r in ub]),
-        )
+        oracle = vertex_optimum(lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub)
         if oracle is None:
             assert res.status == INFEASIBLE
         else:
@@ -89,14 +87,12 @@ def test_random_transportation_against_vertex_enumeration():
 def test_optimal_results_are_feasible():
     rng = np.random.default_rng(7)
     for _ in range(30):
-        lp, eq, ub = _random_transportation(rng)
+        lp = _random_transportation(rng)
         res = solve_lp(lp)
         if res.status != OPTIMAL:
             continue
-        for coef, rhs in lp.eq:
-            assert abs(coef @ res.x - rhs) <= 1e-9
-        for coef, rhs in lp.ub:
-            assert coef @ res.x <= rhs + 1e-9
+        assert (np.abs(lp.a_eq @ res.x - lp.b_eq) <= 1e-9).all()
+        assert (lp.a_ub @ res.x <= lp.b_ub + 1e-9).all()
         assert (res.x >= -1e-9).all()
 
 
@@ -107,20 +103,20 @@ def test_optimum_bounds_feasible_points():
         n = int(rng.integers(2, 5))
         x0 = rng.uniform(0, 3, n)
         a_eq = rng.uniform(-1, 1, (1, n))
-        eq = [(a_eq[0], float(a_eq[0] @ x0))]
         g = rng.uniform(-1, 1, (2, n))
-        ub = [(g[k], float(g[k] @ x0 + rng.uniform(0.1, 1))) for k in range(2)]
+        slack = rng.uniform(0.1, 1, 2)
         c = rng.uniform(-1, 1, n)
         # keep it bounded: total mass capped
-        ub.append((np.ones(n), float(x0.sum() + 5)))
-        res = solve_lp(LinearProgram(n, c, eq=tuple(eq), ub=tuple(ub)))
+        a_ub = np.vstack([g, np.ones(n)])
+        b_ub = np.append(g @ x0 + slack, x0.sum() + 5)
+        res = solve_lp(LinearProgram(c, a_eq, a_eq @ x0, a_ub, b_ub))
         assert res.status == OPTIMAL
         assert res.value <= c @ x0 + 1e-9
 
 
 def test_deterministic_bit_for_bit():
     rng = np.random.default_rng(3)
-    lp, _, _ = _random_transportation(rng)
+    lp = _random_transportation(rng)
     r1 = solve_lp(lp)
     r2 = solve_lp(lp)
     assert r1.value == r2.value
@@ -129,13 +125,11 @@ def test_deterministic_bit_for_bit():
 
 def test_redundant_and_contradictory_rows():
     # duplicated equalities are dropped; a zero row with nonzero rhs is not
-    lp = LinearProgram(
-        2, [1.0, 0.0], eq=[([1.0, 1.0], 1.0), ([1.0, 1.0], 1.0), ([2.0, 2.0], 2.0)]
-    )
+    lp = LinearProgram([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], [1.0, 1.0, 2.0])
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-9)
-    bad = LinearProgram(1, [1.0], eq=[([0.0], 1.0)])
+    bad = LinearProgram([1.0], [[0.0]], [1.0])
     assert solve_lp(bad).status == INFEASIBLE
 
 
@@ -154,12 +148,7 @@ def test_fuzz_against_vertex_oracle():
         # cap total mass so the oracle's vertex set is the whole story
         a_ub = np.vstack([a_ub, np.ones(n)])
         b_ub = np.append(b_ub, 10.0)
-        lp = LinearProgram(
-            n, c,
-            eq=tuple((a_eq[k], float(b_eq[k])) for k in range(m_eq)),
-            ub=tuple((a_ub[k], float(b_ub[k])) for k in range(m_ub + 1)),
-        )
-        res = solve_lp(lp)
+        res = solve_lp(LinearProgram(c, a_eq, b_eq, a_ub, b_ub))
         oracle = vertex_optimum(c, a_eq, b_eq, a_ub, b_ub)
         if oracle is None:
             assert res.status == INFEASIBLE
@@ -174,19 +163,18 @@ def test_optimal_range_confirmed_by_perturbed_objectives(case_a):
     base = solve_lp(lp)
     rng = np.random.default_rng(17)
     for _ in range(10):
-        bump = np.zeros(lp.n_vars)
-        bump[:-1] = rng.uniform(0, 1e-7, lp.n_vars - 1)
-        shifted = LinearProgram(lp.n_vars, lp.objective + bump, lp.eq, lp.ub)
-        res = solve_lp(shifted)
+        bump = np.zeros(lp.objective.size)
+        bump[:-1] = rng.uniform(0, 1e-7, lp.objective.size - 1)
+        res = solve_lp(replace(lp, objective=lp.objective + bump))
         assert np.abs(res.x - base.x).max() <= 1e-6
 
 
 def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch):
     # Beale's degenerate program, on which Dantzig's rule alone cycles
     lp = LinearProgram(
-        4, [-0.75, 20.0, -0.5, 6.0],
-        ub=[([0.25, -8.0, -1.0, 9.0], 0.0), ([0.5, -12.0, -0.5, 3.0], 0.0),
-            ([0.0, 0.0, 1.0, 0.0], 1.0)],
+        [-0.75, 20.0, -0.5, 6.0],
+        a_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        b_ub=[0.0, 0.0, 1.0],
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL

@@ -306,7 +306,7 @@ def test_nc_gap_instance_unknown():
     assert v.basis == "gap"
     assert v.throughput.optimal
     assert any(
-        ev.dependence == "neither" and not (ev.check.satisfied and ev.check.strict)
+        ev.path.dependence == "neither" and not (ev.satisfied and ev.strict)
         for ev in v.zero_path_evidence
     )
 
@@ -339,7 +339,7 @@ def test_nc_non_unique_allocation_unknown():
     assert v.throughput.optimal
     assert (v.status, v.basis) == (NC_UNKNOWN, "assumptions")
     assert v.explanation == "the optimal allocation is not unique"
-    assert any(ev.dependence == "neither" for ev in v.zero_path_evidence)
+    assert any(ev.path.dependence == "neither" for ev in v.zero_path_evidence)
 
 
 def test_nc_possible_iff_sub_optimal_under_assumptions():

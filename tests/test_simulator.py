@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -251,8 +252,9 @@ def test_warmup_validation(case_a):
     sol, sys = _case_a_setup(case_a, 10)
     with pytest.raises(ValueError):
         simulate(sys, IdlePolicy(), T=1.0, seed=1, warmup=1.0)
-    with pytest.raises(ValueError):
-        simulate(sys, IdlePolicy(), T=0.0, seed=1)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon T"):
+            simulate(sys, IdlePolicy(), T=T, seed=1)
 
 
 ERLANG_1X1 = {"classes": 1, "stations": 1, "lambda": [0.9], "nu": [1], "mu": [[1]]}

@@ -55,13 +55,11 @@ def test_allocation_lp_serves_at_rate_times_capacity():
     lp = fluidq.static_fluid._allocation_lp(m)
     # one variable per activity, then the load; the pair without service has
     # no variable and no pin row, so the only equality is the service row
-    assert lp.n_vars == 3
-    assert [(coef.tolist(), rhs) for coef, rhs in lp.eq] == [([3.0, 20.0, 0.0], 1.0)]
-    assert [(coef.tolist(), rhs) for coef, rhs in lp.ub] == [
-        ([1.0, 0.0, -1.0], 0.0),
-        ([0.0, 1.0, -1.0], 0.0),
-        ([0.0, 0.0, -1.0], 0.0),
-    ]
+    assert lp.objective.tolist() == [0.0, 0.0, 1.0]
+    assert lp.a_eq.tolist() == [[3.0, 20.0, 0.0]]
+    assert lp.b_eq.tolist() == [1.0]
+    assert lp.a_ub.tolist() == [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [0.0, 0.0, -1.0]]
+    assert lp.b_ub.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_infeasible_when_class_has_no_activity():
@@ -103,6 +101,11 @@ def test_underloaded_model_reported():
     assert sol.load == pytest.approx(0.5, abs=1e-9)
     rep = check_assumptions(m, sol)
     assert not rep.critically_loaded
+    # plain floats, not the repr of a numpy scalar (np.float64(0.5))
+    assert rep.violations == (
+        "optimal load is 0.5, not 1",
+        "station 2 is allocated 0.5, not fully",
+    )
 
 
 def test_non_unique_allocation_flagged(class_dependent_2x2):
