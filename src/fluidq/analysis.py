@@ -41,7 +41,6 @@ class AnalysisReport:
     """Everything the analyze command knows about one model."""
 
     model: NetworkModel
-    tol: float
     solution: FluidSolution
     assumptions: AssumptionReport
     paths: list[SimplePath] | None          # None when the basic graph is not a tree
@@ -56,7 +55,7 @@ class AnalysisReport:
         check = ("kappa", "perturbed_max", "baseline", "satisfied", "strict")
         return {
             "model": model_to_dict(self.model),
-            "tolerance": self.tol,
+            "tolerance": DEFAULT_TOL,
             "fluid": _fields(self.solution),
             "assumptions": _fields(self.assumptions),
             "paths": None if self.paths is None else [p.to_dict() for p in self.paths],
@@ -89,25 +88,24 @@ class AnalysisReport:
         }
 
 
-def run_analysis(model: NetworkModel, tol: float = DEFAULT_TOL) -> AnalysisReport:
+def run_analysis(model: NetworkModel) -> AnalysisReport:
     """Full pipeline: solve, check assumptions, enumerate paths, all verdicts."""
-    sol = solve_static_allocation(model, tol)
-    report = check_assumptions(model, sol, tol)
+    sol = solve_static_allocation(model)
+    report = check_assumptions(model, sol)
     paths: list[SimplePath] | None
     cycles: list[tuple[tuple[int, ...], float]] = []
     try:
-        paths = enumerate_simple_paths(sol, activity_set(model), model, tol)
+        paths = enumerate_simple_paths(sol, activity_set(model), model)
     except NotATree:
         paths = None
         cycles = basic_cycle_weights(sol, model)
-    verdict = nc_verdict(model, sol, report, paths, tol)
+    verdict = nc_verdict(model, sol, report, paths)
 
     defects = []
     if verdict.basis == "criterion-disagreement":
         defects.append("LP and path optimality criteria disagree although the assumptions hold")
     return AnalysisReport(
         model=model,
-        tol=tol,
         solution=sol,
         assumptions=report,
         paths=paths,
@@ -126,7 +124,7 @@ def render_report(rep: AnalysisReport) -> str:
     nc = rep.nc
     lines = [
         f"model: {rep.model.num_classes} classes, {rep.model.num_stations} stations"
-        f" (tolerance {rep.tol:g})",
+        f" (tolerance {DEFAULT_TOL:g})",
         f"optimal load: {sol.load:.9g}",
         "allocation fractions:",
         _fmt_matrix(sol.allocation),

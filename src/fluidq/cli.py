@@ -19,16 +19,9 @@ from pathlib import Path
 
 from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
-from .model import (
-    DEFAULT_TOL,
-    ModelError,
-    NetworkModel,
-    activity_set,
-    load_model,
-    save_model,
-)
-from .paths import NotATree, enumerate_simple_paths
-from .simulator import ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
+from .model import ModelError, NetworkModel, activity_set, load_model, save_model
+from .paths import NEGATIVE, NotATree, enumerate_simple_paths
+from .simulator import POLICIES, ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
 from .static_fluid import (
     GenerationFailed,
     InfeasibleModel,
@@ -51,7 +44,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     try:
-        report = run_analysis(model, tol=args.tol)
+        report = run_analysis(model)
     except InfeasibleModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
@@ -87,18 +80,18 @@ def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkMode
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         model = load_model(args.model)
-        sol = solve_static_allocation(model, args.tol)
+        sol = solve_static_allocation(model)
         # the one-LP uniqueness check is what finds an optimum the solver cannot
         # confirm, as with rates in extreme units: NumericalFailure, exit 5
-        check_assumptions(model, sol, args.tol)
+        check_assumptions(model, sol)
     except (ModelError, OSError, json.JSONDecodeError, InfeasibleModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     try:
-        paths = enumerate_simple_paths(sol, activity_set(model), model, args.tol)
+        paths = enumerate_simple_paths(sol, activity_set(model), model)
     except NotATree:
         paths = []
-    if args.policy == "negative-path" and not any(p.sign_class == "negative" for p in paths):
+    if args.policy == "negative-path" and not any(p.sign_class == NEGATIVE for p in paths):
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
     out = Path(args.out)
@@ -171,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("model", help="model JSON file")
     p_an.add_argument("--json", help="write the full report to this file")
     p_an.add_argument("--strict", action="store_true", help="exit 3 if assumptions fail")
-    p_an.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="occupancy experiment across scales")
@@ -179,12 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", required=True, help="comma-separated scales, ascending")
     p_sim.add_argument("--T", type=float, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument(
-        "--policy", required=True, choices=["greedy-basic", "negative-path", "idle"]
-    )
+    p_sim.add_argument("--policy", required=True, choices=list(POLICIES))
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("generate", help="random instance satisfying the assumptions")

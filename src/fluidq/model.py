@@ -15,9 +15,10 @@ from typing import Any, Mapping
 
 import numpy as np
 
-# Absolute tolerance for every zero / equality classification downstream.
-# Input rates are plain decimals of magnitude ~1-10, so exact conditions such
-# as "this signed sum vanishes" are decidable on doubles with a wide margin.
+# The one absolute tolerance of the static layer: every zero, sign and
+# equality test downstream uses it, and no call can set another. Input rates
+# are plain decimals of magnitude ~1-10, so exact conditions such as "this
+# signed sum vanishes" are decidable on doubles with a wide margin.
 DEFAULT_TOL = 1e-9
 
 

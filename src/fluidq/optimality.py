@@ -15,21 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linprog import LinearProgram, solve_lp
-from .model import DEFAULT_TOL, NetworkModel, activity_set
-from .paths import (
-    CLASS_DEPENDENT,
-    POOL_DEPENDENT,
-    ZERO,
-    SimplePath,
-    enumerate_simple_paths,
-)
-from .static_fluid import (
-    AssumptionReport,
-    FluidSolution,
-    check_assumptions,
-    lp_columns,
-    solve_static_allocation,
-)
+from .model import DEFAULT_TOL, NetworkModel
+from .paths import CLASS_DEPENDENT, POOL_DEPENDENT, ZERO, SimplePath
+from .static_fluid import AssumptionReport, FluidSolution, lp_columns
 
 NC_POSSIBLE = "possible"
 NC_IMPOSSIBLE = "impossible"
@@ -47,21 +35,20 @@ class AllocationPolytope:
     class_masses: np.ndarray
     capacities: np.ndarray
 
-    def contains(self, psi: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, psi: np.ndarray) -> bool:
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (self.class_masses.size, self.capacities.size):
             return False
         return bool(
-            (psi >= -tol).all()
-            and (psi.sum(axis=1) <= self.class_masses + tol).all()
-            and (psi.sum(axis=0) <= self.capacities + tol).all()
+            (psi >= -DEFAULT_TOL).all()
+            and (psi.sum(axis=1) <= self.class_masses + DEFAULT_TOL).all()
+            and (psi.sum(axis=0) <= self.capacities + DEFAULT_TOL).all()
         )
 
 
 @dataclass(frozen=True)
 class ThroughputVerdict:
     optimal: bool
-    method: str                                 # "lp" or "paths"
     arrival_total: float | None = None
     max_throughput: float | None = None
     witness_allocation: np.ndarray | None = None
@@ -127,35 +114,26 @@ def max_throughput(
     return -float(res.value), psi
 
 
-def throughput_verdict_lp(
-    model: NetworkModel, sol: FluidSolution, tol: float = DEFAULT_TOL
-) -> ThroughputVerdict:
+def throughput_verdict_lp(model: NetworkModel, sol: FluidSolution) -> ThroughputVerdict:
     """Optimal iff no feasible mass rearrangement serves faster than arrivals."""
     value, psi = max_throughput(sol.class_masses, model.capacities, model)
     arrivals = float(model.arrival_rates.sum())
-    optimal = value <= arrivals * (1.0 + tol)
+    optimal = value <= arrivals * (1.0 + DEFAULT_TOL)
     return ThroughputVerdict(
         optimal=optimal,
-        method="lp",
         arrival_total=arrivals,
         max_throughput=value,
         witness_allocation=None if optimal else psi,
     )
 
 
-def throughput_verdict_paths(
-    paths: list[SimplePath], tol: float = DEFAULT_TOL
-) -> ThroughputVerdict:
-    """Optimal iff no simple path has weight below -tol."""
+def throughput_verdict_paths(paths: list[SimplePath]) -> ThroughputVerdict:
+    """Optimal iff no simple path has weight below -DEFAULT_TOL."""
     witness = None
     for p in paths:
-        if p.weight < -tol and (witness is None or p.weight < witness.weight):
+        if p.weight < -DEFAULT_TOL and (witness is None or p.weight < witness.weight):
             witness = p
-    return ThroughputVerdict(
-        optimal=witness is None,
-        method="paths",
-        witness_path=witness,
-    )
+    return ThroughputVerdict(optimal=witness is None, witness_path=witness)
 
 
 def _run_perturbation(
@@ -163,7 +141,6 @@ def _run_perturbation(
     model: NetworkModel,
     directions: list[np.ndarray],
     path: SimplePath | None,
-    tol: float,
 ) -> PerturbationCheck:
     """Put equal mass on every direction at once and re-maximize throughput.
 
@@ -176,7 +153,7 @@ def _run_perturbation(
     """
     baseline = float((model.service_rates * sol.masses).sum())
     sups = [float(np.abs(d).max()) for d in directions]
-    if max(sups) <= tol:
+    if max(sups) <= DEFAULT_TOL:
         return PerturbationCheck(
             path=path,
             kappa=0.0,
@@ -188,7 +165,7 @@ def _run_perturbation(
             degenerate=True,
         )
     min_mass = min(float(sol.masses[model.edge_positions(e)]) for e in sol.basic_pairs)
-    kappa = min(1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > tol)
+    kappa = min(1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > DEFAULT_TOL)
     kappa /= len(directions)
     direction = np.sum(directions, axis=0)
     grid = []
@@ -196,7 +173,7 @@ def _run_perturbation(
         step = kappa * factor
         x_pert = sol.class_masses + direction * step
         value, _ = max_throughput(np.clip(x_pert, 0.0, None), model.capacities, model)
-        grid.append((step, value, value <= baseline + tol))
+        grid.append((step, value, value <= baseline + DEFAULT_TOL))
     top_step, top_value, _ = grid[0]
     return PerturbationCheck(
         path=path,
@@ -205,30 +182,27 @@ def _run_perturbation(
         perturbed_max=top_value,
         baseline=baseline,
         satisfied=all(ok for (_, _, ok) in grid),
-        strict=top_value < baseline - tol,
+        strict=top_value < baseline - DEFAULT_TOL,
         grid=tuple(grid),
     )
 
 
 def zero_path_check(
-    sol: FluidSolution, path: SimplePath, model: NetworkModel, tol: float = DEFAULT_TOL
+    sol: FluidSolution, path: SimplePath, model: NetworkModel
 ) -> PerturbationCheck:
     """Perturb the class masses along one zero path and re-maximize throughput."""
     if path.sign_class != ZERO:
         raise ValueError("perturbation checks apply to zero paths only")
-    return _run_perturbation(sol, model, [path.class_weights], path, tol)
+    return _run_perturbation(sol, model, [path.class_weights], path)
 
 
 def combined_zero_path_check(
-    sol: FluidSolution,
-    zero_paths: list[SimplePath],
-    model: NetworkModel,
-    tol: float = DEFAULT_TOL,
+    sol: FluidSolution, zero_paths: list[SimplePath], model: NetworkModel
 ) -> PerturbationCheck | None:
     """Single check with equal mass placed on every zero path at once."""
     if not zero_paths:
         return None
-    return _run_perturbation(sol, model, [p.class_weights for p in zero_paths], None, tol)
+    return _run_perturbation(sol, model, [p.class_weights for p in zero_paths], None)
 
 
 @dataclass(frozen=True)
@@ -267,11 +241,7 @@ class GammaFamily:
 
 
 def gamma_family(
-    sol: FluidSolution,
-    path: SimplePath,
-    model: NetworkModel,
-    kappa: float,
-    tol: float = DEFAULT_TOL,
+    sol: FluidSolution, path: SimplePath, model: NetworkModel, kappa: float
 ) -> GammaFamily:
     """Build the constant-throughput family for a four-vertex zero path."""
     if path.sign_class != ZERO:
@@ -300,10 +270,9 @@ def gamma_family(
 
 def nc_verdict(
     model: NetworkModel,
-    sol: FluidSolution | None = None,
-    report: AssumptionReport | None = None,
-    paths: list[SimplePath] | None = None,
-    tol: float = DEFAULT_TOL,
+    sol: FluidSolution,
+    report: AssumptionReport,
+    paths: list[SimplePath] | None,
 ) -> NCVerdict:
     """Decide whether queueing time can vanish in the many-server limit.
 
@@ -318,13 +287,12 @@ def nc_verdict(
     optimal model whose zero paths are all class- or pool-dependent, where the
     rate structure alone settles the question and uniqueness of the
     allocation is not needed.
-    """
-    if sol is None:
-        sol = solve_static_allocation(model, tol)
-    if report is None:
-        report = check_assumptions(model, sol, tol)
 
-    lp_v = throughput_verdict_lp(model, sol, tol)
+    ``sol``, ``report`` and ``paths`` are the pipeline's results (see
+    ``analysis.run_analysis``). ``paths`` is None only when the basic graph
+    is not a tree, and the tree guard returns before it is read.
+    """
+    lp_v = throughput_verdict_lp(model, sol)
 
     if not (report.critically_loaded and report.is_tree):
         return NCVerdict(
@@ -336,9 +304,7 @@ def nc_verdict(
             violations=report.violations,
         )
 
-    if paths is None:
-        paths = enumerate_simple_paths(sol, activity_set(model), model, tol)
-    path_v = throughput_verdict_paths(paths, tol)
+    path_v = throughput_verdict_paths(paths)
 
     if lp_v.optimal != path_v.optimal:
         return NCVerdict(
@@ -351,12 +317,8 @@ def nc_verdict(
         )
 
     zero_paths = [p for p in paths if p.sign_class == ZERO]
-    evidence = tuple(zero_path_check(sol, p, model, tol) for p in zero_paths)
-    combined = (
-        combined_zero_path_check(sol, zero_paths, model, tol)
-        if len(zero_paths) > 1
-        else None
-    )
+    evidence = tuple(zero_path_check(sol, p, model) for p in zero_paths)
+    combined = combined_zero_path_check(sol, zero_paths, model) if len(zero_paths) > 1 else None
     all_dependent = bool(zero_paths) and all(
         p.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT) for p in zero_paths
     )

@@ -103,9 +103,7 @@ def path_weights(
     return m, float(m.sum())
 
 
-def classify_dependence(
-    signed_edges: Iterable[SignedEdge], model: NetworkModel, tol: float = DEFAULT_TOL
-) -> str:
+def classify_dependence(signed_edges: Iterable[SignedEdge], model: NetworkModel) -> str:
     """Class-dependent if every class's signed sum along the path vanishes,
     pool-dependent if every station's does; class-dependence wins when both
     hold. Either one forces a zero path."""
@@ -115,24 +113,21 @@ def classify_dependence(
         term = s * model.rate(i, j)
         per_class[i] = per_class.get(i, 0.0) + term
         per_station[j] = per_station.get(j, 0.0) + term
-    if all(abs(v) <= tol for v in per_class.values()):
+    if all(abs(v) <= DEFAULT_TOL for v in per_class.values()):
         return CLASS_DEPENDENT
-    if all(abs(v) <= tol for v in per_station.values()):
+    if all(abs(v) <= DEFAULT_TOL for v in per_station.values()):
         return POOL_DEPENDENT
     return NEITHER
 
 
-def _sign_class(weight: float, tol: float) -> str:
-    if abs(weight) <= tol:
+def _sign_class(weight: float) -> str:
+    if abs(weight) <= DEFAULT_TOL:
         return ZERO
     return NEGATIVE if weight < 0 else POSITIVE
 
 
 def enumerate_simple_paths(
-    sol: FluidSolution,
-    acts: frozenset[tuple[int, int]],
-    model: NetworkModel,
-    tol: float = DEFAULT_TOL,
+    sol: FluidSolution, acts: frozenset[tuple[int, int]], model: NetworkModel
 ) -> list[SimplePath]:
     """One simple path per non-basic (class, station) pair.
 
@@ -164,8 +159,8 @@ def enumerate_simple_paths(
                     signed_edges=signed,
                     class_weights=m,
                     weight=weight,
-                    sign_class=_sign_class(weight, tol),
-                    dependence=classify_dependence(signed, model, tol),
+                    sign_class=_sign_class(weight),
+                    dependence=classify_dependence(signed, model),
                 )
             )
     return paths
@@ -178,21 +173,14 @@ def basic_cycle_weights(
 
     Diagnostic for non-tree basic graphs: each basic edge outside a spanning
     forest closes one cycle, whose weight is the alternating signed rate sum
-    around it (class-to-station steps count -1, station-to-class +1). The
-    sign of a cycle weight depends on traversal direction; its zero-ness does
-    not.
+    around it (class-to-station steps count -1, station-to-class +1): minus
+    its weight as a closed path. The sign of a cycle weight depends on
+    traversal direction; its zero-ness does not.
     """
     parent, closing = spanning_forest(model, sol.basic_edges)
     cycles = []
     for i, j in closing:
-        sequence = [i] + tree_path(parent, j, i)  # i -> j -> ... -> i
-        cycle_vertices = tuple(sequence[:-1])
-        weight = 0.0
-        for idx in range(len(sequence) - 1):
-            u, v = sequence[idx], sequence[idx + 1]
-            if u <= model.num_classes:
-                weight += -model.rate(u, v)
-            else:
-                weight += model.rate(v, u)
-        cycles.append((cycle_vertices, weight))
+        cycle = (i, *tree_path(parent, j, i)[:-1])  # i -> j -> ... -> back to i
+        _, weight = path_weights(assign_signs(cycle, closed=True), model)
+        cycles.append((cycle, -weight))
     return cycles

@@ -237,9 +237,9 @@ class NegativePathPump(Policy):
 
 
 POLICIES = {
-    "idle": lambda model, sol, paths: IdlePolicy(),
     "greedy-basic": lambda model, sol, paths: GreedyBasic(model, sol),
     "negative-path": lambda model, sol, paths: NegativePathPump(model, sol, paths or ()),
+    "idle": lambda model, sol, paths: IdlePolicy(),
 }
 
 

@@ -37,7 +37,7 @@ class FluidSolution:
     load: float                     # optimal worst-station load
     masses: np.ndarray              # (I, J) fluid masses
     class_masses: np.ndarray        # (I,)
-    basic_edges: frozenset[tuple[int, int]]  # vertex-labeled pairs with allocation > tol
+    basic_edges: frozenset[tuple[int, int]]  # vertex-labeled pairs with allocation > DEFAULT_TOL
 
     @property
     def basic_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -78,7 +78,7 @@ def _allocation_lp(model: NetworkModel) -> LinearProgram:
     return LinearProgram(objective, a_eq, model.arrival_rates, a_ub, np.zeros(model.num_stations))
 
 
-def solve_static_allocation(model: NetworkModel, tol: float = DEFAULT_TOL) -> FluidSolution:
+def solve_static_allocation(model: NetworkModel) -> FluidSolution:
     """Solve the static allocation program for ``model``.
 
     Raises:
@@ -99,7 +99,7 @@ def solve_static_allocation(model: NetworkModel, tol: float = DEFAULT_TOL) -> Fl
         (i + 1, model.num_classes + 1 + j)
         for i in range(I)
         for j in range(J)
-        if allocation[i, j] > tol
+        if allocation[i, j] > DEFAULT_TOL
     )
     for arr in (allocation, masses, class_masses):
         arr.setflags(write=False)
@@ -173,9 +173,7 @@ def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> tuple
     return not violations, violations
 
 
-def _uniqueness_check(
-    model: NetworkModel, sol: FluidSolution, tol: float
-) -> tuple[bool, list[str]]:
+def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> tuple[bool, list[str]]:
     """Decide whether ``sol.allocation`` is the only optimal allocation.
 
     The solver's optimum x* is a vertex, and a vertex is the only point of a
@@ -190,8 +188,8 @@ def _uniqueness_check(
         NumericalFailure: the pinned optimal face is empty.
     """
     x_star = sol.allocation
-    zero = (x_star <= tol).astype(float)
-    full = sol.load - x_star.sum(axis=0) <= tol
+    zero = (x_star <= DEFAULT_TOL).astype(float)
+    full = sol.load - x_star.sum(axis=0) <= DEFAULT_TOL
     # d/dx of sum_Z x_ij + sum_{j full} (load - sum_i x_ij); constants drop out
     gain = zero - full[None, :]
 
@@ -207,11 +205,11 @@ def _uniqueness_check(
 
     witness = np.zeros_like(x_star)
     witness[columns] = res.x[:-1]
-    if float((gain * (witness - x_star)).sum()) <= tol:
+    if float((gain * (witness - x_star)).sum()) <= DEFAULT_TOL:
         return True, []
     moved = np.abs(witness - x_star)
-    # every pair that moved, or the one that moved most if none moved by tol
-    named = np.argwhere(moved >= min(tol, moved.max()))
+    # every pair that moved, or the one that moved most if none moved by DEFAULT_TOL
+    named = np.argwhere(moved >= min(DEFAULT_TOL, moved.max()))
     return False, [
         f"allocation ({i + 1},{model.num_classes + 1 + j}) is {x_star[i, j]:.6g} at the "
         f"optimum but {witness[i, j]:.6g} at another optimal allocation"
@@ -219,9 +217,7 @@ def _uniqueness_check(
     ]
 
 
-def check_assumptions(
-    model: NetworkModel, sol: FluidSolution, tol: float = DEFAULT_TOL
-) -> AssumptionReport:
+def check_assumptions(model: NetworkModel, sol: FluidSolution) -> AssumptionReport:
     """Test critical load, uniqueness of the optimum, and the tree property.
 
     Findings are reported, never raised: downstream verdicts decide what a
@@ -235,19 +231,19 @@ def check_assumptions(
     violations: list[str] = []
 
     critically_loaded = True
-    if abs(sol.load - 1.0) > tol:
+    if abs(sol.load - 1.0) > DEFAULT_TOL:
         critically_loaded = False
         violations.append(f"optimal load is {sol.load!r}, not 1")
     # plain floats: a numpy scalar's repr would print as np.float64(...)
     col_sums = sol.allocation.sum(axis=0).tolist()
     for j in range(J):
-        if abs(col_sums[j] - 1.0) > tol:
+        if abs(col_sums[j] - 1.0) > DEFAULT_TOL:
             critically_loaded = False
             violations.append(
                 f"station {model.num_classes + 1 + j} is allocated {col_sums[j]!r}, not fully"
             )
 
-    unique, uniqueness_violations = _uniqueness_check(model, sol, tol)
+    unique, uniqueness_violations = _uniqueness_check(model, sol)
     violations.extend(uniqueness_violations)
 
     is_tree, tree_violations = _tree_check(model, sol.basic_edges)

@@ -36,16 +36,15 @@ from fluidq import (
 ORACLE_TOL = 1e-7
 
 
-def vertex_optimum(objective, a_eq, b_eq, a_ub, b_ub, maximize=False):
-    """Optimum of a bounded LP by enumerating vertices of the feasible set.
+def feasible_vertices(n, a_eq, b_eq, a_ub, b_ub):
+    """Yield every feasible vertex of {x in R^n, x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}.
 
-    Constraints: a_eq x = b_eq, a_ub x <= b_ub, x >= 0. Every vertex lies on
-    n linearly independent tight constraints; equalities are always tight, so
-    the enumeration chooses the remainder among inequality rows and
-    nonnegativity bounds. Returns (value, x) or None if no feasible vertex.
+    Every vertex lies on n linearly independent tight constraints; equalities
+    are always tight, so the enumeration chooses the remainder among
+    inequality rows and nonnegativity bounds, solves, and keeps the solutions
+    that satisfy every constraint. A vertex on more than n tight constraints
+    comes back once per choice that reaches it.
     """
-    objective = np.asarray(objective, dtype=float)
-    n = objective.size
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
     b_eq = np.asarray(b_eq, dtype=float).ravel()
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
@@ -59,19 +58,10 @@ def vertex_optimum(objective, a_eq, b_eq, a_ub, b_ub, maximize=False):
 
     need = n - a_eq.shape[0]
     if need < 0:
-        return None
-    best_val = None
-    best_x = None
+        return
     for combo in itertools.combinations(range(len(candidates)), need):
-        rows = [a_eq] if a_eq.size else []
-        rhs = [b_eq] if b_eq.size else []
-        for c in combo:
-            rows.append(candidates[c][0][None, :])
-            rhs.append(np.array([candidates[c][1]]))
-        M = np.vstack(rows) if rows else np.zeros((0, n))
-        v = np.concatenate(rhs) if rhs else np.zeros(0)
-        if M.shape[0] != n:
-            continue
+        M = np.vstack([a_eq] + [candidates[c][0][None, :] for c in combo])
+        v = np.concatenate([b_eq, [candidates[c][1] for c in combo]])
         try:
             x = np.linalg.solve(M, v)
         except np.linalg.LinAlgError:
@@ -82,6 +72,16 @@ def vertex_optimum(objective, a_eq, b_eq, a_ub, b_ub, maximize=False):
             continue
         if a_ub.size and (a_ub @ x - b_ub).max() > ORACLE_TOL:
             continue
+        yield x
+
+
+def vertex_optimum(objective, a_eq, b_eq, a_ub, b_ub, maximize=False):
+    """Optimum of a bounded LP over ``feasible_vertices``: (value, x), the
+    first vertex attaining it, or None if no vertex is feasible."""
+    objective = np.asarray(objective, dtype=float)
+    best_val = None
+    best_x = None
+    for x in feasible_vertices(objective.size, a_eq, b_eq, a_ub, b_ub):
         val = float(objective @ x)
         if best_val is None or (val > best_val if maximize else val < best_val):
             best_val, best_x = val, x
@@ -128,40 +128,14 @@ def full_allocation_lp(model):
 def allocation_unique_oracle(model):
     """Uniqueness of the allocation optimum, by optimal-face vertex counting.
 
-    Enumerates vertices of the allocation program directly (equalities plus
-    chosen tight rows), keeps those attaining the optimal load, and reports
-    whether the allocation part is unique across them.
+    Enumerates the feasible vertices of the allocation program, keeps those
+    attaining the optimal load, and reports whether the allocation part is
+    unique across them.
     """
     lp = full_allocation_lp(model)
-    n = lp.objective.size
-    a_eq, b_eq, a_ub, b_ub = lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub
-
-    candidates = [(a_ub[r], b_ub[r]) for r in range(a_ub.shape[0])]
-    for i in range(n):
-        row = np.zeros(n)
-        row[i] = -1.0
-        candidates.append((row, 0.0))
-
-    need = n - a_eq.shape[0]
     best = None
     solutions = []
-    for combo in itertools.combinations(range(len(candidates)), max(need, 0)):
-        rows = [a_eq] + [candidates[c][0][None, :] for c in combo]
-        rhs = [b_eq] + [np.array([candidates[c][1]]) for c in combo]
-        M = np.vstack(rows)
-        v = np.concatenate(rhs)
-        if M.shape[0] != n:
-            continue
-        try:
-            x = np.linalg.solve(M, v)
-        except np.linalg.LinAlgError:
-            continue
-        if (x < -ORACLE_TOL).any():
-            continue
-        if np.abs(a_eq @ x - b_eq).max() > ORACLE_TOL:
-            continue
-        if (a_ub @ x - b_ub).max() > ORACLE_TOL:
-            continue
+    for x in feasible_vertices(lp.objective.size, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub):
         val = float(lp.objective @ x)
         if best is None or val < best - ORACLE_TOL:
             best = val

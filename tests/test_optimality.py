@@ -266,23 +266,22 @@ def test_gamma_family_needs_zero_path(case_a):
 
 
 def test_nc_case_a_possible(case_a):
-    v = nc_verdict(case_a)
+    v = run_analysis(case_a).nc
     assert v.status == NC_POSSIBLE
     assert v.basis == "sub-optimal"
 
 
 def test_nc_minimal_impossible(minimal):
-    v = nc_verdict(minimal)
+    v = run_analysis(minimal).nc
     assert v.status == NC_IMPOSSIBLE
     assert v.basis == "no-zero-paths"
 
 
 def test_nc_class_dependent_impossible(class_dependent_2x2):
     # the allocation is not unique here, but the rate structure decides it
-    sol = solve_static_allocation(class_dependent_2x2)
-    rep = check_assumptions(class_dependent_2x2, sol)
-    assert not rep.unique
-    v = nc_verdict(class_dependent_2x2, sol, rep)
+    report = run_analysis(class_dependent_2x2)
+    assert not report.assumptions.unique
+    v = report.nc
     assert v.status == NC_IMPOSSIBLE
     assert v.basis == "dependence-route"
 
@@ -300,8 +299,7 @@ def test_nc_two_sided_optimal_impossible():
 
 
 def test_nc_gap_instance_unknown():
-    model = validate_model(GAP_3X3)
-    v = nc_verdict(model)
+    v = run_analysis(validate_model(GAP_3X3)).nc
     assert v.status == NC_UNKNOWN
     assert v.basis == "gap"
     assert v.throughput.optimal
@@ -315,7 +313,7 @@ def test_nc_assumption_failure_unknown():
     m = validate_model(
         {"classes": 2, "stations": 2, "lambda": [3, 2], "nu": [1, 1], "mu": [[3, 0], [0, 2]]}
     )
-    v = nc_verdict(m)
+    v = run_analysis(m).nc
     assert v.status == NC_UNKNOWN
     assert v.basis == "assumptions"
     assert v.violations
@@ -335,7 +333,8 @@ def test_nc_non_unique_allocation_unknown():
         allocation, 1.0, allocation, allocation.sum(axis=1),
         frozenset({(1, 5), (1, 6), (2, 6), (3, 4), (3, 5)}),
     )
-    v = nc_verdict(m, sol)
+    paths = enumerate_simple_paths(sol, activity_set(m), m)
+    v = nc_verdict(m, sol, check_assumptions(m, sol), paths)
     assert v.throughput.optimal
     assert (v.status, v.basis) == (NC_UNKNOWN, "assumptions")
     assert v.explanation == "the optimal allocation is not unique"
@@ -347,8 +346,8 @@ def test_nc_possible_iff_sub_optimal_under_assumptions():
     for _ in range(25):
         I, J = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         model, sol = generate_critical_instance(int(rng.integers(0, 99999)), I, J)
-        rep = check_assumptions(model, sol)
-        v = nc_verdict(model, sol, rep)
+        paths = enumerate_simple_paths(sol, activity_set(model), model)
+        v = nc_verdict(model, sol, check_assumptions(model, sol), paths)
         sub_optimal = not v.throughput.optimal
         assert (v.status == NC_POSSIBLE) == sub_optimal
 

@@ -1,6 +1,11 @@
+import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import fluidq
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_public_names_resolve():
@@ -19,3 +24,23 @@ def test_benchmark_entry_points_resolve(case_a):
     sol = fluidq.solve_static_allocation(case_a)
     paths = fluidq.enumerate_simple_paths(sol, fluidq.activity_set(case_a), case_a)
     assert [p.leaf_pair for p in paths] == [(1, 5), (2, 3)]
+
+    # bench/spans.py rebinds each (module, attribute) of TRACED when tracing
+    # starts, and a name that no longer resolves fails the traced run there
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for _, module, attr in spans.TRACED:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    # the keyword forms in which bench/run.py calls the simulator
+    policy = fluidq.make_policy("negative-path", case_a, sol, paths)
+    result = fluidq.run_nc_experiment(
+        case_a, sol, policy, [25], 1.0, 2, 1, paths=paths, sample_points=5)
+    assert [r.n for r in result.results] == [25, 25]
+    system = fluidq.build_system(case_a, sol, 25)
+    res = fluidq.simulate(
+        system, fluidq.make_policy("greedy-basic", case_a, sol), 1.0,
+        fluidq.derive_seed(1, 25, 0), warmup=0.5, sample_points=6)
+    assert res.events > 0
