@@ -13,6 +13,15 @@ The event loop and the built-in policies run on Python ints and floats: the
 arrays are a few entries long, and a numpy call on them costs more than the
 arithmetic it does. Policies therefore see the state as lists (see
 ``SystemState``) and may answer with lists; ``SimResult`` holds numpy arrays.
+
+``run_nc_experiment`` has a second route for many replications of a built-in
+policy: ``_simulate_lockstep`` steps all replications of one scale together,
+one event of each per step, on arrays with a column per replication, and the
+built-ins answer through a vectorized form of the same integer algorithm.
+Each replication keeps its own generator, draws and float arithmetic, so its
+result is bit-identical to ``simulate``'s, which stays the reference; user
+policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
+``simulate``.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import gt, mul
 
 import numpy as np
@@ -28,6 +37,11 @@ import numpy as np
 from .model import NetworkModel
 from .paths import NEGATIVE, SimplePath
 from .static_fluid import FluidSolution
+
+
+# From this many replications on, stepping a scale's replications together
+# beats looping ``simulate`` (see ``run_nc_experiment``).
+LOCKSTEP_MIN_REPS = 16
 
 
 class ScalingViolation(RuntimeError):
@@ -148,6 +162,10 @@ class IdlePolicy(Policy):
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         return [[0] * len(state.servers) for _ in state.heads]
 
+    def _lockstep(self, sys: SystemInstance, reps: int):
+        pairs = sys.service_rates.size
+        return lambda heads, live: np.zeros((pairs, heads.shape[1]), dtype=np.int64)
+
 
 class GreedyBasic(Policy):
     """Work-conserving fill of basic activities in decreasing-rate order."""
@@ -163,6 +181,15 @@ class GreedyBasic(Policy):
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         psi = [[0] * len(state.servers) for _ in state.heads]
         return _fill(psi, list(state.heads), list(state.servers), self._order)
+
+    def _lockstep(self, sys: SystemInstance, reps: int):
+        pairs, servers = sys.service_rates.size, sys.servers[:, None]
+
+        def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
+            width = heads.shape[1]
+            psi = np.zeros((pairs, width), dtype=np.int64)
+            return _fill_batch(psi, heads.copy(), servers.repeat(width, axis=1), self._order)
+        return assign
 
 
 class NegativePathPump(Policy):
@@ -235,6 +262,50 @@ class NegativePathPump(Policy):
         servers_left = [s - sum(col) for s, col in zip(state.servers, zip(*psi))]
         return _fill(psi, heads_left, servers_left, self._fastest_first)
 
+    def _lockstep(self, sys: SystemInstance, reps: int):
+        self.prepare(sys)
+        I, J = sys.service_rates.shape
+        core = np.array(self._core, dtype=np.int64)
+        slowest = np.array(self._slowest_first)
+        # _shave of the fixed core in closed form: it takes a class's excess
+        # off its pairs slowest first, so the pair at step k of that walk keeps
+        # clip(sum of the counts at steps 0..k - excess, 0, its count)
+        walked = np.take_along_axis(core, slowest, axis=1)[:, :, None]
+        kept_upto = walked.cumsum(axis=1)
+        row_totals = core.sum(axis=1)[:, None]
+        unwalk = (np.arange(I)[:, None] * J + np.argsort(slowest, axis=1)).ravel()
+        servers = sys.servers[:, None]
+        fastest, path = self._fastest_first, self.path is not None
+        if path:
+            dec = [i * J + j for i, j in self._dec]
+            inc = [i * J + j for i, j in self._inc]
+            step, max_shift, servers_total = self._step, self._max_shift, self._servers_total
+            shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
+
+        def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
+            kept = kept_upto - (row_totals - heads)[:, None, :]
+            np.minimum(np.maximum(kept, 0, out=kept), walked, out=kept)
+            psi = kept.reshape(I * J, -1).take(unwalk, axis=0)
+            if path:
+                # as in assign: toward the target by at most one step
+                target = (np.add.reduce(heads, axis=0) >= servers_total) * max_shift
+                now = shift[live]
+                now = np.minimum(np.maximum(target, now - step), now + step)
+                shift[live] = now
+                applied = np.minimum(now, np.minimum.reduce(psi.take(dec, axis=0), axis=0))
+                for k in dec:
+                    psi[k] -= applied
+                for k in inc:
+                    psi[k] += applied
+            by_class = psi.reshape(I, J, -1)
+            heads_left = heads - np.add.reduce(by_class, axis=1)
+            servers_left = servers - np.add.reduce(by_class, axis=0)
+            # _fill skips a pair with nothing left, so a negative leftover acts as 0
+            np.maximum(heads_left, 0, out=heads_left)
+            np.maximum(servers_left, 0, out=servers_left)
+            return _fill_batch(psi, heads_left, servers_left, fastest)
+        return assign
+
 
 POLICIES = {
     "greedy-basic": lambda model, sol, paths: GreedyBasic(model, sol),
@@ -266,6 +337,19 @@ def _fill(psi: list[list[int]], heads_left: list[int], servers_left: list[int],
             psi[i][j] += k
             heads_left[i] -= k
             servers_left[j] -= k
+    return psi
+
+
+def _fill_batch(psi: np.ndarray, heads_left: np.ndarray, servers_left: np.ndarray,
+                order: list[tuple[int, int]]) -> np.ndarray:
+    """``_fill`` on (pairs, R) counts: the same pairs in the same order, each
+    column one replication. No leftover may be negative."""
+    J = servers_left.shape[0]
+    for i, j in order:
+        k = np.minimum(heads_left[i], servers_left[j])
+        psi[i * J + j] += k
+        heads_left[i] -= k
+        servers_left[j] -= k
     return psi
 
 
@@ -360,6 +444,13 @@ class ScaledTrajectories:
     idle: np.ndarray         # (S, J)
 
 
+def _check_horizon(T: float, warmup: float) -> None:
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, not {T}")
+    if not 0 <= warmup < T:
+        raise ValueError("warmup must lie in [0, T)")
+
+
 def simulate(
     sys: SystemInstance,
     policy: Policy,
@@ -385,10 +476,7 @@ def simulate(
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"horizon T must be positive and finite, not {T}")
-    if not 0 <= warmup < T:
-        raise ValueError("warmup must lie in [0, T)")
+    _check_horizon(T, warmup)
     rng = np.random.default_rng(seed)
     exponential, uniform = rng.exponential, rng.random
     I, J = sys.model.num_classes, sys.model.num_stations
@@ -488,6 +576,190 @@ def simulate(
     )
 
 
+def _checked_batch(psi, heads: np.ndarray, servers: np.ndarray,
+                   zero_rate: np.ndarray) -> np.ndarray:
+    """``_checked`` for R replications at once: an int64 copy of the (pairs, R)
+    assignment ``psi`` once every column is feasible against its (classes, R)
+    ``heads``. ``zero_rate`` lists the pairs with zero service rate.
+
+    Raises:
+        PolicyViolation: args (``_checked``'s reason, first offending column).
+    """
+    arr = np.asarray(psi)
+    if arr.shape != (servers.size * heads.shape[0], heads.shape[1]):
+        raise PolicyViolation(f"assignment shape {arr.shape} does not match the network", 0)
+    if arr.dtype.kind not in "iu":
+        raise PolicyViolation("assignment is not integer-valued", 0)
+    psi = arr.astype(np.int64)
+    by_class = psi.reshape(heads.shape[0], servers.size, -1)
+    for bad, reason in (
+        (psi < 0, "negative in-service count"),
+        (psi.take(zero_rate, axis=0), "in-service count on a pair with zero service rate"),
+        (np.add.reduce(by_class, axis=1) > heads,
+         "class has more customers in service than in the system"),
+        (np.add.reduce(by_class, axis=0) > servers[:, None],
+         "station has more customers in service than servers"),
+    ):
+        if bad.any():
+            raise PolicyViolation(reason, int(bad.any(axis=0).argmax()))
+    return psi
+
+
+def _apply_events(u: np.ndarray, lam_total: float, lam_cum: np.ndarray, svc_cum: np.ndarray,
+                  heads: np.ndarray, psi: np.ndarray, arrivals: np.ndarray,
+                  completions: np.ndarray) -> None:
+    """Fire in each column the event that ``u`` selects, as ``simulate`` does:
+    the class or pair is the number of cumulative rates at or below ``u``
+    (what ``bisect_right`` returns), capped at the last one."""
+    classes, pairs = lam_cum.shape[0], svc_cum.shape[0]
+    arrive = u < lam_total
+    i = np.add.reduce(lam_cum <= u, axis=0)
+    np.minimum(i, classes - 1, out=i)
+    arrived = (np.arange(classes)[:, None] == i) & arrive
+    k = np.add.reduce(svc_cum <= u - lam_total, axis=0)
+    np.minimum(k, pairs - 1, out=k)
+    completed = (np.arange(pairs)[:, None] == k) > arrive
+    heads += arrived
+    arrivals += arrived
+    heads -= np.add.reduce(completed.reshape(classes, -1, u.size), axis=1)
+    psi -= completed
+    completions += completed
+
+
+def _simulate_lockstep(
+    sys: SystemInstance,
+    policy: Policy,
+    T: float,
+    seeds: list[int],
+    warmup: float = 0.0,
+    sample_points: int = 101,
+) -> list[SimResult]:
+    """``simulate`` for each seed of ``seeds``, all replications stepped together.
+
+    Each step handles one event of every replication still running, on
+    (pairs, R) and (classes, R) int64 counts with one column per replication.
+    Replication k draws from its own generator exactly what
+    ``simulate(sys, policy, T, seeds[k], warmup, sample_points)`` draws, in
+    the same order, and does the same float arithmetic on the same values:
+    ``np.add.accumulate`` adds in order, as ``accumulate`` does, at any number
+    of pairs. So the k-th result equals that run's in every field. A
+    replication that reaches T leaves the arrays; the steps go on until the
+    last one ends.
+
+    ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
+    ``assign(heads, live)``, which maps the (classes, R) head counts of the
+    replications numbered ``live`` to their (pairs, R) assignment and keeps any
+    per-replication state of its own. Every assignment, and the counting
+    identity, is checked on every step for every running replication.
+
+    Raises:
+        PolicyViolation: an infeasible assignment; the message names the
+            policy, the replication and the event.
+    """
+    _check_horizon(T, warmup)
+    I, J = sys.model.num_classes, sys.model.num_stations
+    R = len(seeds)
+    assign = policy._lockstep(sys, R)
+    rates = sys.service_rates.reshape(I * J, 1)
+    zero_rate = np.flatnonzero(~(rates > 0))
+    servers = sys.servers
+    servers_total = int(servers.sum())
+    x0 = sys.x0[:, None]
+    lam_total = float(sys.arrival_rates.sum())
+    lam_cum = np.cumsum(sys.arrival_rates)[:, None]
+    sample_ts = np.linspace(0.0, T, sample_points)
+    times = sample_ts.tolist() + [math.inf]
+
+    # per replication, by its number
+    gens = [np.random.default_rng(seed) for seed in seeds]
+    exponentials, uniforms = [g.exponential for g in gens], [g.random for g in gens]
+    s_heads = np.empty((R, sample_points, I), dtype=np.int64)
+    s_psi = np.empty((R, sample_points, I, J), dtype=np.int64)
+    s_occ = np.empty((R, sample_points))
+    s_next = [0] * R
+    results: list[SimResult | None] = [None] * R
+    # per column, one column per running replication
+    live = np.arange(R)
+    heads = np.repeat(x0, R, axis=1)
+    arrivals = np.zeros((I, R), dtype=np.int64)
+    completions = np.zeros((I * J, R), dtype=np.int64)
+    t = np.zeros(R)
+    occupancy = np.zeros(R)
+    due = np.zeros(R)  # time of each column's next sample
+
+    def decide(event: int) -> np.ndarray:
+        try:
+            return _checked_batch(assign(heads, live), heads, servers, zero_rate)
+        except PolicyViolation as exc:
+            reason, col = exc.args
+            raise PolicyViolation(f"policy {policy.name!r} in replication {live[col]} "
+                                  f"at event {event}: {reason}") from None
+
+    events = 0
+    psi = decide(0)
+    while True:
+        busy = np.add.reduce(heads, axis=0) >= servers_total
+        svc_cum = np.add.accumulate(rates * psi, axis=0)
+        total_rate = lam_total + svc_cum[-1]
+        t_next = t + np.array([draw() for draw in exponentials]) / total_rate
+        final = t_next >= T
+        ending = final.any()
+        seg_end = np.where(final, T, t_next) if ending else t_next
+
+        late = t_next > due
+        if ending:
+            late |= final
+        for c in late.nonzero()[0]:
+            r, fin, t1 = live[c], final[c], seg_end[c]
+            occ, lo = occupancy[c], max(t[c], warmup)
+            si = s_next[r]
+            while times[si] < t1 or (fin and times[si] <= t1):
+                s_heads[r, si] = heads[:, c]
+                s_psi[r, si] = psi[:, c].reshape(I, J)
+                s_occ[r, si] = occ + (times[si] - lo if busy[c] and times[si] > lo else 0.0)
+                si += 1
+            s_next[r], due[c] = si, times[si]
+        piece = seg_end - np.maximum(t, warmup)
+        np.add(occupancy, np.maximum(piece, 0.0, out=piece), out=occupancy, where=busy)
+
+        if ending:
+            for c in np.flatnonzero(final):
+                r = live[c]
+                results[r] = SimResult(
+                    n=sys.n, rep=0, seed=seeds[r], policy=policy.name, T=T, warmup=warmup,
+                    queue_occupancy=float(occupancy[c]),
+                    sample_times=sample_ts.copy(),
+                    sample_heads=s_heads[r],
+                    sample_in_service=s_psi[r],
+                    sample_occupancy=s_occ[r],
+                    arrivals=arrivals[:, c].copy(),
+                    completions=completions[:, c].reshape(I, J).copy(),
+                    x0=sys.x0.copy(),
+                    final_heads=heads[:, c].copy(),
+                    events=events,
+                    invariants_checked=True,
+                )
+            keep = ~final
+            exponentials = list(compress(exponentials, keep))
+            uniforms = list(compress(uniforms, keep))
+            (live, heads, psi, arrivals, completions, t_next, occupancy, due, svc_cum,
+             total_rate) = (a[..., keep] for a in (
+                live, heads, psi, arrivals, completions, t_next, occupancy, due, svc_cum,
+                total_rate))
+        if not live.size:
+            return results
+
+        t = t_next
+        u = np.array([draw() for draw in uniforms]) * total_rate
+        _apply_events(u, lam_total, lam_cum, svc_cum, heads, psi, arrivals, completions)
+        events += 1
+
+        psi = decide(events)
+        completed = np.add.reduce(completions.reshape(I, J, -1), axis=1)
+        if not (heads == x0 + arrivals - completed).all():
+            raise RuntimeError("event accounting broke the counting identity")
+
+
 def scale_result(res: SimResult, sys: SystemInstance, sol: FluidSolution) -> ScaledTrajectories:
     """Centre the sampled trajectories at the fluid quantities and divide by
     sqrt(n); queue and idle parts follow from the head-count identities."""
@@ -554,28 +826,37 @@ def run_nc_experiment(
 
     Replication seeds derive from (seed, n, rep), so the aggregate is
     independent of execution order and bitwise reproducible.
+
+    A built-in policy (``GreedyBasic``, ``NegativePathPump``, ``IdlePolicy``)
+    with at least ``LOCKSTEP_MIN_REPS`` replications runs each scale's
+    replications in lockstep on arrays; any other policy, or fewer
+    replications, runs ``simulate`` once per replication. Both routes give
+    bit-identical results.
     """
     n_list = list(n_list)
     if n_list != sorted(n_list):
         raise ValueError("n_list must be ascending")
     if reps < 1:
         raise ValueError("need at least one replication")
+    _check_horizon(T, warmup)
     pol = make_policy(policy, model, sol, paths) if isinstance(policy, str) else policy
+    lockstep = (type(pol) in (GreedyBasic, NegativePathPump, IdlePolicy)
+                and reps >= LOCKSTEP_MIN_REPS)
 
     rows: list[ExperimentRow] = []
     results: list[SimResult] = []
     for n in n_list:
         sys = build_system(model, sol, n)
-        values = []
-        for rep in range(reps):
-            res = simulate(
-                sys, pol, T, derive_seed(seed, n, rep),
-                warmup=warmup, sample_points=sample_points,
-            )
+        seeds = [derive_seed(seed, n, rep) for rep in range(reps)]
+        if lockstep:
+            batch = _simulate_lockstep(sys, pol, T, seeds, warmup, sample_points)
+        else:
+            batch = [simulate(sys, pol, T, s, warmup=warmup, sample_points=sample_points)
+                     for s in seeds]
+        for rep, res in enumerate(batch):
             res.rep = rep
-            results.append(res)
-            values.append(res.queue_occupancy)
-        arr = np.array(values)
+        results.extend(batch)
+        arr = np.array([res.queue_occupancy for res in batch])
         rows.append(
             ExperimentRow(
                 n=n,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import fluidq.cli
+import fluidq.simulator
 import fluidq.static_fluid
 from fluidq import NumericalFailure
 from fluidq.analysis import run_analysis
@@ -263,6 +264,27 @@ def test_simulate_deterministic_outputs(tmp_path):
         ])
         outs.append((out / "trajectories.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_simulate_same_bytes_on_both_routes(tmp_path, capsys, monkeypatch):
+    model = _write(tmp_path, "a.json", CASE_A)
+    batches = []
+    lockstep = fluidq.simulator._simulate_lockstep
+    monkeypatch.setattr(fluidq.simulator, "_simulate_lockstep",
+                        lambda *args: batches.append(args) or lockstep(*args))
+    outputs = []
+    for name, min_reps in (("lockstep", fluidq.simulator.LOCKSTEP_MIN_REPS), ("loop", 21)):
+        monkeypatch.setattr(fluidq.simulator, "LOCKSTEP_MIN_REPS", min_reps)
+        out = tmp_path / name
+        assert main([
+            "simulate", model, "--n", "10,20", "--T", "0.3", "--reps", "20",
+            "--policy", "negative-path", "--seed", "5", "--out", str(out),
+        ]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append([(out / "trajectories.csv").read_bytes(),
+                        (out / "summary.json").read_bytes(), stdout])
+    assert len(batches) == 2  # one per scale, on the first run only
+    assert outputs[0] == outputs[1]
 
 
 def test_run_analysis_defect_free_on_case_a(case_a):

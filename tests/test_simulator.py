@@ -11,10 +11,12 @@ from fluidq import (
     PolicyViolation,
     ScalingViolation,
     SimResult,
+    SystemState,
     activity_set,
     build_system,
     derive_seed,
     enumerate_simple_paths,
+    generate_critical_instance,
     make_policy,
     run_nc_experiment,
     scale_result,
@@ -22,6 +24,8 @@ from fluidq import (
     solve_static_allocation,
     validate_model,
 )
+from fluidq import simulator
+from fluidq.simulator import _simulate_lockstep
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
 from support import erlang_c, reference_policy, reference_simulate, relabel_model
@@ -295,10 +299,7 @@ def test_simulate_matches_numpy_reference(name, policy, n, T, seed):
     ref = reference_simulate(sys, reference_policy(policy, model, sol, paths), T, seed,
                              warmup=0.2 * T, sample_points=11)
     assert new.events > 0 and new.invariants_checked
-    for field in fields(SimResult):
-        a, b = getattr(new, field.name), getattr(ref, field.name)
-        assert np.array_equal(a, b), field.name
-        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+    _assert_same_result(new, ref)
 
 
 class Rogue(Policy):
@@ -382,3 +383,157 @@ def test_returned_assignment_is_not_mutated(case_a):
     res = simulate(sys, policy, T=2.0, seed=3)
     assert res.completions.sum() > 0
     assert policy.psi == [[0, 1, 0], [0, 0, 0]]
+
+
+# (seed, size) of generated instances with a negative path; 9 and 16 pairs
+GENERATED = {"generated_3x3": (1, 3), "generated_4x4": (4, 4)}
+LOCKSTEP_CASES = (
+    [(name, policy, 40, 0.2) for name in ("case_a", "case_b", "class_dependent_2x2")
+     for policy in POLICY_NAMES]
+    + [("erlang_1x1", "greedy-basic", 100, 0.0)]
+    + [("non_integer_2x2", policy, 20, 0.0) for policy in POLICY_NAMES]
+    + [(name, policy, 30, 0.0) for name in GENERATED for policy in POLICY_NAMES]
+)
+
+
+def _setup(name, n):
+    if name in GENERATED:
+        seed, size = GENERATED[name]
+        model, sol = generate_critical_instance(seed, size, size)
+    else:
+        model = validate_model(ORACLE_MODELS[name])
+        sol = solve_static_allocation(model)
+    paths = enumerate_simple_paths(sol, activity_set(model), model)
+    return model, sol, paths, build_system(model, sol, n)
+
+
+def _assert_same_result(got, expected):
+    for field in fields(SimResult):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert np.array_equal(a, b), field.name
+        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+    assert got.events == expected.events
+    assert got.queue_occupancy == expected.queue_occupancy
+
+
+@pytest.mark.parametrize("name,policy,n,warmup", LOCKSTEP_CASES)
+def test_lockstep_equals_simulate(name, policy, n, warmup):
+    # the last of the 11 sample points lies at exactly T
+    model, sol, paths, sys = _setup(name, n)
+    pol = make_policy(policy, model, sol, paths)
+    seeds = [derive_seed(8, n, rep) for rep in range(5)]
+    batch = _simulate_lockstep(sys, pol, 1.0, seeds, warmup, 11)
+    assert len(batch) == len(seeds)
+    for seed, got in zip(seeds, batch):
+        expected = simulate(sys, pol, 1.0, seed, warmup=warmup, sample_points=11)
+        assert expected.events > 0
+        _assert_same_result(got, expected)
+
+
+def _lockstep_rogue(corrupt):
+    """A ``_lockstep`` that serves nobody at events 0 to 2, then returns
+    ``corrupt(psi, heads, col, sys)`` for the column of replication 2."""
+    def factory(self, sys, reps):
+        events = []
+
+        def assign(heads, live):
+            psi = np.zeros((sys.service_rates.size, heads.shape[1]), dtype=np.int64)
+            events.append(len(events))
+            if events[-1] < 3:
+                return psi
+            return corrupt(psi, heads, int(np.flatnonzero(live == 2)[0]), sys)
+        return assign
+    return factory
+
+
+def _in_column(bad):
+    def corrupt(psi, heads, col, sys):
+        state = SystemState(0.0, heads[:, col].tolist(), [], sys.servers.tolist())
+        psi[:, col] = np.ravel(bad(state))
+        return psi
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt,rep,message", [
+    (lambda psi, heads, col, sys: psi[:4], 0,
+     "assignment shape (4, 5) does not match the network"),
+    (lambda psi, heads, col, sys: psi.astype(float), 0, "assignment is not integer-valued"),
+    (lambda psi, heads, col, sys: psi > 0, 0, "assignment is not integer-valued"),
+    (_in_column(lambda state: [[-1, 0, 0], [0, 0, 0]]), 2, "negative in-service count"),
+    (_in_column(lambda state: [[0, 0, 0], [1, 0, 0]]), 2,
+     "in-service count on a pair with zero service rate"),
+    (_in_column(_over_heads), 2, "class has more customers in service than in the system"),
+    (_in_column(_over_servers), 2, "station has more customers in service than servers"),
+], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers"])
+def test_lockstep_infeasibility_raises(case_b, monkeypatch, corrupt, rep, message):
+    monkeypatch.setattr(GreedyBasic, "_lockstep", _lockstep_rogue(corrupt))
+    sol = solve_static_allocation(case_b)
+    sys = build_system(case_b, sol, 10)
+    with pytest.raises(PolicyViolation) as err:
+        _simulate_lockstep(sys, GreedyBasic(case_b, sol), 1.0, [1, 2, 3, 4, 5])
+    assert str(err.value) == f"policy 'greedy-basic' in replication {rep} at event 3: {message}"
+
+
+def test_lockstep_counting_identity_enforced(case_a, monkeypatch):
+    def miscount(u, lam_total, lam_cum, svc_cum, heads, psi, arrivals, completions):
+        apply_events(u, lam_total, lam_cum, svc_cum, heads, psi, arrivals, completions)
+        completions[0, -1] += 1
+
+    apply_events = simulator._apply_events
+    monkeypatch.setattr(simulator, "_apply_events", miscount)
+    sol, sys = _case_a_setup(case_a, 10)
+    with pytest.raises(RuntimeError, match="event accounting broke the counting identity"):
+        _simulate_lockstep(sys, GreedyBasic(case_a, sol), 1.0, [1, 2, 3])
+
+
+def test_lockstep_leaves_no_state_on_the_policy(case_a):
+    sol = solve_static_allocation(case_a)
+    paths = enumerate_simple_paths(sol, activity_set(case_a), case_a)
+    used = make_policy("negative-path", case_a, sol, paths)
+    for n in (25, 100):
+        _simulate_lockstep(build_system(case_a, sol, n), used, 0.5, [1, 2, 3])
+    sys = build_system(case_a, sol, 25)
+    fresh = make_policy("negative-path", case_a, sol, paths)
+    _assert_same_result(simulate(sys, used, 0.5, 7), simulate(sys, fresh, 0.5, 7))
+
+
+def test_only_built_in_policies_run_in_lockstep(case_a, monkeypatch):
+    class Counting(GreedyBasic):
+        calls = 0
+
+        def assign(self, state, sys):
+            Counting.calls += 1
+            return super().assign(state, sys)
+
+    batches = []
+    lockstep = simulator._simulate_lockstep
+    monkeypatch.setattr(simulator, "_simulate_lockstep",
+                        lambda *args: batches.append(args[1]) or lockstep(*args))
+    sol = solve_static_allocation(case_a)
+    reps = simulator.LOCKSTEP_MIN_REPS
+    for policy in (GreedyBasic(case_a, sol), Counting(case_a, sol)):
+        for count in (reps - 1, reps):
+            run_nc_experiment(case_a, sol, policy, [5], T=0.1, reps=count, seed=3)
+    assert [type(p) for p in batches] == [GreedyBasic]
+    assert Counting.calls > 0
+
+
+@pytest.mark.parametrize("T,warmup", [(0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+                                      (1.0, 1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("lockstep", [False, True], ids=["loop", "lockstep"])
+def test_run_nc_experiment_rejects_horizon_before_drawing(case_a, monkeypatch, T, warmup,
+                                                         lockstep):
+    sol, sys = _case_a_setup(case_a, 10)
+    with pytest.raises(ValueError) as expected:
+        simulate(sys, GreedyBasic(case_a, sol), T, 1, warmup=warmup)
+
+    def never(*args, **kwargs):
+        raise AssertionError("drew a replication")
+
+    monkeypatch.setattr(simulator, "simulate", never)
+    monkeypatch.setattr(simulator, "_simulate_lockstep", never)
+    reps = simulator.LOCKSTEP_MIN_REPS if lockstep else 1
+    with pytest.raises(ValueError) as err:
+        run_nc_experiment(case_a, sol, "greedy-basic", [10], T=T, reps=reps, seed=1,
+                          warmup=warmup)
+    assert str(err.value) == str(expected.value)
