@@ -1,9 +1,9 @@
 """Command-line front end: analyze a model, run experiments, generate instances.
 
 Exit codes: 0 success, 2 model validation failure (including an infeasible
-allocation problem), an invalid simulation request (malformed or
-non-ascending --n, a scale, horizon or replication count below 1, or a scale
-too small to round the server counts) or an output path that cannot be
+allocation problem), an invalid simulation request (malformed or not
+strictly ascending --n, a scale, horizon or replication count below 1, or a
+scale too small to round the server counts) or an output path that cannot be
 written (simulate checks --out before it runs), 3 assumption failure under
 --strict, 4 policy/model mismatch for simulation, 5 numerical failure of the
 LP solver.
@@ -19,16 +19,10 @@ from pathlib import Path
 
 from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
-from .model import ModelError, NetworkModel, activity_set, load_model, save_model
-from .paths import NEGATIVE, NotATree, enumerate_simple_paths
+from .model import ModelError, NetworkModel, load_model, save_model
+from .paths import NEGATIVE
 from .simulator import POLICIES, ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
-from .static_fluid import (
-    GenerationFailed,
-    InfeasibleModel,
-    check_assumptions,
-    generate_critical_instance,
-    solve_static_allocation,
-)
+from .static_fluid import GenerationFailed, InfeasibleModel, generate_critical_instance
 
 EXIT_OK = 0
 EXIT_INVALID_MODEL = 2
@@ -79,18 +73,11 @@ def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkMode
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        model = load_model(args.model)
-        sol = solve_static_allocation(model)
-        # the one-LP uniqueness check is what finds an optimum the solver cannot
-        # confirm, as with rates in extreme units: NumericalFailure, exit 5
-        check_assumptions(model, sol)
+        report = run_analysis(load_model(args.model))
     except (ModelError, OSError, json.JSONDecodeError, InfeasibleModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    try:
-        paths = enumerate_simple_paths(sol, activity_set(model), model)
-    except NotATree:
-        paths = []
+    model, sol, paths = report.model, report.solution, report.paths or []
     if args.policy == "negative-path" and not any(p.sign_class == NEGATIVE for p in paths):
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
@@ -168,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="occupancy experiment across scales")
     p_sim.add_argument("model")
-    p_sim.add_argument("--n", required=True, help="comma-separated scales, ascending")
+    p_sim.add_argument("--n", required=True, help="comma-separated scales, strictly ascending")
     p_sim.add_argument("--T", type=float, required=True)
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--policy", required=True, choices=list(POLICIES))

@@ -86,14 +86,15 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     ``nu`` and ``mu`` (the on-disk JSON layout; arrays are positional).
 
     Raises:
+        ModelError: a count that is not an integer (a bool, float or string
+            is refused, not converted), or malformed array data.
         DimensionMismatch: counts below one, missing fields or arrays whose
             lengths disagree with the declared counts.
         NonPositiveRate: an arrival rate or capacity that is not > 0.
         NegativeServiceRate: a service rate below zero.
     """
     try:
-        num_classes = int(raw["classes"])
-        num_stations = int(raw["stations"])
+        counts = (raw["classes"], raw["stations"])
         lam = np.asarray(raw["lambda"], dtype=float)
         nu = np.asarray(raw["nu"], dtype=float)
         mu = np.asarray(raw["mu"], dtype=float)
@@ -101,6 +102,9 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
         raise DimensionMismatch(f"missing model field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ModelError(f"malformed model data: {exc}") from None
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
+        raise ModelError(f"classes and stations must be integers, got {counts}")
+    num_classes, num_stations = (int(c) for c in counts)
 
     if num_classes < 1 or num_stations < 1:
         raise DimensionMismatch("need at least one class and one station")

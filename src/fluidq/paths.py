@@ -2,18 +2,17 @@
 
 Every class-station pair that is not a basic activity induces exactly one
 simple path: the unique tree path between the two vertices, oriented so the
-class is the starting leaf. Walking the path from the station leaf back to
-the class leaf assigns +1 to edges traversed station-to-class and -1 to edges
-traversed class-to-station; a closed path (leaf pair is itself an activity)
-additionally carries the leaf pair with sign -1. The per-class signed rate
-sums and their total are the path's weight data, and the weight's sign is
-what throughput analysis consumes.
+class is the starting leaf. One signed walk per path (``signed_path``) gives
+everything else: +1 on edges traversed station-to-class, -1 on edges
+traversed class-to-station and on the leaf pair of a closed path, the
+per-class signed rate sums, whose total is the path's weight, and the
+class- or pool-dependence that the zero paths' verdicts read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,60 +69,44 @@ class SimplePath:
         }
 
 
-def assign_signs(vertices: Sequence[int], closed: bool) -> tuple[SignedEdge, ...]:
-    """Sign the edges of an oriented simple path.
+def signed_path(
+    vertices: Sequence[int], closed: bool, model: NetworkModel
+) -> tuple[tuple[SignedEdge, ...], np.ndarray, str]:
+    """Signed edges, per-class signed rate sums and dependence of an oriented path.
 
     ``vertices`` alternates class, station, class, ... station. Edges at even
     offsets pair a class with its own station and get +1; odd offsets hand
     over to the next class and get -1. The closing leaf-pair edge, present
-    only on closed paths, gets -1.
+    only on closed paths, gets -1. Each edge adds its signed rate to its
+    class's and its station's sum, in edge order. The path is class-dependent
+    if every class sum vanishes, pool-dependent if every station sum does;
+    class-dependence wins when both hold. Either one forces a zero path.
     """
     if len(vertices) < 4 or len(vertices) % 2:
         raise ValueError("a simple path has an even vertex count of at least 4")
-    signed: list[SignedEdge] = []
-    for idx in range(len(vertices) - 1):
-        u, v = vertices[idx], vertices[idx + 1]
-        if idx % 2 == 0:
-            signed.append(((u, v), +1))
-        else:
-            signed.append(((v, u), -1))
+    signed: list[SignedEdge] = [
+        ((u, v), +1) if k % 2 == 0 else ((v, u), -1)
+        for k, (u, v) in enumerate(zip(vertices, vertices[1:]))
+    ]
     if closed:
         signed.append(((vertices[0], vertices[-1]), -1))
-    return tuple(signed)
-
-
-def path_weights(
-    signed_edges: Iterable[SignedEdge], model: NetworkModel
-) -> tuple[np.ndarray, float]:
-    """Per-class signed rate sums and their total along signed edges."""
-    m = np.zeros(model.num_classes)
-    for (i, j), s in signed_edges:
-        m[model.class_pos(i)] += s * model.rate(i, j)
-    m.setflags(write=False)
-    return m, float(m.sum())
-
-
-def classify_dependence(signed_edges: Iterable[SignedEdge], model: NetworkModel) -> str:
-    """Class-dependent if every class's signed sum along the path vanishes,
-    pool-dependent if every station's does; class-dependence wins when both
-    hold. Either one forces a zero path."""
     per_class: dict[int, float] = {}
     per_station: dict[int, float] = {}
-    for (i, j), s in signed_edges:
+    for (i, j), s in signed:
         term = s * model.rate(i, j)
         per_class[i] = per_class.get(i, 0.0) + term
         per_station[j] = per_station.get(j, 0.0) + term
+    class_weights = np.zeros(model.num_classes)
+    for i, v in per_class.items():
+        class_weights[model.class_pos(i)] = v
+    class_weights.setflags(write=False)
     if all(abs(v) <= DEFAULT_TOL for v in per_class.values()):
-        return CLASS_DEPENDENT
-    if all(abs(v) <= DEFAULT_TOL for v in per_station.values()):
-        return POOL_DEPENDENT
-    return NEITHER
-
-
-def _sign_class(weight: float) -> str:
-    if abs(weight) <= DEFAULT_TOL:
-        return ZERO
-    return NEGATIVE if weight < 0 else POSITIVE
+        dependence = CLASS_DEPENDENT
+    elif all(abs(v) <= DEFAULT_TOL for v in per_station.values()):
+        dependence = POOL_DEPENDENT
+    else:
+        dependence = NEITHER
+    return tuple(signed), class_weights, dependence
 
 
 def enumerate_simple_paths(
@@ -148,8 +131,8 @@ def enumerate_simple_paths(
                 continue
             vertices = tuple(tree_path(parent, i, j))
             closed = (i, j) in acts
-            signed = assign_signs(vertices, closed)
-            m, weight = path_weights(signed, model)
+            signed, m, dependence = signed_path(vertices, closed, model)
+            weight = float(m.sum())
             paths.append(
                 SimplePath(
                     kind=CLOSED if closed else OPEN,
@@ -159,8 +142,9 @@ def enumerate_simple_paths(
                     signed_edges=signed,
                     class_weights=m,
                     weight=weight,
-                    sign_class=_sign_class(weight),
-                    dependence=classify_dependence(signed, model),
+                    sign_class=(ZERO if abs(weight) <= DEFAULT_TOL
+                                else NEGATIVE if weight < 0 else POSITIVE),
+                    dependence=dependence,
                 )
             )
     return paths
@@ -181,6 +165,6 @@ def basic_cycle_weights(
     cycles = []
     for i, j in closing:
         cycle = (i, *tree_path(parent, j, i)[:-1])  # i -> j -> ... -> back to i
-        _, weight = path_weights(assign_signs(cycle, closed=True), model)
-        cycles.append((cycle, -weight))
+        _, m, _ = signed_path(cycle, closed=True, model=model)
+        cycles.append((cycle, -float(m.sum())))
     return cycles

@@ -834,8 +834,8 @@ def run_nc_experiment(
     bit-identical results.
     """
     n_list = list(n_list)
-    if n_list != sorted(n_list):
-        raise ValueError("n_list must be ascending")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly ascending")
     if reps < 1:
         raise ValueError("need at least one replication")
     _check_horizon(T, warmup)

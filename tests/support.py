@@ -14,9 +14,15 @@ import types
 import numpy as np
 
 from fluidq import (
+    CLASS_DEPENDENT,
+    DEFAULT_TOL,
     INFEASIBLE,
     NEGATIVE,
+    NEITHER,
+    POOL_DEPENDENT,
+    POSITIVE,
     UNBOUNDED,
+    ZERO,
     GenerationFailed,
     InfeasibleModel,
     LinearProgram,
@@ -251,6 +257,64 @@ def forest_oracle(n_vertices, edges):
         connected=lambda u, v: v in _reachable(forest, u),
         path=lambda src, dst: _tree_path(forest, src, dst),
     )
+
+
+# The per-path passes the package made before its single signed walk
+# (``signed_path``): signs, weights, sign class and dependence, each its own
+# walk over the path. Kept as the oracle for ``signed_path``.
+
+
+def assign_signs(vertices, closed):
+    """Sign the edges of an oriented simple path.
+
+    ``vertices`` alternates class, station, class, ... station. Edges at even
+    offsets pair a class with its own station and get +1; odd offsets hand
+    over to the next class and get -1. The closing leaf-pair edge, present
+    only on closed paths, gets -1.
+    """
+    if len(vertices) < 4 or len(vertices) % 2:
+        raise ValueError("a simple path has an even vertex count of at least 4")
+    signed = []
+    for idx in range(len(vertices) - 1):
+        u, v = vertices[idx], vertices[idx + 1]
+        if idx % 2 == 0:
+            signed.append(((u, v), +1))
+        else:
+            signed.append(((v, u), -1))
+    if closed:
+        signed.append(((vertices[0], vertices[-1]), -1))
+    return tuple(signed)
+
+
+def path_weights(signed_edges, model):
+    """Per-class signed rate sums and their total along signed edges."""
+    m = np.zeros(model.num_classes)
+    for (i, j), s in signed_edges:
+        m[model.class_pos(i)] += s * model.rate(i, j)
+    m.setflags(write=False)
+    return m, float(m.sum())
+
+
+def classify_dependence(signed_edges, model):
+    """Class-dependent if every class's signed sum along the path vanishes,
+    pool-dependent if every station's does; class-dependence wins."""
+    per_class: dict[int, float] = {}
+    per_station: dict[int, float] = {}
+    for (i, j), s in signed_edges:
+        term = s * model.rate(i, j)
+        per_class[i] = per_class.get(i, 0.0) + term
+        per_station[j] = per_station.get(j, 0.0) + term
+    if all(abs(v) <= DEFAULT_TOL for v in per_class.values()):
+        return CLASS_DEPENDENT
+    if all(abs(v) <= DEFAULT_TOL for v in per_station.values()):
+        return POOL_DEPENDENT
+    return NEITHER
+
+
+def sign_class(weight):
+    if abs(weight) <= DEFAULT_TOL:
+        return ZERO
+    return NEGATIVE if weight < 0 else POSITIVE
 
 
 def erlang_c(servers: int, offered_load: float) -> float:

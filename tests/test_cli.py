@@ -1,12 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 import fluidq.cli
 import fluidq.simulator
 import fluidq.static_fluid
-from fluidq import NumericalFailure
-from fluidq.analysis import run_analysis
+from fluidq import NumericalFailure, validate_model
+from fluidq.analysis import render_report, run_analysis
 from fluidq.cli import main
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
@@ -81,6 +82,18 @@ def test_analyze_invalid_model_exit_2(tmp_path, capsys):
     )
     assert main(["analyze", model]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_non_integer_count_exit_2(tmp_path, capsys, command):
+    model = _write(tmp_path, "frac.json", CASE_A | {"classes": 2.5})
+    extra = [] if command == "analyze" else [
+        "--n", "10", "--T", "0.1", "--reps", "1", "--policy", "greedy-basic", "--seed", "1",
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main([command, model, *extra]) == 2
+    assert "must be integers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_unparseable_exit_2(tmp_path, capsys):
@@ -208,6 +221,7 @@ ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], 
     [
         (CASE_A, "--n", "10,x", "invalid literal"),
         (CASE_A, "--n", "40,10", "ascending"),
+        (CASE_A, "--n", "10,10", "strictly ascending"),
         (CASE_A, "--n", "0", "at least 1"),
         (CASE_A, "--reps", "0", "at least one replication"),
         (CASE_A, "--T", "0", "must be positive"),
@@ -215,8 +229,8 @@ ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], 
         (CASE_A, "--T", "nan", "horizon T"),
         (ROUNDS_BADLY, "--n", "1", "drifted"),
     ],
-    ids=["malformed-n", "descending-n", "n-zero", "reps-zero", "T-zero", "T-inf", "T-nan",
-         "scaling"],
+    ids=["malformed-n", "descending-n", "repeated-n", "n-zero", "reps-zero", "T-zero", "T-inf",
+         "T-nan", "scaling"],
 )
 def test_simulate_invalid_request_exit_2(tmp_path, capsys, payload, flag, value, message):
     model = _write(tmp_path, "m.json", payload)
@@ -291,6 +305,25 @@ def test_run_analysis_defect_free_on_case_a(case_a):
     report = run_analysis(case_a)
     assert report.defects == []
     assert report.assumptions.all_hold
+
+
+def test_basic_cycles_and_defects_reported():
+    # the square of test_paths' forced cycle, reported as a non-tree basic graph
+    model = validate_model(
+        {"classes": 2, "stations": 2, "lambda": [5, 5], "nu": [1, 1], "mu": [[2, 3], [3, 2]]}
+    )
+    defect = "LP and path optimality criteria disagree although the assumptions hold"
+    report = replace(
+        run_analysis(model), paths=None, cycles=[((2, 4, 1, 3), 2.0)], defects=[defect]
+    )
+    lines = render_report(report).splitlines()
+    at = lines.index("simple paths: unavailable (basic graph is not a tree)")
+    assert lines[at + 1] == "  basic cycle (2, 4, 1, 3): weight 2"
+    assert f"DEFECT: {defect}" in lines
+    data = json.loads(json.dumps(report.to_dict()))
+    assert data["paths"] is None
+    assert data["basic_cycles"] == [{"vertices": [2, 4, 1, 3], "weight": 2.0}]
+    assert data["throughput"]["defects"] == [defect]
 
 
 def test_analyze_unknown_verdict_rendered(tmp_path, capsys):

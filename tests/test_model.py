@@ -53,6 +53,25 @@ def test_dimension_mismatches_rejected():
         validate_model({"classes": 1, "stations": 1, "lambda": [1], "nu": [1]})
 
 
+@pytest.mark.parametrize(
+    "count", [2.5, 2.0, "2", True], ids=["float", "integral-float", "str", "bool"]
+)
+@pytest.mark.parametrize("field", ["classes", "stations"])
+def test_non_integer_count_rejected(field, count):
+    raw = {"classes": 2, "stations": 2, "lambda": [1, 1], "nu": [1, 1], "mu": [[1, 1], [1, 1]]}
+    with pytest.raises(ModelError, match="must be integers"):
+        validate_model(raw | {field: count})
+
+
+def test_numpy_integer_count_accepted():
+    m = validate_model(
+        {"classes": np.int64(2), "stations": np.int32(1), "lambda": [1, 1], "nu": [2],
+         "mu": [[1], [1]]}
+    )
+    assert (m.num_classes, m.num_stations) == (2, 1)
+    assert type(m.num_classes) is int and type(m.num_stations) is int
+
+
 def test_non_finite_rejected():
     with pytest.raises(ModelError):
         validate_model({"classes": 1, "stations": 1, "lambda": [float("nan")], "nu": [1], "mu": [[1]]})

@@ -1,3 +1,7 @@
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,18 +12,28 @@ from fluidq import (
     NotATree,
     OPEN,
     POOL_DEPENDENT,
+    ZERO,
+    InfeasibleModel,
     activity_set,
-    assign_signs,
     basic_cycle_weights,
-    classify_dependence,
     enumerate_simple_paths,
     generate_critical_instance,
-    path_weights,
+    load_model,
+    signed_path,
     solve_static_allocation,
     validate_model,
 )
 
-from support import relabel_model
+from support import (
+    assign_signs,
+    classify_dependence,
+    forest_oracle,
+    path_weights,
+    relabel_model,
+    sign_class,
+)
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _paths(model):
@@ -98,9 +112,11 @@ def test_open_path_sign_alternation():
             assert plus == minus + 1
 
 
-def test_assign_signs_rejects_short_sequences():
-    with pytest.raises(ValueError):
-        assign_signs((1, 3), closed=False)
+def test_signed_path_rejects_short_sequences(case_a):
+    for vertices in ((1, 3), (1, 3, 2)):
+        for closed in (False, True):
+            with pytest.raises(ValueError):
+                signed_path(vertices, closed, case_a)
 
 
 def test_path_count_formula():
@@ -121,9 +137,10 @@ def test_weight_equals_class_weight_sum_exactly():
         model, sol = generate_critical_instance(int(rng.integers(0, 5000)), I, J)
         for p in enumerate_simple_paths(sol, activity_set(model), model):
             assert p.weight == float(p.class_weights.sum())
-            m, w = path_weights(p.signed_edges, model)
+            edges, m, dependence = signed_path(p.vertices, p.kind == CLOSED, model)
+            assert edges == p.signed_edges and dependence == p.dependence
             assert np.array_equal(m, p.class_weights)
-            assert w == p.weight
+            assert float(m.sum()) == p.weight
 
 
 def test_class_dependent_rates_give_zero_class_weights():
@@ -134,7 +151,8 @@ def test_class_dependent_rates_give_zero_class_weights():
     paths = enumerate_simple_paths(sol, activity_set(m), m)
     assert len(paths) == 1
     p = paths[0]
-    assert classify_dependence(p.signed_edges, m) == CLASS_DEPENDENT
+    assert p.dependence == CLASS_DEPENDENT
+    assert signed_path(p.vertices, p.kind == CLOSED, m)[2] == CLASS_DEPENDENT
     assert np.abs(p.class_weights).max() <= 1e-9
     assert p.sign_class == "zero"
 
@@ -144,8 +162,10 @@ def test_pool_dependent_rates_classified():
     m = validate_model(
         {"classes": 2, "stations": 2, "lambda": [5, 2], "nu": [1, 1], "mu": [[3, 2], [3, 2]]}
     )
-    edges = (((2, 4), +1), ((1, 4), -1), ((1, 3), +1), ((2, 3), -1))
-    assert classify_dependence(edges, m) == POOL_DEPENDENT
+    edges, class_weights, dependence = signed_path((2, 4, 1, 3), closed=True, model=m)
+    assert edges == (((2, 4), +1), ((1, 4), -1), ((1, 3), +1), ((2, 3), -1))
+    assert class_weights.tolist() == [1.0, -1.0]
+    assert dependence == POOL_DEPENDENT
 
 
 def test_nonzero_weight_is_neither(case_a):
@@ -177,8 +197,6 @@ def test_enumeration_requires_tree():
 
 def test_cycle_weights_on_forced_cycle():
     # two classes fully wired to two stations with a square of basic activities
-    from dataclasses import replace
-
     m = validate_model(
         {"classes": 2, "stations": 2, "lambda": [5, 5], "nu": [1, 1], "mu": [[2, 3], [3, 2]]}
     )
@@ -203,3 +221,71 @@ def test_path_serialization_round_trip(case_a):
     assert d["kind"] in (OPEN, CLOSED)
     assert len(d["edges"]) == len(paths[0].signed_edges)
     assert d["weight"] == paths[0].weight
+
+
+def _random_integer_model(rng):
+    """Small integer rates with some pairs missing; a third of the draws make
+    rates depend only on the class and a third only on the station, so zero,
+    class- and pool-dependent paths turn up often."""
+    I, J = (int(v) for v in rng.integers(2, 5, size=2))
+    shape = {"free": (I, J), "class": (I, 1), "pool": (1, J)}[rng.choice(["free", "class", "pool"])]
+    mu = np.broadcast_to(rng.integers(1, 4, size=shape), (I, J)) * (rng.random((I, J)) < 0.75)
+    return validate_model({
+        "classes": I, "stations": J, "lambda": rng.integers(1, 7, size=I).tolist(),
+        "nu": rng.integers(1, 3, size=J).tolist(), "mu": mu.tolist(),
+    })
+
+
+def _oracle_models():
+    yield from (load_model(str(p)) for p in sorted(MODELS.glob("*.json")))
+    for size in (3, 4, 5, 6, 8, 12, 16):
+        for seed in range(3 if size <= 6 else 1):
+            yield generate_critical_instance(seed, size, size)[0]
+    rng = np.random.default_rng(2015)
+    for _ in range(320):
+        yield _random_integer_model(rng)
+
+
+def test_signed_walk_matches_old_walks():
+    """Every SimplePath field and every cycle weight equals what the separate
+    sign, weight, sign-class and dependence passes give, floats with ==."""
+    seen = Counter()
+    for model in _oracle_models():
+        try:
+            sol = solve_static_allocation(model)
+        except InfeasibleModel:
+            continue
+        seen["models"] += 1
+        acts = activity_set(model)
+        # the basic graph itself, then every activity as basic: many cycles
+        for edges in (sol.basic_edges, acts):
+            for cycle, weight in basic_cycle_weights(replace(sol, basic_edges=edges), model):
+                assert weight == -path_weights(assign_signs(cycle, True), model)[1]
+                seen["cycles"] += 1
+        try:
+            paths = enumerate_simple_paths(sol, acts, model)
+        except NotATree:
+            seen["non-tree"] += 1
+            continue
+        forest = forest_oracle(model.num_classes + model.num_stations, sol.basic_edges)
+        leaves = [(i, j) for i in model.class_labels for j in model.station_labels
+                  if (i, j) not in sol.basic_edges]
+        assert [p.leaf_pair for p in paths] == leaves
+        for p in paths:
+            closed = p.leaf_pair in acts
+            vertices = tuple(forest.path(*p.leaf_pair))
+            signed = assign_signs(vertices, closed)
+            m, weight = path_weights(signed, model)
+            assert p.kind == (CLOSED if closed else OPEN)
+            assert p.vertices == vertices and p.signed_edges == signed
+            assert p.class_weights.dtype == m.dtype and p.class_weights.shape == m.shape
+            assert p.class_weights.tobytes() == m.tobytes()
+            assert not p.class_weights.flags.writeable
+            assert p.weight == weight
+            assert p.sign_class == sign_class(weight)
+            assert p.dependence == classify_dependence(signed, model)
+            seen[p.dependence] += 1
+            seen[p.sign_class] += 1
+    assert seen["models"] >= 300, seen
+    for reached in (CLASS_DEPENDENT, POOL_DEPENDENT, NEITHER, ZERO, "non-tree", "cycles"):
+        assert seen[reached] > 0, reached

@@ -227,6 +227,8 @@ def test_run_nc_experiment_requires_ascending(case_a):
     sol = solve_static_allocation(case_a)
     with pytest.raises(ValueError):
         run_nc_experiment(case_a, sol, "idle", [100, 10], T=0.1, reps=1, seed=1)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        run_nc_experiment(case_a, sol, "idle", [10, 10], T=0.1, reps=1, seed=1)
     with pytest.raises(ValueError):
         run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=0, seed=1)
 
