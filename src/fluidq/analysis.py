@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import DEFAULT_TOL, NetworkModel, activity_set, model_to_dict
 from .optimality import KAPPA_GRID, NCVerdict, nc_verdict
-from .paths import NotATree, SimplePath, basic_cycle_weights, enumerate_simple_paths
+from .paths import SimplePath, basic_cycle_weights, enumerate_simple_paths
 from .static_fluid import AssumptionReport, FluidSolution, check_assumptions, solve_static_allocation
 
 
@@ -92,13 +92,11 @@ def run_analysis(model: NetworkModel) -> AnalysisReport:
     """Full pipeline: solve, check assumptions, enumerate paths, all verdicts."""
     sol = solve_static_allocation(model)
     report = check_assumptions(model, sol)
-    paths: list[SimplePath] | None
-    cycles: list[tuple[tuple[int, ...], float]] = []
-    try:
-        paths = enumerate_simple_paths(sol, activity_set(model), model)
-    except NotATree:
-        paths = None
-        cycles = basic_cycle_weights(sol, model)
+    # the assumption report's tree test is the condition enumeration needs
+    if report.is_tree:
+        paths, cycles = enumerate_simple_paths(sol, activity_set(model), model), []
+    else:
+        paths, cycles = None, basic_cycle_weights(sol, model)
     verdict = nc_verdict(model, sol, report, paths)
 
     defects = []

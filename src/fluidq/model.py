@@ -79,6 +79,16 @@ class NetworkModel:
         return self.class_pos(edge[0]), self.station_pos(edge[1])
 
 
+def _rates(raw: Mapping[str, Any], name: str) -> np.ndarray:
+    """``raw[name]`` as floats, if every entry is an int or a float: a bool or
+    a string is refused, not converted, and so is a numpy array of either."""
+    entries = np.asarray(raw[name], dtype=object)
+    if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+               for v in entries.flat):
+        raise TypeError(f"{name} entries must be ints or floats")
+    return entries.astype(float)
+
+
 def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     """Validate candidate data and return an immutable :class:`NetworkModel`.
 
@@ -86,8 +96,9 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     ``nu`` and ``mu`` (the on-disk JSON layout; arrays are positional).
 
     Raises:
-        ModelError: a count that is not an integer (a bool, float or string
-            is refused, not converted), or malformed array data.
+        ModelError: a count that is not an integer, or a rate that is not an
+            int or a float (a bool or string is refused, not converted), or
+            malformed array data.
         DimensionMismatch: counts below one, missing fields or arrays whose
             lengths disagree with the declared counts.
         NonPositiveRate: an arrival rate or capacity that is not > 0.
@@ -95,12 +106,10 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     """
     try:
         counts = (raw["classes"], raw["stations"])
-        lam = np.asarray(raw["lambda"], dtype=float)
-        nu = np.asarray(raw["nu"], dtype=float)
-        mu = np.asarray(raw["mu"], dtype=float)
+        lam, nu, mu = (_rates(raw, name) for name in ("lambda", "nu", "mu"))
     except KeyError as exc:
         raise DimensionMismatch(f"missing model field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model data: {exc}") from None
     if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
         raise ModelError(f"classes and stations must be integers, got {counts}")

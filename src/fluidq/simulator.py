@@ -22,6 +22,13 @@ Each replication keeps its own generator, draws and float arithmetic, so its
 result is bit-identical to ``simulate``'s, which stays the reference; user
 policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
 ``simulate``.
+
+Both engines share one work-conserving fill, ``_fill``, and one displacement
+rule, ``NegativePathPump._displace``: each indexes ``psi[i][j]`` and takes the
+engine's ``min``/``max`` (builtins on ints, numpy's on columns). Only the head
+clip keeps two forms, ``_shave``'s loop, which stops early, and a closed form
+in the pump's ``_lockstep``: the loop would cost about 4 numpy calls per pair
+on arrays, and the closed form a Python walk over every pair on lists.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import accumulate, chain, compress
 from operator import gt, mul
 
@@ -45,7 +53,9 @@ LOCKSTEP_MIN_REPS = 16
 
 
 class ScalingViolation(RuntimeError):
-    """Rounded integer parameters broke the second-order closeness bounds."""
+    """Rounded server counts drifted more than 0.5/sqrt(n) from n times the
+    capacities. The first-order bound cannot fail (see ``build_system``):
+    sum |x0_i/n - m_i| <= I/(2n) < (I+J+1)/sqrt(n) for every n >= 1."""
 
 
 class PolicyViolation(RuntimeError):
@@ -72,31 +82,19 @@ class SystemInstance:
 def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInstance:
     """Scale the fluid model to n servers-per-capacity-unit and round.
 
-    Rounding must respect the square-root closeness bounds (sum-abs distance
-    of the normalized parameters within (I+J+1)/sqrt(n), server counts within
-    half of 1/sqrt(n)); construction fails loudly otherwise.
+    The sum-abs drift of servers/n from the capacities must stay within half
+    of 1/sqrt(n). The first-order bound (I+J+1)/sqrt(n) on the rest holds by
+    construction, up to float rounding: arrival rates are exact multiples,
+    service rates are not scaled, and x0 rounds half up, so
+    sum |x0_i/n - m_i| <= I/(2n) < (I+J+1)/sqrt(n).
 
     Raises:
-        ScalingViolation: the bounds fail, typically capacities near
+        ScalingViolation: the server bound fails, typically capacities near
             half-integers at a tiny n. Use a larger n.
     """
     if n < 1:
         raise ValueError("scale parameter n must be at least 1")
-    arrival = n * model.arrival_rates
     servers = _round_half_up(n * model.capacities)
-    x0 = _round_half_up(n * sol.class_masses)
-    service = np.array(model.service_rates)
-
-    c = model.num_classes + model.num_stations + 1
-    first_order = (
-        np.abs(arrival / n - model.arrival_rates).sum()
-        + np.abs(service - model.service_rates).sum()
-        + np.abs(x0 / n - sol.class_masses).sum()
-    )
-    if first_order > c / math.sqrt(n) + 1e-12:
-        raise ScalingViolation(
-            f"rates/initial heads drifted {first_order:.6g} > {c}/sqrt({n})"
-        )
     server_drift = np.abs(servers / n - model.capacities).sum()
     if server_drift > 0.5 / math.sqrt(n) + 1e-12:
         raise ScalingViolation(
@@ -104,10 +102,10 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
         )
     return SystemInstance(
         n=n,
-        arrival_rates=arrival,
+        arrival_rates=n * model.arrival_rates,
         servers=servers,
-        service_rates=service,
-        x0=x0,
+        service_rates=np.array(model.service_rates),
+        x0=_round_half_up(n * sol.class_masses),
         model=model,
         solution=sol,
     )
@@ -180,15 +178,15 @@ class GreedyBasic(Policy):
 
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         psi = [[0] * len(state.servers) for _ in state.heads]
-        return _fill(psi, list(state.heads), list(state.servers), self._order)
+        return _fill(psi, list(state.heads), list(state.servers), self._order, min)
 
     def _lockstep(self, sys: SystemInstance, reps: int):
-        pairs, servers = sys.service_rates.size, sys.servers[:, None]
+        (I, J), servers = sys.service_rates.shape, sys.servers[:, None]
 
         def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
-            width = heads.shape[1]
-            psi = np.zeros((pairs, width), dtype=np.int64)
-            return _fill_batch(psi, heads.copy(), servers.repeat(width, axis=1), self._order)
+            psi = np.zeros((I, J, live.size), dtype=np.int64)
+            _fill(list(psi), heads.copy(), servers.repeat(live.size, 1), self._order, np.minimum)
+            return psi.reshape(I * J, -1)
         return assign
 
 
@@ -230,37 +228,40 @@ class NegativePathPump(Policy):
             key=lambda pos: (-rates[pos], pos),
         )
         self._slowest_first = _slowest_first(rates)
-        if self.path is not None:
-            edges = self.path.signed_edges
-            self._dec = [self._model.edge_positions(e) for e, s in edges if s > 0]
-            self._inc = [self._model.edge_positions(e) for e, s in edges if s < 0]
-            self._max_shift = min(self._core[i][j] for i, j in self._dec)
-        else:
-            self._max_shift = 0
+        edges = self.path.signed_edges if self.path is not None else ()
+        self._dec = [self._model.edge_positions(e) for e, s in edges if s > 0]
+        self._inc = [self._model.edge_positions(e) for e, s in edges if s < 0]
+        self._max_shift = min((self._core[i][j] for i, j in self._dec), default=0)
+
+    def _displace(self, psi, heads, shift, minimum, maximum):
+        """Move ``shift`` at most one step toward its target (the feasibility
+        cap while total heads >= total servers, else 0), apply what the
+        decreasing edges of ``psi`` can give up, and return the moved shift.
+
+        ``psi[i][j]`` and ``heads[i]`` are ints with ``min``/``max``, or columns
+        with ``np.minimum``/``np.maximum``. No row or column sum grows: each
+        class and station on the path has as many decreasing edges as
+        increasing ones, except an open path's first class and last station.
+        """
+        target = (sum(heads) >= self._servers_total) * self._max_shift
+        shift = minimum(maximum(target, shift - self._step), shift + self._step)
+        applied = reduce(minimum, [psi[i][j] for i, j in self._dec], shift)
+        for i, j in self._dec:
+            psi[i][j] -= applied
+        for i, j in self._inc:
+            psi[i][j] += applied
+        return shift
 
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         heads = state.heads
         psi = [row[:] for row in self._core]
         # clip rows to the available heads before sizing the displacement
         _shave(psi, heads, self._slowest_first)
-        if self.path is not None:
-            surplus = sum(heads) - self._servers_total
-            headroom = min(psi[i][j] for i, j in self._dec)
-            target = self._max_shift if surplus >= 0 else 0
-            if target > self._shift:
-                self._shift = min(self._shift + self._step, target)
-            else:
-                self._shift = max(self._shift - self._step, target)
-            applied = min(self._shift, headroom)
-            if applied:
-                for i, j in self._dec:
-                    psi[i][j] -= applied
-                for i, j in self._inc:
-                    psi[i][j] += applied
+        self._shift = self._displace(psi, heads, self._shift, min, max)
         # work-conserving completion, fastest activities first
         heads_left = [h - sum(row) for h, row in zip(heads, psi)]
         servers_left = [s - sum(col) for s, col in zip(state.servers, zip(*psi))]
-        return _fill(psi, heads_left, servers_left, self._fastest_first)
+        return _fill(psi, heads_left, servers_left, self._fastest_first, min)
 
     def _lockstep(self, sys: SystemInstance, reps: int):
         self.prepare(sys)
@@ -275,35 +276,18 @@ class NegativePathPump(Policy):
         row_totals = core.sum(axis=1)[:, None]
         unwalk = (np.arange(I)[:, None] * J + np.argsort(slowest, axis=1)).ravel()
         servers = sys.servers[:, None]
-        fastest, path = self._fastest_first, self.path is not None
-        if path:
-            dec = [i * J + j for i, j in self._dec]
-            inc = [i * J + j for i, j in self._inc]
-            step, max_shift, servers_total = self._step, self._max_shift, self._servers_total
-            shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
+        shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
         def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
             kept = kept_upto - (row_totals - heads)[:, None, :]
             np.minimum(np.maximum(kept, 0, out=kept), walked, out=kept)
-            psi = kept.reshape(I * J, -1).take(unwalk, axis=0)
-            if path:
-                # as in assign: toward the target by at most one step
-                target = (np.add.reduce(heads, axis=0) >= servers_total) * max_shift
-                now = shift[live]
-                now = np.minimum(np.maximum(target, now - step), now + step)
-                shift[live] = now
-                applied = np.minimum(now, np.minimum.reduce(psi.take(dec, axis=0), axis=0))
-                for k in dec:
-                    psi[k] -= applied
-                for k in inc:
-                    psi[k] += applied
-            by_class = psi.reshape(I, J, -1)
+            by_class = kept.reshape(I * J, -1).take(unwalk, axis=0).reshape(I, J, -1)
+            rows = list(by_class)
+            shift[live] = self._displace(rows, heads, shift[live], np.minimum, np.maximum)
             heads_left = heads - np.add.reduce(by_class, axis=1)
             servers_left = servers - np.add.reduce(by_class, axis=0)
-            # _fill skips a pair with nothing left, so a negative leftover acts as 0
-            np.maximum(heads_left, 0, out=heads_left)
-            np.maximum(servers_left, 0, out=servers_left)
-            return _fill_batch(psi, heads_left, servers_left, fastest)
+            _fill(rows, heads_left, servers_left, self._fastest_first, np.minimum)
+            return by_class.reshape(I * J, -1)
         return assign
 
 
@@ -327,27 +311,18 @@ def make_policy(
     return factory(model, sol, paths)
 
 
-def _fill(psi: list[list[int]], heads_left: list[int], servers_left: list[int],
-          order: list[tuple[int, int]]) -> list[list[int]]:
+def _fill(psi, heads_left, servers_left, order: list[tuple[int, int]], minimum):
     """Work-conserving fill: at each pair of ``order`` in turn, put in service
-    as many of the class's remaining heads as the station has servers left."""
-    for i, j in order:
-        k = min(heads_left[i], servers_left[j])
-        if k > 0:
-            psi[i][j] += k
-            heads_left[i] -= k
-            servers_left[j] -= k
-    return psi
+    as many of the class's remaining heads as the station has servers left.
 
-
-def _fill_batch(psi: np.ndarray, heads_left: np.ndarray, servers_left: np.ndarray,
-                order: list[tuple[int, int]]) -> np.ndarray:
-    """``_fill`` on (pairs, R) counts: the same pairs in the same order, each
-    column one replication. No leftover may be negative."""
-    J = servers_left.shape[0]
+    Takes ints with ``minimum=min``, or columns with ``np.minimum``. No
+    leftover a built-in policy passes is negative (the head clip bounds rows,
+    the core split columns, and ``NegativePathPump._displace`` raises
+    neither), so every step adds at least 0.
+    """
     for i, j in order:
-        k = np.minimum(heads_left[i], servers_left[j])
-        psi[i * J + j] += k
+        k = minimum(heads_left[i], servers_left[j])
+        psi[i][j] += k
         heads_left[i] -= k
         servers_left[j] -= k
     return psi

@@ -96,6 +96,18 @@ def test_non_integer_count_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_non_numeric_rate_exit_2(tmp_path, capsys, command):
+    model = _write(tmp_path, "str.json", CASE_A | {"lambda": ["8", True]})
+    extra = [] if command == "analyze" else [
+        "--n", "10", "--T", "0.1", "--reps", "1", "--policy", "greedy-basic", "--seed", "1",
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main([command, model, *extra]) == 2
+    assert "lambda entries must be ints or floats" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_unparseable_exit_2(tmp_path, capsys):
     p = tmp_path / "garbage.json"
     p.write_text("{not json")

@@ -11,6 +11,7 @@ from fluidq import (
     validate_model,
 )
 
+from conftest import CASE_A
 from support import relabel_model
 
 
@@ -70,6 +71,35 @@ def test_numpy_integer_count_accepted():
     )
     assert (m.num_classes, m.num_stations) == (2, 1)
     assert type(m.num_classes) is int and type(m.num_stations) is int
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lambda", ["8", 4]),
+    ("lambda", [8, True]),
+    ("nu", [1, 1, "1"]),
+    ("nu", [1, False, 1]),
+    ("mu", [[3, 10, 1], [1, 4, "2"]]),
+    ("mu", [[3, 10, True], [1, 4, 2]]),
+    ("mu", np.array([[1, 1, 0], [1, 0, 1]], dtype=bool)),
+    ("lambda", np.array(["8", "4"])),
+], ids=["lambda-str", "lambda-bool", "nu-str", "nu-bool", "mu-str", "mu-bool",
+        "mu-bool-array", "lambda-str-array"])
+def test_non_numeric_rate_rejected(field, value):
+    with pytest.raises(ModelError, match=f"{field} entries must be ints or floats"):
+        validate_model(CASE_A | {field: value})
+
+
+def test_numpy_rate_arrays_accepted():
+    m = validate_model(CASE_A | {"lambda": np.array([8, 4]), "nu": np.ones(3, dtype=np.float32),
+                                 "mu": np.array(CASE_A["mu"], dtype=np.int32)})
+    assert m.arrival_rates.tolist() == [8.0, 4.0]
+    assert m.capacities.tolist() == [1.0, 1.0, 1.0]
+    assert m.service_rates.tolist() == [[3.0, 10.0, 1.0], [1.0, 4.0, 2.0]]
+
+
+def test_rate_beyond_float_range_rejected():
+    with pytest.raises(ModelError, match="malformed model data"):
+        validate_model(CASE_A | {"lambda": [10**400, 4]})
 
 
 def test_non_finite_rejected():

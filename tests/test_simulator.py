@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fluidq import (
+    NEGATIVE,
     GreedyBasic,
     IdlePolicy,
     Policy,
@@ -430,6 +431,29 @@ def test_lockstep_equals_simulate(name, policy, n, warmup):
         expected = simulate(sys, pol, 1.0, seed, warmup=warmup, sample_points=11)
         assert expected.events > 0
         _assert_same_result(got, expected)
+
+
+@pytest.mark.parametrize("n", [4, 10, 100])
+@pytest.mark.parametrize("policy", ["greedy-basic", "negative-path"])
+@pytest.mark.parametrize("name", ["case_a", "case_b", "non_integer_2x2", *GENERATED])
+def test_fill_never_gets_a_negative_leftover(monkeypatch, name, policy, n):
+    # the invariant that lets _fill add min(heads left, servers left) unguarded
+    fill, minimums = simulator._fill, set()
+
+    def checked(psi, heads_left, servers_left, order, minimum):
+        assert np.min(heads_left) >= 0 and np.min(servers_left) >= 0
+        minimums.add(minimum)
+        return fill(psi, heads_left, servers_left, order, minimum)
+
+    monkeypatch.setattr(simulator, "_fill", checked)
+    model, sol, paths, sys = _setup(name, n)
+    assert any(p.sign_class == NEGATIVE for p in paths)
+    pol = make_policy(policy, model, sol, paths)
+    seeds = [derive_seed(9, n, rep) for rep in range(4)]
+    for seed in seeds:
+        simulate(sys, pol, 1.0, seed)
+    _simulate_lockstep(sys, pol, 1.0, seeds)
+    assert minimums == {min, np.minimum}
 
 
 def _lockstep_rogue(corrupt):
