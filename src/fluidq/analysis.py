@@ -63,7 +63,7 @@ class AnalysisReport:
             "throughput": {
                 "lp": _fields(
                     lp_v, "optimal", "max_throughput", "arrival_total",
-                    "witness_allocation", verdict=lp_v and lp_v.text,
+                    "witness_allocation", verdict=lp_v.text,
                 ),
                 "paths": _fields(
                     path_v, "optimal",
@@ -148,11 +148,10 @@ def render_report(rep: AnalysisReport) -> str:
                 f"  class sums {m_str}  weight {p.weight:.6g}"
                 f"  {p.sign_class}  dependence={p.dependence}"
             )
-    if nc.throughput is not None:
-        lines.append(
-            f"throughput LP: max {nc.throughput.max_throughput:.9g} vs arrivals"
-            f" {nc.throughput.arrival_total:.9g} -> {nc.throughput.text}"
-        )
+    lines.append(
+        f"throughput LP: max {nc.throughput.max_throughput:.9g} vs arrivals"
+        f" {nc.throughput.arrival_total:.9g} -> {nc.throughput.text}"
+    )
     if nc.path_verdict is not None:
         if nc.path_verdict.witness_path is None:
             lines.append(f"path criterion: no negative path -> {nc.path_verdict.text}")

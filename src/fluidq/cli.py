@@ -90,9 +90,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         n_list = [int(v) for v in args.n.split(",")]
         policy = make_policy(args.policy, model, sol, paths)
-        result = run_nc_experiment(
-            model, sol, policy, n_list, args.T, args.reps, args.seed, paths=paths,
-        )
+        result = run_nc_experiment(model, sol, policy, n_list, args.T, args.reps, args.seed)
     except (ValueError, ScalingViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL

@@ -85,11 +85,11 @@ class NCVerdict:
     status: str                     # NC_POSSIBLE, NC_IMPOSSIBLE or NC_UNKNOWN
     basis: str                      # machine-readable key for the deciding rule
     explanation: str
-    throughput: ThroughputVerdict | None
+    throughput: ThroughputVerdict
     path_verdict: ThroughputVerdict | None
-    zero_path_evidence: tuple[PerturbationCheck, ...] = ()
-    combined_check: PerturbationCheck | None = None
-    violations: tuple[str, ...] = ()
+    zero_path_evidence: tuple[PerturbationCheck, ...]
+    combined_check: PerturbationCheck | None
+    violations: tuple[str, ...]
 
 
 def max_throughput(
@@ -276,47 +276,29 @@ def nc_verdict(
 ) -> NCVerdict:
     """Decide whether queueing time can vanish in the many-server limit.
 
-    Sub-optimal models admit draining policies (verdict "possible", resting
-    on the known constructions for such models). For optimal models the
-    verdict is "impossible" when the structure rules draining out: two
-    classes or two pools, no zero paths at all, or every zero path either
-    class-/pool-dependent or strictly throughput-contracting under mass
-    perturbation. Anything else is "unknown".
+    The first rule that holds decides, in this order:
 
-    Assumption failures normally force "unknown"; the single exception is an
-    optimal model whose zero paths are all class- or pool-dependent, where the
-    rate structure alone settles the question and uniqueness of the
-    allocation is not needed.
+    1. ``assumptions``: critical load or the tree fails -> unknown;
+    2. ``criterion-disagreement``: the LP and path criteria disagree -> unknown;
+    3. ``dependence-route``: not unique, but optimal with every zero path
+       class- or pool-dependent, so the rates alone decide -> impossible;
+    4. ``assumptions``: the allocation is not unique -> unknown;
+    5. ``sub-optimal``: known policy constructions drain -> possible;
+    6. ``two-sided``: optimal with two classes or two pools -> impossible;
+    7. ``no-zero-paths``: optimal with no zero path -> impossible;
+    8. ``zero-paths-neutralized``: every zero path is class-/pool-dependent
+       or strictly throughput-contracting under mass perturbation -> impossible;
+    9. ``gap``: anything else -> unknown.
 
     ``sol``, ``report`` and ``paths`` are the pipeline's results (see
-    ``analysis.run_analysis``). ``paths`` is None only when the basic graph
-    is not a tree, and the tree guard returns before it is read.
+    ``analysis.run_analysis``); ``paths`` is None only off a tree. The path
+    verdict is formed only past rule 1, the zero-path probes only past rule 2.
     """
     lp_v = throughput_verdict_lp(model, sol)
-
-    if not (report.critically_loaded and report.is_tree):
-        return NCVerdict(
-            status=NC_UNKNOWN,
-            basis="assumptions",
-            explanation="critical-load or tree assumption fails; verdict machinery does not apply",
-            throughput=lp_v,
-            path_verdict=None,
-            violations=report.violations,
-        )
-
-    path_v = throughput_verdict_paths(paths)
-
-    if lp_v.optimal != path_v.optimal:
-        return NCVerdict(
-            status=NC_UNKNOWN,
-            basis="criterion-disagreement",
-            explanation="LP and path criteria disagree; treating the analysis as defective",
-            throughput=lp_v,
-            path_verdict=path_v,
-            violations=report.violations,
-        )
-
-    zero_paths = [p for p in paths if p.sign_class == ZERO]
+    critical_tree = report.critically_loaded and report.is_tree
+    path_v = throughput_verdict_paths(paths) if critical_tree else None
+    agree = critical_tree and lp_v.optimal == path_v.optimal
+    zero_paths = [p for p in paths if p.sign_class == ZERO] if agree else []
     evidence = tuple(zero_path_check(sol, p, model) for p in zero_paths)
     combined = combined_zero_path_check(sol, zero_paths, model) if len(zero_paths) > 1 else None
     all_dependent = bool(zero_paths) and all(
@@ -328,6 +310,10 @@ def nc_verdict(
     )
     # the rule chain, in order: (holds, status, basis, explanation); the first that holds decides
     rules = [
+        (not critical_tree, NC_UNKNOWN, "assumptions",
+         "critical-load or tree assumption fails; verdict machinery does not apply"),
+        (not agree, NC_UNKNOWN, "criterion-disagreement",
+         "LP and path criteria disagree; treating the analysis as defective"),
         (not report.unique and lp_v.optimal and all_dependent, NC_IMPOSSIBLE, "dependence-route",
          "optimal with every zero path class- or pool-dependent; the rate structure rules out "
          "draining regardless of allocation uniqueness"),

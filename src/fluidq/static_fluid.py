@@ -315,7 +315,7 @@ def generate_critical_instance(
         GenerationFailed: no draw within ``max_retries`` passed the checks.
     """
     I, J = num_classes, num_stations
-    if I < 1 or J < 1 or I + J < 2:
+    if I < 1 or J < 1:
         raise ValueError("need at least one class and one station")
 
     for attempt in range(max_retries):

@@ -155,6 +155,16 @@ def test_generate_minimal_has_no_paths(tmp_path):
     assert json.loads(rep.read_text())["paths"] == []
 
 
+@pytest.mark.parametrize("flag", ["--I", "--J"])
+def test_generate_bad_size_exit_2(tmp_path, capsys, flag):
+    out = tmp_path / "g.json"
+    sizes = {"--I": "2", "--J": "2", flag: "0"}
+    argv = ["generate", *[a for kv in sizes.items() for a in kv], "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need at least one class and one station\n"
+    assert not out.exists()
+
+
 def test_generate_6x6_round_trip(tmp_path):
     out = tmp_path / "gen6.json"
     assert main(["generate", "--I", "6", "--J", "6", "--seed", "1", "--out", str(out)]) == 0

@@ -48,6 +48,8 @@ def test_dimension_mismatches_rejected():
         validate_model({"classes": 2, "stations": 1, "lambda": [1], "nu": [1], "mu": [[1], [1]]})
     with pytest.raises(DimensionMismatch):
         validate_model({"classes": 1, "stations": 2, "lambda": [1], "nu": [1, 1], "mu": [[1]]})
+    with pytest.raises(DimensionMismatch, match="nu has shape"):
+        validate_model({"classes": 1, "stations": 2, "lambda": [1], "nu": [1], "mu": [[1, 1]]})
     with pytest.raises(DimensionMismatch):
         validate_model({"classes": 0, "stations": 1, "lambda": [], "nu": [1], "mu": []})
     with pytest.raises(DimensionMismatch):

@@ -8,6 +8,7 @@ from fluidq import (
     AllocationPolytope,
     FluidSolution,
     NumericalFailure,
+    ThroughputVerdict,
     activity_set,
     check_assumptions,
     combined_zero_path_check,
@@ -23,6 +24,7 @@ from fluidq import (
     zero_path_check,
 )
 
+import fluidq.optimality
 from fluidq.analysis import run_analysis
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
@@ -317,6 +319,36 @@ def test_nc_assumption_failure_unknown():
     assert v.status == NC_UNKNOWN
     assert v.basis == "assumptions"
     assert v.violations
+
+
+def test_nc_tree_below_critical_load_unknown():
+    # the basic graph is a tree, so paths exist, but the load is 0.5: the
+    # critical-load guard decides before the path criterion is read
+    report = run_analysis(validate_model(dict(CASE_A, **{"lambda": [4, 2]})))
+    assert report.solution.load == pytest.approx(0.5)
+    assert report.assumptions.is_tree and len(report.paths) == 2
+    v = report.nc
+    assert (v.status, v.basis) == (NC_UNKNOWN, "assumptions")
+    assert v.path_verdict is None
+    assert v.zero_path_evidence == () and v.combined_check is None
+    assert v.throughput.max_throughput is not None
+    assert report.defects == []
+
+
+def test_nc_criterion_disagreement_unknown(monkeypatch):
+    # a path criterion that contradicts the LP stops the chain before any
+    # zero path is probed, and the report names the defect
+    monkeypatch.setattr(
+        fluidq.optimality, "throughput_verdict_paths", lambda paths: ThroughputVerdict(optimal=True)
+    )
+    report = run_analysis(validate_model(CASE_A))
+    v = report.nc
+    assert (v.status, v.basis) == (NC_UNKNOWN, "criterion-disagreement")
+    assert not v.throughput.optimal and v.path_verdict.optimal
+    assert v.zero_path_evidence == ()
+    assert report.defects == [
+        "LP and path optimality criteria disagree although the assumptions hold"
+    ]
 
 
 def test_nc_non_unique_allocation_unknown():
