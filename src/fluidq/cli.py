@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 model validation failure (including an infeasible
 allocation problem), an invalid simulation request (malformed or not
 strictly ascending --n, a scale, horizon or replication count below 1, or a
-scale too small to round the server counts) or an output path that cannot be
-written (simulate checks --out before it runs), 3 assumption failure under
---strict, 4 policy/model mismatch for simulation, 5 numerical failure of the
-LP solver.
+scale too small to round the server counts), an output path that cannot be
+written (simulate checks --out before it runs) or a generated instance that
+fails its checks, 3 assumption failure under --strict, 4 policy/model
+mismatch for simulation, 5 numerical failure of the LP solver.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ class InfeasibleModel(RuntimeError):
 
 
 class GenerationFailed(RuntimeError):
-    """The randomized instance generator exhausted its retry budget."""
+    """A generated instance is infeasible or fails a check."""
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def _uniform_spanning_tree(rng: np.random.Generator, I: int, J: int) -> list[tup
 
 
 def generate_critical_instance(
-    seed: int, num_classes: int, num_stations: int, max_retries: int = 100
+    seed: int, num_classes: int, num_stations: int
 ) -> tuple[NetworkModel, FluidSolution]:
     """Draw a random instance that passes every assumption check.
 
@@ -302,62 +302,56 @@ def generate_critical_instance(
     equals sum_j w_j = 1, so both are optimal. By complementary slackness
     every optimal allocation vanishes off the tree and fills every station,
     since every w_j > 0; a spanning tree carries only one such allocation.
-    The planted tree is therefore the unique optimum at load 1, at any size,
-    and the first draw is accepted. Price and share ranges keep most rates
-    within [0.5, 10].
-
-    Each returned instance is still solved and checked: load 1, the planted
-    allocation recovered, and every assumption. A draw that fails, which
-    only numerical trouble can cause, retries with ``seed + 1``.
-    Deterministic in ``seed``.
+    The planted tree is therefore the unique optimum at load 1, at any size.
+    Price and share ranges keep most rates within [0.5, 10]. The one draw
+    from ``seed`` is solved and checked once: every assumption must hold,
+    and the basic edges must be the planted tree, which fixes the planted
+    allocation. Deterministic in ``seed``.
 
     Raises:
-        GenerationFailed: no draw within ``max_retries`` passed the checks.
+        GenerationFailed: the draw fails a check, which only numerical trouble can cause.
     """
     I, J = num_classes, num_stations
     if I < 1 or J < 1:
         raise ValueError("need at least one class and one station")
 
-    for attempt in range(max_retries):
-        rng = np.random.default_rng(seed + attempt)
-        classes, stations = zip(*_uniform_spanning_tree(rng, I, J))
-        on_tree = np.zeros((I, J), dtype=bool)
-        on_tree[classes, stations] = True
+    rng = np.random.default_rng(seed)
+    classes, stations = zip(*_uniform_spanning_tree(rng, I, J))
+    on_tree = np.zeros((I, J), dtype=bool)
+    on_tree[classes, stations] = True
 
-        station_price = rng.uniform(0.5, 1.5, size=J)
-        station_price /= station_price.sum()
-        class_price = rng.uniform(0.1, 1.0, size=I) / J
-        nu = rng.uniform(0.5, 2.0, size=J)
-        bound = station_price[None, :] / (class_price[:, None] * nu[None, :])
-        extra = ~on_tree & (rng.random((I, J)) < 0.5)
-        share = rng.uniform(0.1, 0.9, size=(I, J))
-        mu = np.where(on_tree, bound, np.where(extra, share * bound, 0.0))
+    station_price = rng.uniform(0.5, 1.5, size=J)
+    station_price /= station_price.sum()
+    class_price = rng.uniform(0.1, 1.0, size=I) / J
+    nu = rng.uniform(0.5, 2.0, size=J)
+    bound = station_price[None, :] / (class_price[:, None] * nu[None, :])
+    extra = ~on_tree & (rng.random((I, J)) < 0.5)
+    share = rng.uniform(0.1, 0.9, size=(I, J))
+    mu = np.where(on_tree, bound, np.where(extra, share * bound, 0.0))
 
-        planted = np.where(on_tree, rng.uniform(0.1, 1.0, size=(I, J)), 0.0)
-        planted /= planted.sum(axis=0, keepdims=True)
-        lam = (mu * nu[None, :] * planted).sum(axis=1)
+    planted = np.where(on_tree, rng.uniform(0.1, 1.0, size=(I, J)), 0.0)
+    planted /= planted.sum(axis=0, keepdims=True)
+    lam = (mu * nu[None, :] * planted).sum(axis=1)
 
-        model = validate_model(
-            {
-                "classes": I,
-                "stations": J,
-                "lambda": lam.tolist(),
-                "nu": nu.tolist(),
-                "mu": mu.tolist(),
-            }
-        )
-        try:
-            sol = solve_static_allocation(model)
-        except InfeasibleModel:
-            continue
-        if abs(sol.load - 1.0) > DEFAULT_TOL:
-            continue
-        if np.abs(sol.allocation - planted).max() > 1e-6:
-            continue
-        if not check_assumptions(model, sol).all_hold:
-            continue
-        return model, sol
-
-    raise GenerationFailed(
-        f"no assumption-satisfying instance in {max_retries} draws from seed {seed}"
+    model = validate_model(
+        {
+            "classes": I,
+            "stations": J,
+            "lambda": lam.tolist(),
+            "nu": nu.tolist(),
+            "mu": mu.tolist(),
+        }
     )
+    try:
+        sol = solve_static_allocation(model)
+    except InfeasibleModel as exc:
+        raise GenerationFailed(f"instance from seed {seed}: {exc}") from exc
+    report = check_assumptions(model, sol)
+    failed = [f"{k} is False" for k, v in vars(report).items() if v is False]
+    off_tree = sorted(sol.basic_edges ^ {(i + 1, I + 1 + j) for i, j in zip(classes, stations)})
+    if off_tree:
+        failed.append(f"basic edges and planted tree differ at {off_tree}")
+    if failed:
+        detail = "; ".join([*failed, *report.violations])
+        raise GenerationFailed(f"instance from seed {seed} fails its checks: {detail}")
+    return model, sol

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import fluidq.cli
 import fluidq.simulator
 import fluidq.static_fluid
-from fluidq import NumericalFailure, validate_model
+from fluidq import InfeasibleModel, NumericalFailure, load_model, validate_model
 from fluidq.analysis import render_report, run_analysis
 from fluidq.cli import main
 
@@ -163,6 +167,41 @@ def test_generate_bad_size_exit_2(tmp_path, capsys, flag):
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: need at least one class and one station\n"
     assert not out.exists()
+
+
+def _infeasible(model):
+    raise InfeasibleModel("arrival rates cannot be served by any allocation")
+
+
+def _not_unique(model, sol):
+    return fluidq.static_fluid.AssumptionReport(True, False, True, ("allocation moved",))
+
+
+@pytest.mark.parametrize("name, fake, err", [
+    ("solve_static_allocation", _infeasible,
+     "error: instance from seed 4: arrival rates cannot be served by any allocation\n"),
+    ("check_assumptions", _not_unique,
+     "error: instance from seed 4 fails its checks: unique is False; allocation moved\n"),
+], ids=["infeasible", "not-unique"])
+def test_generate_failed_check_exit_2(tmp_path, capsys, monkeypatch, name, fake, err):
+    # one error line, no traceback and no files: neither the model nor its sidecar
+    monkeypatch.setattr(fluidq.static_fluid, name, fake)
+    out = tmp_path / "g.json"
+    assert main(["generate", "--I", "3", "--J", "3", "--seed", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_fluidq_runs_without_warnings():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(fluidq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fluidq", "analyze", "models/case_a.json"],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == render_report(run_analysis(load_model(root / "models/case_a.json"))) + "\n"
 
 
 def test_generate_6x6_round_trip(tmp_path):

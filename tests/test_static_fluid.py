@@ -161,9 +161,42 @@ def test_generated_masses_fill_polytope():
         assert len(sol.basic_edges) == I + J - 1
 
 
-def test_generator_retry_budget():
-    with pytest.raises(GenerationFailed):
-        generate_critical_instance(5, 3, 3, max_retries=0)
+@pytest.mark.parametrize(
+    "violations", [(), ("station 5 is allocated 0.5, not fully",)], ids=["no-text", "text"]
+)
+def test_generator_failed_check_raises(monkeypatch, violations):
+    # the message names the failed assumption, with or without violation text
+    real = fluidq.static_fluid.check_assumptions
+
+    def failing(model, sol):
+        report = real(model, sol)
+        return dataclasses.replace(report, critically_loaded=False, violations=violations)
+
+    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", failing)
+    with pytest.raises(GenerationFailed) as err:
+        generate_critical_instance(5, 3, 3)
+    assert str(err.value) == "instance from seed 5 fails its checks: " + "; ".join(
+        ["critically_loaded is False", *violations]
+    )
+
+
+def test_generator_basic_edges_off_the_planted_tree_raise(monkeypatch):
+    # on K_{2,2} any three of the four pairs form a spanning tree, so swapping
+    # one planted edge for the fourth pair leaves every assumption holding
+    planted = _planted_tree(5, 2, 2)
+    (absent,) = {(i, j) for i in (1, 2) for j in (3, 4)} - planted
+    dropped = min(planted)
+    real = fluidq.static_fluid.solve_static_allocation
+    monkeypatch.setattr(
+        fluidq.static_fluid, "solve_static_allocation",
+        lambda model: dataclasses.replace(real(model), basic_edges=planted - {dropped} | {absent}),
+    )
+    with pytest.raises(GenerationFailed) as err:
+        generate_critical_instance(5, 2, 2)
+    assert str(err.value) == (
+        "instance from seed 5 fails its checks: "
+        f"basic edges and planted tree differ at {sorted({dropped, absent})}"
+    )
 
 
 def test_uniqueness_probe_against_vertex_oracle(class_dependent_2x2):
@@ -282,7 +315,7 @@ def test_uniqueness_invariant_under_relabeling():
 
 
 def _planted_tree(seed, I, J):
-    # the first draw from ``seed`` is the accepted one, and it draws its tree first
+    # the generator makes one draw from ``seed``, and it draws its tree first
     tree = fluidq.static_fluid._uniform_spanning_tree(np.random.default_rng(seed), I, J)
     return frozenset((i + 1, I + 1 + j) for i, j in tree)
 
@@ -297,34 +330,14 @@ def test_generator_accepts_its_first_draw(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(fluidq.static_fluid, name, counting)
-    for size in (5, 6, 8, 12, 16):
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2)] + [(n, n) for n in (5, 6, 8, 12, 16)]
+    for I, J in shapes:
         for seed in (1, 2, 3):
             calls.clear()
-            model, sol = generate_critical_instance(seed, size, size)
-            assert calls == ["solve_static_allocation", "check_assumptions"], (size, seed)
-            assert sol.basic_edges == _planted_tree(seed, size, size)
+            model, sol = generate_critical_instance(seed, I, J)
+            assert calls == ["solve_static_allocation", "check_assumptions"], (I, J, seed)
+            assert sol.basic_edges == _planted_tree(seed, I, J)
             assert sol.load == pytest.approx(1.0, abs=1e-9)
-
-
-def test_generator_retries_with_the_next_seed(monkeypatch):
-    # a draw that fails a check is replaced by the first draw from seed + 1
-    real = fluidq.static_fluid.check_assumptions
-    calls = []
-
-    def fail_first(model, sol, *args, **kwargs):
-        calls.append(1)
-        report = real(model, sol, *args, **kwargs)
-        return dataclasses.replace(report, unique=False) if len(calls) == 1 else report
-
-    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", fail_first)
-    model, sol = generate_critical_instance(1, 5, 5)
-    assert len(calls) == 2
-    monkeypatch.setattr(fluidq.static_fluid, "check_assumptions", real)
-    model2, sol2 = generate_critical_instance(2, 5, 5, max_retries=1)
-    assert np.array_equal(model.arrival_rates, model2.arrival_rates)
-    assert np.array_equal(model.capacities, model2.capacities)
-    assert np.array_equal(model.service_rates, model2.service_rates)
-    assert np.array_equal(sol.allocation, sol2.allocation)
 
 
 @pytest.mark.parametrize("size", [8, 12, 16, 24, 32, 50])
