@@ -13,6 +13,9 @@ The event loop and the built-in policies run on Python ints and floats: the
 arrays are a few entries long, and a numpy call on them costs more than the
 arithmetic it does. Policies therefore see the state as lists (see
 ``SystemState``) and may answer with lists; ``SimResult`` holds numpy arrays.
+One pass over each assignment, ``_checked``, both checks it and prices it:
+the running sums of its service clocks are the table the next event is
+drawn from.
 
 ``run_nc_experiment`` has a second route for many replications of a built-in
 policy: ``_simulate_lockstep`` steps all replications of one scale together,
@@ -37,8 +40,8 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import accumulate, chain, compress
-from operator import gt, mul
+from itertools import compress
+from operator import add, gt, sub
 
 import numpy as np
 
@@ -354,36 +357,58 @@ def _core_split(sys: SystemInstance) -> list[list[int]]:
     return core.tolist()
 
 
-def _checked(psi, heads: list[int], servers: list[int],
-             inactive: list[tuple[int, int]]) -> list[list[int]]:
-    """A copy of the assignment ``psi`` as lists of ints, once it is feasible.
+def _checked(psi, heads: list[int], servers: list[int], rates: list[float],
+             inactive: list[tuple[int, int]]) -> tuple[list[list[int]], list[float]]:
+    """Check and price the assignment ``psi`` in one pass over its counts.
 
-    Anything but I lists of J ``int`` goes through ``np.asarray`` first.
+    Returns a copy of ``psi`` as I lists of J ints and the running sums of
+    ``rates`` (row-major) times those counts, which the next event is drawn
+    from. The sums start from -0.0, the exact identity of float addition, so
+    they equal ``accumulate``'s bit for bit. Any form but I lists of J ``int``
+    stops the pass with a TypeError, goes through ``np.asarray`` and then
+    through the pass again. Violations are reported in this order: shape,
+    integer, negative, zero rate, over heads, over servers.
 
     Raises:
         PolicyViolation: the reason alone; the caller names the policy and event.
     """
-    shape = (len(heads), len(servers))
-    if (type(psi) is list and len(psi) == shape[0]
-            and all(type(row) is list and len(row) == shape[1] for row in psi)
-            and all(type(v) is int for v in chain.from_iterable(psi))):
-        psi = [row[:] for row in psi]
-    else:
+    I, J = len(heads), len(servers)
+    rows, cum = [], []
+    total, low, over_heads, k = -0.0, 0, False, 0
+    try:
+        if type(psi) is not list or len(psi) != I:
+            raise TypeError
+        for row, h in zip(psi, heads):
+            if type(row) is not list or len(row) != J:
+                raise TypeError
+            in_row = 0
+            for v in row:
+                if type(v) is not int:
+                    raise TypeError
+                if v < low:
+                    low = v
+                in_row += v
+                total += rates[k] * v
+                cum.append(total)
+                k += 1
+            over_heads |= in_row > h
+            rows.append(row[:])
+    except TypeError:
         arr = np.asarray(psi)
-        if arr.shape != shape:
+        if arr.shape != (I, J):
             raise PolicyViolation(f"assignment shape {arr.shape} does not match the network")
         if not np.issubdtype(arr.dtype, np.integer):
             raise PolicyViolation("assignment is not integer-valued")
-        psi = arr.tolist()
-    if min(map(min, psi)) < 0:
+        return _checked(arr.tolist(), heads, servers, rates, inactive)
+    if low < 0:
         raise PolicyViolation("negative in-service count")
-    if any(psi[i][j] for i, j in inactive):
+    if inactive and any(rows[i][j] for i, j in inactive):
         raise PolicyViolation("in-service count on a pair with zero service rate")
-    if any(map(gt, map(sum, psi), heads)):
+    if over_heads:
         raise PolicyViolation("class has more customers in service than in the system")
-    if any(map(gt, map(sum, zip(*psi)), servers)):
+    if any(map(gt, map(sum, zip(*rows)), servers)):
         raise PolicyViolation("station has more customers in service than servers")
-    return psi
+    return rows, cum
 
 
 @dataclass
@@ -442,10 +467,10 @@ def simulate(
     (head counts vs. in-service counts, the activity mask, and the integrated
     arrival/completion identity) is checked after every event.
 
-    The service clocks are summed in one running pass, which gives both the
-    total rate and the table the completing pair is drawn from. For fewer than
-    8 pairs numpy's ``sum`` adds in the same order; from 8 pairs on it adds
-    pairwise, so a total rate may differ from that sum in its last bit.
+    ``_checked`` prices each assignment as it checks it: its running sums of
+    the service clocks give both the total rate and the table the completing
+    pair is drawn from. Numpy's ``sum`` adds in that order below 8 pairs and
+    pairwise from 8 on, so a total rate may differ from it in its last bit.
 
     Raises:
         PolicyViolation: the policy returned an infeasible assignment; the
@@ -471,24 +496,22 @@ def simulate(
     state = SystemState(0.0, heads, initial, servers)
     policy.prepare(sys)
 
-    def decide(event: int) -> list[list[int]]:
+    def decide(event: int) -> tuple[list[list[int]], list[float]]:
         try:
-            state.in_service = _checked(policy.assign(state, sys), heads, servers, inactive)
+            state.in_service, svc_cum = _checked(policy.assign(state, sys), heads, servers,
+                                                 rates, inactive)
         except PolicyViolation as exc:
             raise PolicyViolation(f"policy {policy.name!r} at event {event}: {exc}") from None
-        return state.in_service
+        return state.in_service, svc_cum
 
-    psi = decide(0)
+    psi, svc_cum = decide(0)
     sample_ts = np.linspace(0.0, T, sample_points)
-    times = sample_ts.tolist()
+    times = sample_ts.tolist() + [math.inf]
     s_heads = np.empty((sample_points, I), dtype=np.int64)
     s_psi = np.empty((sample_points, I, J), dtype=np.int64)
     s_occ = np.empty(sample_points)
-    si = 0
-
-    t = 0.0
-    occupancy = 0.0
-    events = 0
+    t = occupancy = 0.0
+    events = si = 0
 
     def occ_piece(t0: float, t1: float) -> float:
         lo = max(t0, warmup)
@@ -496,13 +519,12 @@ def simulate(
 
     while True:
         busy = sum(heads) >= servers_total
-        svc_cum = list(accumulate(map(mul, rates, chain.from_iterable(psi))))
         total_rate = lam_total + svc_cum[-1]
         t_next = t + exponential() / total_rate
         final = t_next >= T
         seg_end = T if final else t_next
 
-        while si < sample_points and (times[si] < seg_end or (final and times[si] <= seg_end)):
+        while times[si] < seg_end or (final and times[si] <= seg_end):
             s_heads[si] = heads
             s_psi[si] = psi
             s_occ[si] = occupancy + (occ_piece(t, times[si]) if busy else 0.0)
@@ -526,28 +548,19 @@ def simulate(
         events += 1
 
         state.t = t
-        psi = decide(events)
-        if heads != [x + a - sum(c) for x, a, c in zip(x0, arrivals, completions)]:
+        psi, svc_cum = decide(events)
+        if heads != [*map(sub, map(add, x0, arrivals), map(sum, completions))]:
             raise RuntimeError("event accounting broke the counting identity")
 
     return SimResult(
-        n=sys.n,
-        rep=0,
-        seed=seed,
-        policy=policy.name,
-        T=T,
-        warmup=warmup,
+        n=sys.n, rep=0, seed=seed, policy=policy.name, T=T, warmup=warmup,
         queue_occupancy=occupancy,
-        sample_times=sample_ts,
-        sample_heads=s_heads,
-        sample_in_service=s_psi,
+        sample_times=sample_ts, sample_heads=s_heads, sample_in_service=s_psi,
         sample_occupancy=s_occ,
         arrivals=np.array(arrivals, dtype=np.int64),
         completions=np.array(completions, dtype=np.int64),
-        x0=sys.x0.copy(),
-        final_heads=np.array(heads, dtype=np.int64),
-        events=events,
-        invariants_checked=True,
+        x0=sys.x0.copy(), final_heads=np.array(heads, dtype=np.int64),
+        events=events, invariants_checked=True,
     )
 
 
@@ -744,14 +757,8 @@ def scale_result(res: SimResult, sys: SystemInstance, sol: FluidSolution) -> Sca
     servers_hat = (sys.servers - sys.n * sys.model.capacities) / root
     queued_hat = heads_hat - psi_hat.sum(axis=2)
     idle_hat = servers_hat[None, :] - psi_hat.sum(axis=1)
-    return ScaledTrajectories(
-        times=res.sample_times,
-        heads=heads_hat,
-        in_service=psi_hat,
-        servers=servers_hat,
-        queued=queued_hat,
-        idle=idle_hat,
-    )
+    return ScaledTrajectories(times=res.sample_times, heads=heads_hat, in_service=psi_hat,
+                              servers=servers_hat, queued=queued_hat, idle=idle_hat)
 
 
 def _splitmix64(z: int) -> int:
@@ -832,14 +839,7 @@ def run_nc_experiment(
             res.rep = rep
         results.extend(batch)
         arr = np.array([res.queue_occupancy for res in batch])
-        rows.append(
-            ExperimentRow(
-                n=n,
-                reps=reps,
-                mean=float(arr.mean()),
-                median=float(np.median(arr)),
-                q10=float(np.quantile(arr, 0.1)),
-                q90=float(np.quantile(arr, 0.9)),
-            )
-        )
+        rows.append(ExperimentRow(
+            n=n, reps=reps, mean=float(arr.mean()), median=float(np.median(arr)),
+            q10=float(np.quantile(arr, 0.1)), q90=float(np.quantile(arr, 0.9))))
     return ExperimentResult(rows=rows, results=results)

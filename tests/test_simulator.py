@@ -1,5 +1,7 @@
 import math
 from dataclasses import fields
+from itertools import accumulate, chain
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -333,6 +335,21 @@ def _over_servers(state):
     return [[0, k // 2, 0], [0, k - k // 2, 0]]
 
 
+def _negative_over_servers(state):
+    k = state.servers[1] + 1
+    return [[-1, k // 2, 0], [0, k - k // 2, 0]]
+
+
+def _zero_rate_over_heads(state):
+    psi = _over_heads(state)
+    psi[1][0] = 1
+    return psi
+
+
+def _over_heads_over_servers(state):
+    return [[max(state.heads[0], state.servers[0]) + 1, 0, 0], [0, 0, 0]]
+
+
 @pytest.mark.parametrize("bad,message", [
     (lambda state: [[0, 0], [0, 0]], "assignment shape (2, 2) does not match the network"),
     (lambda state: np.zeros((2, 3)), "assignment is not integer-valued"),
@@ -341,7 +358,12 @@ def _over_servers(state):
     (lambda state: [[0, 0, 0], [1, 0, 0]], "in-service count on a pair with zero service rate"),
     (_over_heads, "class has more customers in service than in the system"),
     (_over_servers, "station has more customers in service than servers"),
-], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers"])
+    # each of these breaks two checks: the first in checking order is reported
+    (_negative_over_servers, "negative in-service count"),
+    (_zero_rate_over_heads, "in-service count on a pair with zero service rate"),
+    (_over_heads_over_servers, "class has more customers in service than in the system"),
+], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers",
+        "negative+over-servers", "zero-rate+over-heads", "over-heads+over-servers"])
 def test_each_infeasibility_raises(case_b, bad, message):
     sol = solve_static_allocation(case_b)
     sys = build_system(case_b, sol, 10)
@@ -350,24 +372,80 @@ def test_each_infeasibility_raises(case_b, bad, message):
     assert str(err.value) == f"policy 'rogue' at event 3: {message}"
 
 
-@pytest.mark.parametrize("convert", [
-    lambda psi: psi,
-    lambda psi: np.array(psi, dtype=np.int64),
-    lambda psi: np.array(psi, dtype=np.int32),
-    lambda psi: [[np.int64(v) for v in row] for row in psi],
-    lambda psi: tuple(tuple(row) for row in psi),
-], ids=["int-lists", "int64-array", "int32-array", "numpy-int-lists", "tuples"])
-def test_assignment_forms_accepted(case_a, convert):
-    class Converted(GreedyBasic):
+def test_counting_identity_enforced(case_b):
+    class Miscount(Rogue):
         def assign(self, state, sys):
-            return convert(super().assign(state, sys))
+            if self.calls == 3:
+                state.heads[0] += 1  # a head that arrived in no event
+            return super().assign(state, sys)
 
-    sol, sys = _case_a_setup(case_a, 20)
-    expected = simulate(sys, GreedyBasic(case_a, sol), T=0.5, seed=4)
-    got = simulate(sys, Converted(case_a, sol), T=0.5, seed=4)
-    assert got.events == expected.events
-    assert np.array_equal(got.sample_in_service, expected.sample_in_service)
-    assert got.queue_occupancy == expected.queue_occupancy
+    policy = Miscount(lambda state: [[0, 0, 0], [0, 0, 0]])
+    sol = solve_static_allocation(case_b)
+    with pytest.raises(RuntimeError, match="event accounting broke the counting identity"):
+        simulate(build_system(case_b, sol, 10), policy, T=1.0, seed=1)
+    assert policy.calls == 4
+
+
+# two identical classes at one station: greedy-basic often gives both the same row
+SYMMETRIC_2X1 = {"classes": 2, "stations": 1, "lambda": [0.5, 0.5], "nu": [1], "mu": [[1], [1]]}
+
+
+def _alias_equal_rows(psi):
+    """One list object for every row, wherever the rows are equal."""
+    return [psi[0]] * len(psi) if all(row == psi[0] for row in psi) else psi
+
+
+@pytest.mark.parametrize("model,convert", [
+    (CASE_A, lambda psi: psi),
+    (CASE_A, lambda psi: np.array(psi, dtype=np.int64)),
+    (CASE_A, lambda psi: np.array(psi, dtype=np.int32)),
+    (CASE_A, lambda psi: [[np.int64(v) for v in row] for row in psi]),
+    (CASE_A, lambda psi: tuple(tuple(row) for row in psi)),
+    (CASE_A, lambda psi: [tuple(row) for row in psi]),
+    (CASE_A, lambda psi: [[np.int64(psi[0][0]), *psi[0][1:]], *psi[1:]]),
+    (SYMMETRIC_2X1, _alias_equal_rows),
+], ids=["int-lists", "int64-array", "int32-array", "numpy-int-lists", "tuples",
+        "tuple-rows", "one-numpy-int", "aliased-rows"])
+def test_assignment_forms_accepted(model, convert):
+    class Converted(GreedyBasic):
+        def prepare(self, sys):
+            self.last, self.aliased = None, 0
+
+        def assign(self, state, sys):
+            if self.last is not None:
+                # the last assignment, less at most the one customer who completed
+                drops = sorted(map(sub, chain(*self.last), chain(*state.in_service)))
+                assert drops[:-1] == [0] * (len(drops) - 1) and drops[-1] in (0, 1)
+            psi = super().assign(state, sys)
+            self.last = [row[:] for row in psi]
+            psi = convert(psi)
+            self.aliased += len(psi) > 1 and psi[0] is psi[1] and any(psi[0])
+            return psi
+
+    model = validate_model(model)
+    sol = solve_static_allocation(model)
+    sys = build_system(model, sol, 20)
+    expected = simulate(sys, GreedyBasic(model, sol), T=0.5, seed=4)
+    policy = Converted(model, sol)
+    got = simulate(sys, policy, T=0.5, seed=4)
+    _assert_same_result(got, expected)
+    assert (policy.aliased > 0) == (convert is _alias_equal_rows)
+
+
+@pytest.mark.parametrize("I,J", [(1, 1), (2, 3), (3, 3), (4, 5)])
+def test_checked_prices_like_accumulate(I, J):
+    # the running sums are accumulate's, signed zeros included, from 8 pairs on too
+    rng = np.random.default_rng(I * 10 + J)
+    for _ in range(50):
+        rates = rng.choice([0.0, -0.0, 0.1, 1.0, 2.7, 1e-9], size=I * J).tolist()
+        psi = rng.integers(0, 4, size=(I, J)) * (np.array(rates).reshape(I, J) > 0)
+        heads, servers = psi.sum(axis=1).tolist(), psi.sum(axis=0).tolist()
+        inactive = [divmod(k, J) for k, rate in enumerate(rates) if not rate > 0]
+        for form in (psi.tolist(), psi):
+            rows, cum = simulator._checked(form, heads, servers, rates, inactive)
+            assert rows == psi.tolist()
+            expected = accumulate(map(mul, rates, chain(*rows)))
+            assert [x.hex() for x in cum] == [x.hex() for x in expected]
 
 
 def test_returned_assignment_is_not_mutated(case_a):
@@ -490,7 +568,12 @@ def _in_column(bad):
      "in-service count on a pair with zero service rate"),
     (_in_column(_over_heads), 2, "class has more customers in service than in the system"),
     (_in_column(_over_servers), 2, "station has more customers in service than servers"),
-], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers"])
+    (_in_column(_negative_over_servers), 2, "negative in-service count"),
+    (_in_column(_zero_rate_over_heads), 2, "in-service count on a pair with zero service rate"),
+    (_in_column(_over_heads_over_servers), 2,
+     "class has more customers in service than in the system"),
+], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers",
+        "negative+over-servers", "zero-rate+over-heads", "over-heads+over-servers"])
 def test_lockstep_infeasibility_raises(case_b, monkeypatch, corrupt, rep, message):
     monkeypatch.setattr(GreedyBasic, "_lockstep", _lockstep_rogue(corrupt))
     sol = solve_static_allocation(case_b)
