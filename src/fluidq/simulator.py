@@ -26,12 +26,15 @@ result is bit-identical to ``simulate``'s, which stays the reference; user
 policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
 ``simulate``.
 
-Both engines share one work-conserving fill, ``_fill``, and one displacement
-rule, ``NegativePathPump._displace``: each indexes ``psi[i][j]`` and takes the
-engine's ``min``/``max`` (builtins on ints, numpy's on columns). Only the head
-clip keeps two forms, ``_shave``'s loop, which stops early, and a closed form
-in the pump's ``_lockstep``: the loop would cost about 4 numpy calls per pair
-on arrays, and the closed form a Python walk over every pair on lists.
+Both engines share the fill, ``_fill``, and the pump's displacement rule,
+``NegativePathPump._displace`` (each indexes ``psi[i][j]`` and takes the
+engine's ``min``/``max``: builtins on ints, numpy's on columns), the checks
+(``_counts``, ``_violation``), and ``_Record``, which samples a replication
+and builds its ``SimResult``. The head clip and the event selection keep a
+form per engine, for speed: ``_shave``'s clip loop stops early but would cost
+about 4 numpy calls per pair on arrays, where the pump's ``_lockstep`` clips
+in closed form; ``bisect_right`` searches one list, ``_apply_events`` all
+columns at once.
 """
 
 from __future__ import annotations
@@ -357,6 +360,40 @@ def _core_split(sys: SystemInstance) -> list[list[int]]:
     return core.tolist()
 
 
+def _counts(psi, shape: tuple[int, int]) -> np.ndarray:
+    """The assignment ``psi`` as an integer array of ``shape``, or a
+    PolicyViolation with the reason alone: ragged, shape, integer, in order."""
+    try:
+        arr = np.asarray(psi)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise PolicyViolation("assignment is ragged") from None
+    if arr.shape != shape:
+        raise PolicyViolation(f"assignment shape {arr.shape} does not match the network")
+    if arr.dtype.kind not in "iu":
+        raise PolicyViolation("assignment is not integer-valued")
+    return arr
+
+
+def _violation(psi: np.ndarray, heads: np.ndarray, servers: np.ndarray,
+               zero_rate) -> tuple[str, int] | None:
+    """(reason, first offending column) of the first rule, in the order
+    negative, zero rate, over heads, over servers, that the (pairs, R) counts
+    ``psi`` break against their (classes, R) ``heads``, or None. ``zero_rate``
+    lists the pairs with zero service rate."""
+    by_class = psi.reshape(heads.shape[0], servers.size, -1)
+    for bad, reason in (
+        (psi < 0, "negative in-service count"),
+        (psi.take(zero_rate, axis=0), "in-service count on a pair with zero service rate"),
+        (np.add.reduce(by_class, axis=1) > heads,
+         "class has more customers in service than in the system"),
+        (np.add.reduce(by_class, axis=0) > servers[:, None],
+         "station has more customers in service than servers"),
+    ):
+        if bad.any():
+            return reason, int(bad.any(axis=0).argmax())
+    return None
+
+
 def _checked(psi, heads: list[int], servers: list[int], rates: list[float],
              inactive: list[tuple[int, int]]) -> tuple[list[list[int]], list[float]]:
     """Check and price the assignment ``psi`` in one pass over its counts.
@@ -365,9 +402,9 @@ def _checked(psi, heads: list[int], servers: list[int], rates: list[float],
     ``rates`` (row-major) times those counts, which the next event is drawn
     from. The sums start from -0.0, the exact identity of float addition, so
     they equal ``accumulate``'s bit for bit. Any form but I lists of J ``int``
-    stops the pass with a TypeError, goes through ``np.asarray`` and then
-    through the pass again. Violations are reported in this order: shape,
-    integer, negative, zero rate, over heads, over servers.
+    stops the pass with a TypeError and goes through ``_counts`` and then
+    through the pass again. The pass only detects that a rule broke;
+    ``_violation`` names the first one.
 
     Raises:
         PolicyViolation: the reason alone; the caller names the policy and event.
@@ -394,20 +431,12 @@ def _checked(psi, heads: list[int], servers: list[int], rates: list[float],
             over_heads |= in_row > h
             rows.append(row[:])
     except TypeError:
-        arr = np.asarray(psi)
-        if arr.shape != (I, J):
-            raise PolicyViolation(f"assignment shape {arr.shape} does not match the network")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise PolicyViolation("assignment is not integer-valued")
-        return _checked(arr.tolist(), heads, servers, rates, inactive)
-    if low < 0:
-        raise PolicyViolation("negative in-service count")
-    if inactive and any(rows[i][j] for i, j in inactive):
-        raise PolicyViolation("in-service count on a pair with zero service rate")
-    if over_heads:
-        raise PolicyViolation("class has more customers in service than in the system")
-    if any(map(gt, map(sum, zip(*rows)), servers)):
-        raise PolicyViolation("station has more customers in service than servers")
+        return _checked(_counts(psi, (I, J)).tolist(), heads, servers, rates, inactive)
+    if (low < 0 or over_heads or (inactive and any(rows[i][j] for i, j in inactive))
+            or any(map(gt, map(sum, zip(*rows)), servers))):
+        exact = np.array(rows, dtype=object).reshape(-1, 1)  # Python ints: no sum wraps
+        raise PolicyViolation(_violation(exact, np.array(heads)[:, None], np.array(servers),
+                                         [i * J + j for i, j in inactive])[0])
     return rows, cum
 
 
@@ -449,6 +478,50 @@ def _check_horizon(T: float, warmup: float) -> None:
         raise ValueError(f"horizon T must be positive and finite, not {T}")
     if not 0 <= warmup < T:
         raise ValueError("warmup must lie in [0, T)")
+
+
+class _Record:
+    """What one replication records: its head counts, in-service counts and
+    running occupancy integral at ``sample_points`` times from 0 to T, both
+    ends included, as it runs, and its ``SimResult`` once it reaches T."""
+
+    def __init__(self, sys: SystemInstance, policy: Policy, seed: int, T: float,
+                 warmup: float, sample_points: int):
+        self.sys, self.policy, self.seed, self.T, self.warmup = sys, policy, seed, T, warmup
+        self.times = np.linspace(0.0, T, sample_points)
+        self._at = self.times.tolist() + [math.inf]
+        self._next = 0
+        self.heads = np.empty((sample_points, sys.x0.size), dtype=np.int64)
+        self.in_service = np.empty((sample_points, *sys.service_rates.shape), dtype=np.int64)
+        self.occupancy = np.empty(sample_points)
+
+    def sample(self, heads, psi, occupancy: float, busy_from: float, seg_end: float,
+               final: bool) -> float:
+        """Write the state held until ``seg_end`` at each sample time before
+        it, and at ``seg_end`` too if ``final``; return the next sample time.
+        The integral, ``occupancy`` so far, grows from ``busy_from`` (inf: not at all)."""
+        at, si = self._at, self._next
+        while at[si] < seg_end or (final and at[si] <= seg_end):
+            self.heads[si] = heads
+            self.in_service[si] = psi
+            self.occupancy[si] = occupancy + (at[si] - busy_from if at[si] > busy_from else 0.0)
+            si += 1
+        self._next = si
+        return at[si]
+
+    def result(self, occupancy: float, arrivals, completions, heads, events: int) -> SimResult:
+        """The ``SimResult``, with fresh int64 copies of the (I,) ``arrivals``
+        and ``heads`` and the (I·J,) ``completions``."""
+        sys = self.sys
+        return SimResult(
+            n=sys.n, rep=0, seed=self.seed, policy=self.policy.name, T=self.T, warmup=self.warmup,
+            queue_occupancy=float(occupancy), sample_times=self.times, sample_heads=self.heads,
+            sample_in_service=self.in_service, sample_occupancy=self.occupancy,
+            arrivals=np.array(arrivals, dtype=np.int64),
+            completions=np.array(completions, dtype=np.int64).reshape(sys.service_rates.shape),
+            x0=sys.x0.copy(), final_heads=np.array(heads, dtype=np.int64),
+            events=events, invariants_checked=True,
+        )
 
 
 def simulate(
@@ -505,32 +578,21 @@ def simulate(
         return state.in_service, svc_cum
 
     psi, svc_cum = decide(0)
-    sample_ts = np.linspace(0.0, T, sample_points)
-    times = sample_ts.tolist() + [math.inf]
-    s_heads = np.empty((sample_points, I), dtype=np.int64)
-    s_psi = np.empty((sample_points, I, J), dtype=np.int64)
-    s_occ = np.empty(sample_points)
-    t = occupancy = 0.0
-    events = si = 0
-
-    def occ_piece(t0: float, t1: float) -> float:
-        lo = max(t0, warmup)
-        return t1 - lo if t1 > lo else 0.0
+    record = _Record(sys, policy, seed, T, warmup, sample_points)
+    t = occupancy = due = 0.0  # due: the next sample time, or any time before it
+    events = 0
 
     while True:
-        busy = sum(heads) >= servers_total
+        busy_from = max(t, warmup) if sum(heads) >= servers_total else math.inf
         total_rate = lam_total + svc_cum[-1]
         t_next = t + exponential() / total_rate
         final = t_next >= T
         seg_end = T if final else t_next
 
-        while times[si] < seg_end or (final and times[si] <= seg_end):
-            s_heads[si] = heads
-            s_psi[si] = psi
-            s_occ[si] = occupancy + (occ_piece(t, times[si]) if busy else 0.0)
-            si += 1
-        if busy:
-            occupancy += occ_piece(t, seg_end)
+        if due < seg_end or final:
+            due = record.sample(heads, psi, occupancy, busy_from, seg_end, final)
+        if seg_end > busy_from:
+            occupancy += seg_end - busy_from
         if final:
             break
 
@@ -552,45 +614,7 @@ def simulate(
         if heads != [*map(sub, map(add, x0, arrivals), map(sum, completions))]:
             raise RuntimeError("event accounting broke the counting identity")
 
-    return SimResult(
-        n=sys.n, rep=0, seed=seed, policy=policy.name, T=T, warmup=warmup,
-        queue_occupancy=occupancy,
-        sample_times=sample_ts, sample_heads=s_heads, sample_in_service=s_psi,
-        sample_occupancy=s_occ,
-        arrivals=np.array(arrivals, dtype=np.int64),
-        completions=np.array(completions, dtype=np.int64),
-        x0=sys.x0.copy(), final_heads=np.array(heads, dtype=np.int64),
-        events=events, invariants_checked=True,
-    )
-
-
-def _checked_batch(psi, heads: np.ndarray, servers: np.ndarray,
-                   zero_rate: np.ndarray) -> np.ndarray:
-    """``_checked`` for R replications at once: an int64 copy of the (pairs, R)
-    assignment ``psi`` once every column is feasible against its (classes, R)
-    ``heads``. ``zero_rate`` lists the pairs with zero service rate.
-
-    Raises:
-        PolicyViolation: args (``_checked``'s reason, first offending column).
-    """
-    arr = np.asarray(psi)
-    if arr.shape != (servers.size * heads.shape[0], heads.shape[1]):
-        raise PolicyViolation(f"assignment shape {arr.shape} does not match the network", 0)
-    if arr.dtype.kind not in "iu":
-        raise PolicyViolation("assignment is not integer-valued", 0)
-    psi = arr.astype(np.int64)
-    by_class = psi.reshape(heads.shape[0], servers.size, -1)
-    for bad, reason in (
-        (psi < 0, "negative in-service count"),
-        (psi.take(zero_rate, axis=0), "in-service count on a pair with zero service rate"),
-        (np.add.reduce(by_class, axis=1) > heads,
-         "class has more customers in service than in the system"),
-        (np.add.reduce(by_class, axis=0) > servers[:, None],
-         "station has more customers in service than servers"),
-    ):
-        if bad.any():
-            raise PolicyViolation(reason, int(bad.any(axis=0).argmax()))
-    return psi
+    return record.result(occupancy, arrivals, completions, heads, events)
 
 
 def _apply_events(u: np.ndarray, lam_total: float, lam_cum: np.ndarray, svc_cum: np.ndarray,
@@ -650,21 +674,15 @@ def _simulate_lockstep(
     assign = policy._lockstep(sys, R)
     rates = sys.service_rates.reshape(I * J, 1)
     zero_rate = np.flatnonzero(~(rates > 0))
-    servers = sys.servers
-    servers_total = int(servers.sum())
+    servers_total = int(sys.servers.sum())
     x0 = sys.x0[:, None]
     lam_total = float(sys.arrival_rates.sum())
     lam_cum = np.cumsum(sys.arrival_rates)[:, None]
-    sample_ts = np.linspace(0.0, T, sample_points)
-    times = sample_ts.tolist() + [math.inf]
 
     # per replication, by its number
     gens = [np.random.default_rng(seed) for seed in seeds]
     exponentials, uniforms = [g.exponential for g in gens], [g.random for g in gens]
-    s_heads = np.empty((R, sample_points, I), dtype=np.int64)
-    s_psi = np.empty((R, sample_points, I, J), dtype=np.int64)
-    s_occ = np.empty((R, sample_points))
-    s_next = [0] * R
+    records = [_Record(sys, policy, seed, T, warmup, sample_points) for seed in seeds]
     results: list[SimResult | None] = [None] * R
     # per column, one column per running replication
     live = np.arange(R)
@@ -677,11 +695,14 @@ def _simulate_lockstep(
 
     def decide(event: int) -> np.ndarray:
         try:
-            return _checked_batch(assign(heads, live), heads, servers, zero_rate)
+            psi = _counts(assign(heads, live), (I * J, live.size)).astype(np.int64)
+            found = _violation(psi, heads, sys.servers, zero_rate)
         except PolicyViolation as exc:
-            reason, col = exc.args
-            raise PolicyViolation(f"policy {policy.name!r} in replication {live[col]} "
-                                  f"at event {event}: {reason}") from None
+            found = exc, 0
+        if found is None:
+            return psi
+        raise PolicyViolation(f"policy {policy.name!r} in replication {live[found[1]]} "
+                              f"at event {event}: {found[0]}")
 
     events = 0
     psi = decide(0)
@@ -694,39 +715,17 @@ def _simulate_lockstep(
         ending = final.any()
         seg_end = np.where(final, T, t_next) if ending else t_next
 
-        late = t_next > due
-        if ending:
-            late |= final
-        for c in late.nonzero()[0]:
-            r, fin, t1 = live[c], final[c], seg_end[c]
-            occ, lo = occupancy[c], max(t[c], warmup)
-            si = s_next[r]
-            while times[si] < t1 or (fin and times[si] <= t1):
-                s_heads[r, si] = heads[:, c]
-                s_psi[r, si] = psi[:, c].reshape(I, J)
-                s_occ[r, si] = occ + (times[si] - lo if busy[c] and times[si] > lo else 0.0)
-                si += 1
-            s_next[r], due[c] = si, times[si]
+        for c in ((due < seg_end) | final).nonzero()[0]:
+            busy_from = max(t[c], warmup) if busy[c] else math.inf
+            due[c] = records[live[c]].sample(heads[:, c], psi[:, c].reshape(I, J), occupancy[c],
+                                             busy_from, seg_end[c], final[c])
         piece = seg_end - np.maximum(t, warmup)
         np.add(occupancy, np.maximum(piece, 0.0, out=piece), out=occupancy, where=busy)
 
         if ending:
             for c in np.flatnonzero(final):
-                r = live[c]
-                results[r] = SimResult(
-                    n=sys.n, rep=0, seed=seeds[r], policy=policy.name, T=T, warmup=warmup,
-                    queue_occupancy=float(occupancy[c]),
-                    sample_times=sample_ts.copy(),
-                    sample_heads=s_heads[r],
-                    sample_in_service=s_psi[r],
-                    sample_occupancy=s_occ[r],
-                    arrivals=arrivals[:, c].copy(),
-                    completions=completions[:, c].reshape(I, J).copy(),
-                    x0=sys.x0.copy(),
-                    final_heads=heads[:, c].copy(),
-                    events=events,
-                    invariants_checked=True,
-                )
+                results[live[c]] = records[live[c]].result(
+                    occupancy[c], arrivals[:, c], completions[:, c], heads[:, c], events)
             keep = ~final
             exponentials = list(compress(exponentials, keep))
             uniforms = list(compress(uniforms, keep))

@@ -351,6 +351,7 @@ def _over_heads_over_servers(state):
 
 
 @pytest.mark.parametrize("bad,message", [
+    (lambda state: [[0, 0, 0], [0, 0]], "assignment is ragged"),
     (lambda state: [[0, 0], [0, 0]], "assignment shape (2, 2) does not match the network"),
     (lambda state: np.zeros((2, 3)), "assignment is not integer-valued"),
     (lambda state: [[True, False, False], [False] * 3], "assignment is not integer-valued"),
@@ -362,8 +363,12 @@ def _over_heads_over_servers(state):
     (_negative_over_servers, "negative in-service count"),
     (_zero_rate_over_heads, "in-service count on a pair with zero service rate"),
     (_over_heads_over_servers, "class has more customers in service than in the system"),
-], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers",
-        "negative+over-servers", "zero-rate+over-heads", "over-heads+over-servers"])
+    # a row sum past the int64 range is still over the heads
+    (lambda state: [[2**62, 2**62, 0], [0, 0, 0]],
+     "class has more customers in service than in the system"),
+], ids=["ragged", "shape", "float", "bool", "negative", "zero-rate", "over-heads",
+        "over-servers", "negative+over-servers", "zero-rate+over-heads",
+        "over-heads+over-servers", "over-heads-past-int64"])
 def test_each_infeasibility_raises(case_b, bad, message):
     sol = solve_static_allocation(case_b)
     sys = build_system(case_b, sol, 10)
@@ -448,6 +453,38 @@ def test_checked_prices_like_accumulate(I, J):
             assert [x.hex() for x in cum] == [x.hex() for x in expected]
 
 
+@pytest.mark.parametrize("I,J", [(1, 1), (2, 3), (4, 5)])
+def test_checked_agrees_with_violation(I, J):
+    # the fast pass raises exactly when the rule list names a rule, and with its reason
+    rng = np.random.default_rng(I * 10 + J)
+    seen = set()
+    for _ in range(400):
+        rates = rng.choice([0.0, 1.0, 2.5], size=I * J, p=[0.2, 0.4, 0.4])
+        zero_rate = np.flatnonzero(rates == 0)
+        psi = rng.integers(0, 4, size=I * J) * (rates > 0)
+        heads = psi.reshape(I, J).sum(axis=1) + rng.integers(0, 2, size=I)
+        servers = psi.reshape(I, J).sum(axis=0) + rng.integers(0, 2, size=J)
+        # each rule is broken on its own, or with others, or not at all
+        if rng.random() < 0.25:
+            psi[rng.integers(I * J)] = -1
+        if rng.random() < 0.25 and zero_rate.size:
+            psi[rng.choice(zero_rate)] = 1
+        if rng.random() < 0.25:
+            heads[rng.integers(I)] -= rng.integers(1, 3)
+        if rng.random() < 0.25:
+            servers[rng.integers(J)] -= rng.integers(1, 3)
+        found = simulator._violation(psi[:, None], heads[:, None], servers, zero_rate)
+        try:
+            simulator._checked(psi.reshape(I, J).tolist(), heads.tolist(), servers.tolist(),
+                               rates.tolist(), [divmod(k, J) for k in zero_rate.tolist()])
+        except PolicyViolation as exc:
+            assert found is not None and str(exc) == found[0]
+        else:
+            assert found is None
+        seen.add(found and found[0])
+    assert len(seen) == 5  # every rule, and none, came up
+
+
 def test_returned_assignment_is_not_mutated(case_a):
     # the simulator decrements its own copy when a customer completes
     class Fixed(Policy):
@@ -497,16 +534,22 @@ def _assert_same_result(got, expected):
     assert got.queue_occupancy == expected.queue_occupancy
 
 
-@pytest.mark.parametrize("name,policy,n,warmup", LOCKSTEP_CASES)
-def test_lockstep_equals_simulate(name, policy, n, warmup):
-    # the last of the 11 sample points lies at exactly T
+@pytest.mark.parametrize("name,policy,n,warmup,sample_points", [
+    *(pytest.param(*case, 11, id="-".join(map(str, case))) for case in LOCKSTEP_CASES),
+    *(pytest.param("case_a", policy, 40, 0.2, points, id=f"case_a-{policy}-40-0.2-{points}-points")
+      for policy in POLICY_NAMES for points in (0, 1, 2)),
+])
+def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points):
+    # the last of 2 or more sample points lies at exactly T
     model, sol, paths, sys = _setup(name, n)
     pol = make_policy(policy, model, sol, paths)
     seeds = [derive_seed(8, n, rep) for rep in range(5)]
-    batch = _simulate_lockstep(sys, pol, 1.0, seeds, warmup, 11)
+    batch = _simulate_lockstep(sys, pol, 1.0, seeds, warmup, sample_points)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
-        expected = simulate(sys, pol, 1.0, seed, warmup=warmup, sample_points=11)
+        expected = simulate(sys, pol, 1.0, seed, warmup=warmup, sample_points=sample_points)
+        assert expected.sample_times.size == sample_points
+        assert sample_points < 2 or expected.sample_times[-1] == 1.0
         assert expected.events > 0
         _assert_same_result(got, expected)
 
@@ -559,6 +602,7 @@ def _in_column(bad):
 
 
 @pytest.mark.parametrize("corrupt,rep,message", [
+    (lambda psi, heads, col, sys: [*psi[:-1], psi[-1][:-1]], 0, "assignment is ragged"),
     (lambda psi, heads, col, sys: psi[:4], 0,
      "assignment shape (4, 5) does not match the network"),
     (lambda psi, heads, col, sys: psi.astype(float), 0, "assignment is not integer-valued"),
@@ -572,8 +616,9 @@ def _in_column(bad):
     (_in_column(_zero_rate_over_heads), 2, "in-service count on a pair with zero service rate"),
     (_in_column(_over_heads_over_servers), 2,
      "class has more customers in service than in the system"),
-], ids=["shape", "float", "bool", "negative", "zero-rate", "over-heads", "over-servers",
-        "negative+over-servers", "zero-rate+over-heads", "over-heads+over-servers"])
+], ids=["ragged", "shape", "float", "bool", "negative", "zero-rate", "over-heads",
+        "over-servers", "negative+over-servers", "zero-rate+over-heads",
+        "over-heads+over-servers"])
 def test_lockstep_infeasibility_raises(case_b, monkeypatch, corrupt, rep, message):
     monkeypatch.setattr(GreedyBasic, "_lockstep", _lockstep_rogue(corrupt))
     sol = solve_static_allocation(case_b)
