@@ -2,7 +2,8 @@
 
 ``run_analysis`` gathers everything known about one model into an
 :class:`AnalysisReport`; ``render_report`` prints it and
-``AnalysisReport.to_dict`` is its JSON form.
+``AnalysisReport.to_dict`` is its JSON form, the only one: the simple paths,
+verdicts and probes are laid out there, not by their own types.
 """
 
 from __future__ import annotations
@@ -58,7 +59,13 @@ class AnalysisReport:
             "tolerance": DEFAULT_TOL,
             "fluid": _fields(self.solution),
             "assumptions": _fields(self.assumptions),
-            "paths": None if self.paths is None else [p.to_dict() for p in self.paths],
+            "paths": None if self.paths is None else [{
+                "kind": p.kind, "class_leaf": p.class_leaf, "station_leaf": p.station_leaf,
+                "vertices": list(p.vertices),
+                "edges": [{"class": i, "station": j, "sign": s} for (i, j), s in p.signed_edges],
+                "class_weights": p.class_weights.tolist(), "weight": p.weight,
+                "sign_class": p.sign_class, "dependence": p.dependence,
+            } for p in self.paths],
             "basic_cycles": [{"vertices": list(v), "weight": w} for v, w in self.cycles],
             "throughput": {
                 "lp": _fields(
@@ -83,7 +90,8 @@ class AnalysisReport:
                 "combined": _fields(nc.combined_check, *check),
             },
             "null_controllability": _fields(
-                nc, "status", "basis", "explanation", "violations"
+                nc, "status", "basis", "explanation",
+                violations=_json(self.assumptions.violations),
             ),
         }
 

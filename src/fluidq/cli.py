@@ -20,7 +20,7 @@ from pathlib import Path
 from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
 from .model import ModelError, NetworkModel, load_model, save_model
-from .paths import NEGATIVE
+from .optimality import throughput_verdict_paths
 from .simulator import POLICIES, ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
 from .static_fluid import GenerationFailed, InfeasibleModel, generate_critical_instance
 
@@ -78,7 +78,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     model, sol, paths = report.model, report.solution, report.paths or []
-    if args.policy == "negative-path" and not any(p.sign_class == NEGATIVE for p in paths):
+    if args.policy == "negative-path" and throughput_verdict_paths(paths).optimal:
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
     out = Path(args.out)

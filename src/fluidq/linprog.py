@@ -32,7 +32,7 @@ UNBOUNDED = "unbounded"
 
 
 class NumericalFailure(RuntimeError):
-    """Pivoting stalled beyond the iteration budget."""
+    """Pivoting stalled beyond the iteration budget, or the program is not finite."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,11 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     bit-for-bit deterministic in the input.
 
     Raises:
-        NumericalFailure: iteration count passed 50 * (variables + rows).
+        NumericalFailure: iteration count passed 50 * (variables + rows), or
+            a coefficient is not finite (rates whose products overflow).
     """
+    if not all(np.isfinite(v).all() for v in (lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub)):
+        raise NumericalFailure("the program has a non-finite coefficient")
     n = lp.objective.size
     m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
     m = m_eq + m_ub

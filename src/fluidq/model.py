@@ -117,16 +117,10 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
 
     if num_classes < 1 or num_stations < 1:
         raise DimensionMismatch("need at least one class and one station")
-    if lam.shape != (num_classes,):
-        raise DimensionMismatch(
-            f"lambda has shape {lam.shape}, expected ({num_classes},)"
-        )
-    if nu.shape != (num_stations,):
-        raise DimensionMismatch(f"nu has shape {nu.shape}, expected ({num_stations},)")
-    if mu.shape != (num_classes, num_stations):
-        raise DimensionMismatch(
-            f"mu has shape {mu.shape}, expected ({num_classes}, {num_stations})"
-        )
+    for name, arr, shape in (("lambda", lam, (num_classes,)), ("nu", nu, (num_stations,)),
+                             ("mu", mu, (num_classes, num_stations))):
+        if arr.shape != shape:
+            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
     for name, arr in (("lambda", lam), ("nu", nu), ("mu", mu)):
         if not np.isfinite(arr).all():
             raise ModelError(f"{name} contains a non-finite entry")
@@ -146,14 +140,18 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     )
 
 
+def lp_columns(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """Class and station positions of the activities (mu_ij > 0) in row-major
+    order: the LP columns of the static programs. Pairs without service get
+    no variable, so they carry no allocation. The one test of mu_ij > 0 in
+    the static layer."""
+    return np.nonzero(model.service_rates > 0.0)
+
+
 def activity_set(model: NetworkModel) -> frozenset[tuple[int, int]]:
-    """Return the pairs along which service is possible (rate > 0)."""
-    return frozenset(
-        (i, j)
-        for i in model.class_labels
-        for j in model.station_labels
-        if model.rate(i, j) > 0.0
-    )
+    """The pairs along which service is possible: the ``lp_columns``, by vertex labels."""
+    rows, cols = lp_columns(model)
+    return frozenset(zip((rows + 1).tolist(), (cols + model.num_classes + 1).tolist()))
 
 
 def model_to_dict(model: NetworkModel) -> dict[str, Any]:

@@ -10,14 +10,14 @@ class/pool dependence structure, drive the null-controllability verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linprog import LinearProgram, solve_lp
-from .model import DEFAULT_TOL, NetworkModel
-from .paths import CLASS_DEPENDENT, POOL_DEPENDENT, ZERO, SimplePath
-from .static_fluid import AssumptionReport, FluidSolution, lp_columns
+from .model import DEFAULT_TOL, NetworkModel, lp_columns
+from .paths import CLASS_DEPENDENT, NEGATIVE, POOL_DEPENDENT, ZERO, SimplePath
+from .static_fluid import AssumptionReport, FluidSolution
 
 NC_POSSIBLE = "possible"
 NC_IMPOSSIBLE = "impossible"
@@ -65,8 +65,8 @@ class PerturbationCheck:
 
     ``satisfied`` means the perturbed maximum never exceeded the baseline on
     the whole step grid; ``strict`` means it dropped strictly below at the
-    largest step. A degenerate check (zero direction vector) is vacuously
-    satisfied and never strict.
+    largest step. A degenerate check (zero direction vector) has an empty
+    grid: its step is 0, so it is vacuously satisfied and never strict.
     """
 
     path: SimplePath | None         # None for the combined multi-path check
@@ -76,8 +76,11 @@ class PerturbationCheck:
     baseline: float
     satisfied: bool
     strict: bool
-    degenerate: bool = False
-    grid: tuple[tuple[float, float, bool], ...] = field(default=())
+    grid: tuple[tuple[float, float, bool], ...]   # (step, perturbed max, within baseline)
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.grid
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,6 @@ class NCVerdict:
     path_verdict: ThroughputVerdict | None
     zero_path_evidence: tuple[PerturbationCheck, ...]
     combined_check: PerturbationCheck | None
-    violations: tuple[str, ...]
 
 
 def max_throughput(
@@ -128,11 +130,10 @@ def throughput_verdict_lp(model: NetworkModel, sol: FluidSolution) -> Throughput
 
 
 def throughput_verdict_paths(paths: list[SimplePath]) -> ThroughputVerdict:
-    """Optimal iff no simple path has weight below -DEFAULT_TOL."""
-    witness = None
-    for p in paths:
-        if p.weight < -DEFAULT_TOL and (witness is None or p.weight < witness.weight):
-            witness = p
+    """Optimal iff no simple path is NEGATIVE; the witness is the first
+    negative path of least weight. The one reading of the path criterion."""
+    witness = min((p for p in paths if p.sign_class == NEGATIVE),
+                  key=lambda p: p.weight, default=None)
     return ThroughputVerdict(optimal=witness is None, witness_path=witness)
 
 
@@ -148,33 +149,23 @@ def _run_perturbation(
     its sup norm; the smallest step is shared out equally among the
     directions. The check is repeated at half and quarter steps, and all
     three must agree for ``satisfied``; ``strict`` is judged at the largest
-    step. When every direction vanishes the perturbation is the identity and
-    the check is degenerate.
+    step. When every direction vanishes the perturbation is the identity: the
+    grid stays empty and the check is degenerate, at step 0.
     """
     baseline = float((model.service_rates * sol.masses).sum())
     sups = [float(np.abs(d).max()) for d in directions]
-    if max(sups) <= DEFAULT_TOL:
-        return PerturbationCheck(
-            path=path,
-            kappa=0.0,
-            perturbed_x=sol.class_masses,
-            perturbed_max=baseline,
-            baseline=baseline,
-            satisfied=True,
-            strict=False,
-            degenerate=True,
-        )
-    min_mass = min(float(sol.masses[model.edge_positions(e)]) for e in sol.basic_pairs)
-    kappa = min(1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > DEFAULT_TOL)
-    kappa /= len(directions)
     direction = np.sum(directions, axis=0)
     grid = []
-    for factor in KAPPA_GRID:
-        step = kappa * factor
-        x_pert = sol.class_masses + direction * step
-        value, _ = max_throughput(np.clip(x_pert, 0.0, None), model.capacities, model)
-        grid.append((step, value, value <= baseline + DEFAULT_TOL))
-    top_step, top_value, _ = grid[0]
+    if max(sups) > DEFAULT_TOL:
+        min_mass = min(float(sol.masses[model.edge_positions(e)]) for e in sol.basic_pairs)
+        kappa = min(1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > DEFAULT_TOL)
+        kappa /= len(directions)
+        for factor in KAPPA_GRID:
+            step = kappa * factor
+            x_pert = sol.class_masses + direction * step
+            value, _ = max_throughput(np.clip(x_pert, 0.0, None), model.capacities, model)
+            grid.append((step, value, value <= baseline + DEFAULT_TOL))
+    top_step, top_value, _ = grid[0] if grid else (0.0, baseline, True)
     return PerturbationCheck(
         path=path,
         kappa=top_step,
@@ -340,5 +331,4 @@ def nc_verdict(
         path_verdict=path_v,
         zero_path_evidence=evidence,
         combined_check=combined,
-        violations=report.violations,
     )

@@ -6,7 +6,9 @@ class is the starting leaf. One signed walk per path (``signed_path``) gives
 everything else: +1 on edges traversed station-to-class, -1 on edges
 traversed class-to-station and on the leaf pair of a closed path, the
 per-class signed rate sums, whose total is the path's weight, and the
-class- or pool-dependence that the zero paths' verdicts read.
+class- or pool-dependence that the zero paths' verdicts read. A path's JSON
+form is written in ``analysis.AnalysisReport.to_dict``, with the rest of the
+report's.
 """
 
 from __future__ import annotations
@@ -52,21 +54,6 @@ class SimplePath:
     @property
     def leaf_pair(self) -> tuple[int, int]:
         return (self.class_leaf, self.station_leaf)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "class_leaf": self.class_leaf,
-            "station_leaf": self.station_leaf,
-            "vertices": list(self.vertices),
-            "edges": [
-                {"class": i, "station": j, "sign": s} for (i, j), s in self.signed_edges
-            ],
-            "class_weights": self.class_weights.tolist(),
-            "weight": self.weight,
-            "sign_class": self.sign_class,
-            "dependence": self.dependence,
-        }
 
 
 def signed_path(

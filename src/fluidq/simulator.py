@@ -49,7 +49,8 @@ from operator import add, gt, sub
 import numpy as np
 
 from .model import NetworkModel
-from .paths import NEGATIVE, SimplePath
+from .optimality import throughput_verdict_paths
+from .paths import SimplePath
 from .static_fluid import FluidSolution
 
 
@@ -60,7 +61,8 @@ LOCKSTEP_MIN_REPS = 16
 
 class ScalingViolation(RuntimeError):
     """Rounded server counts drifted more than 0.5/sqrt(n) from n times the
-    capacities. The first-order bound cannot fail (see ``build_system``):
+    capacities, or scaling overflowed: a rate past the float range or a count
+    past int64. The first-order bound cannot fail (see ``build_system``):
     sum |x0_i/n - m_i| <= I/(2n) < (I+J+1)/sqrt(n) for every n >= 1."""
 
 
@@ -96,11 +98,17 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
 
     Raises:
         ScalingViolation: the server bound fails, typically capacities near
-            half-integers at a tiny n. Use a larger n.
+            half-integers at a tiny n (use a larger n), or n times a rate is
+            not finite or n times a capacity or class mass does not fit in int64.
     """
     if n < 1:
         raise ValueError("scale parameter n must be at least 1")
-    servers = _round_half_up(n * model.capacities)
+    with np.errstate(over="ignore"):
+        arrivals, capacity = n * model.arrival_rates, n * model.capacities
+        mass = n * sol.class_masses
+    if not np.isfinite(arrivals).all() or max(capacity.max(), mass.max()) >= 2.0**63:
+        raise ScalingViolation(f"scaling by n = {n} overflows a rate or an int64 count")
+    servers = _round_half_up(capacity)
     server_drift = np.abs(servers / n - model.capacities).sum()
     if server_drift > 0.5 / math.sqrt(n) + 1e-12:
         raise ScalingViolation(
@@ -108,10 +116,10 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
         )
     return SystemInstance(
         n=n,
-        arrival_rates=n * model.arrival_rates,
+        arrival_rates=arrivals,
         servers=servers,
         service_rates=np.array(model.service_rates),
-        x0=_round_half_up(n * sol.class_masses),
+        x0=_round_half_up(mass),
         model=model,
         solution=sol,
     )
@@ -218,8 +226,7 @@ class NegativePathPump(Policy):
     name = "negative-path"
 
     def __init__(self, model: NetworkModel, sol: FluidSolution, paths: list[SimplePath] = ()):
-        negative = [p for p in paths if p.sign_class == NEGATIVE]
-        self.path = min(negative, key=lambda p: p.weight) if negative else None
+        self.path = throughput_verdict_paths(paths).witness_path
         self._model = model
 
     def prepare(self, sys: SystemInstance) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, NumericalFailure, solve_lp
-from .model import DEFAULT_TOL, NetworkModel, validate_model
+from .model import DEFAULT_TOL, NetworkModel, lp_columns, validate_model
 
 
 class InfeasibleModel(RuntimeError):
@@ -46,6 +46,9 @@ class FluidSolution:
 
 @dataclass(frozen=True)
 class AssumptionReport:
+    """Each flag holds iff its check found no violation; ``violations`` lists
+    the critical-load, uniqueness and tree findings, in that order."""
+
     critically_loaded: bool
     unique: bool
     is_tree: bool
@@ -56,13 +59,6 @@ class AssumptionReport:
         return self.critically_loaded and self.unique and self.is_tree
 
 
-def lp_columns(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Class and station positions of the activities (mu_ij > 0) in row-major
-    order: the LP columns of the static programs. Pairs without service get
-    no variable, so they carry no allocation."""
-    return np.nonzero(model.service_rates > 0.0)
-
-
 def _allocation_lp(model: NetworkModel) -> LinearProgram:
     """Variables: allocation fractions on the ``lp_columns``, then the load."""
     rows, cols = lp_columns(model)
@@ -71,7 +67,9 @@ def _allocation_lp(model: NetworkModel) -> LinearProgram:
     objective = np.zeros(n)
     objective[-1] = 1.0
     a_eq = np.zeros((model.num_classes, n))
-    a_eq[rows, k] = model.service_rates[rows, cols] * model.capacities[cols]
+    # rates in extreme units may overflow to inf here; solve_lp refuses the program
+    with np.errstate(over="ignore"):
+        a_eq[rows, k] = model.service_rates[rows, cols] * model.capacities[cols]
     a_ub = np.zeros((model.num_stations, n))
     a_ub[cols, k] = 1.0
     a_ub[:, -1] = -1.0
@@ -96,11 +94,7 @@ def solve_static_allocation(model: NetworkModel) -> FluidSolution:
     masses = allocation * model.capacities[None, :]
     class_masses = masses.sum(axis=1)
     basic = frozenset(
-        (i + 1, model.num_classes + 1 + j)
-        for i in range(I)
-        for j in range(J)
-        if allocation[i, j] > DEFAULT_TOL
-    )
+        (i + 1, I + 1 + j) for i, j in np.argwhere(allocation > DEFAULT_TOL).tolist())
     for arr in (allocation, masses, class_masses):
         arr.setflags(write=False)
     return FluidSolution(
@@ -159,7 +153,7 @@ def tree_path(parent: dict[int, int], src: int, dst: int) -> list[int]:
     return up + down[-2::-1]
 
 
-def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> tuple[bool, list[str]]:
+def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> list[str]:
     parent, closing = spanning_forest(model, edges)
     violations = []
     expected = len(parent) - 1
@@ -170,10 +164,10 @@ def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> tuple
     # the forest connects all I+J vertices iff it has I+J-1 edges
     if len(edges) - len(closing) < expected:
         violations.append("basic graph is disconnected")
-    return not violations, violations
+    return violations
 
 
-def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> tuple[bool, list[str]]:
+def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> list[str]:
     """Decide whether ``sol.allocation`` is the only optimal allocation.
 
     The solver's optimum x* is a vertex, and a vertex is the only point of a
@@ -182,7 +176,8 @@ def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> tuple[bool, li
     over that face the sum of the coordinates that vanish at x*: the zero
     allocations and the slack ``load - sum_i x_ij`` of every station filled
     to the load. The optimum is unique iff the maximum does not exceed its
-    value at x*; otherwise the maximizer is a second optimal allocation.
+    value at x*; otherwise the maximizer is a second optimal allocation, and
+    the pairs where it differs are the violations.
 
     Raises:
         NumericalFailure: the pinned optimal face is empty.
@@ -206,11 +201,11 @@ def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> tuple[bool, li
     witness = np.zeros_like(x_star)
     witness[columns] = res.x[:-1]
     if float((gain * (witness - x_star)).sum()) <= DEFAULT_TOL:
-        return True, []
+        return []
     moved = np.abs(witness - x_star)
     # every pair that moved, or the one that moved most if none moved by DEFAULT_TOL
     named = np.argwhere(moved >= min(DEFAULT_TOL, moved.max()))
-    return False, [
+    return [
         f"allocation ({i + 1},{model.num_classes + 1 + j}) is {x_star[i, j]:.6g} at the "
         f"optimum but {witness[i, j]:.6g} at another optimal allocation"
         for i, j in named
@@ -227,33 +222,20 @@ def check_assumptions(model: NetworkModel, sol: FluidSolution) -> AssumptionRepo
         NumericalFailure: the solver finds the optimal face empty at
             ``sol.load``, as happens on rates in extreme units.
     """
-    J = model.num_stations
-    violations: list[str] = []
-
-    critically_loaded = True
-    if abs(sol.load - 1.0) > DEFAULT_TOL:
-        critically_loaded = False
-        violations.append(f"optimal load is {sol.load!r}, not 1")
+    load = [f"optimal load is {sol.load!r}, not 1"] if abs(sol.load - 1.0) > DEFAULT_TOL else []
     # plain floats: a numpy scalar's repr would print as np.float64(...)
-    col_sums = sol.allocation.sum(axis=0).tolist()
-    for j in range(J):
-        if abs(col_sums[j] - 1.0) > DEFAULT_TOL:
-            critically_loaded = False
-            violations.append(
-                f"station {model.num_classes + 1 + j} is allocated {col_sums[j]!r}, not fully"
-            )
-
-    unique, uniqueness_violations = _uniqueness_check(model, sol)
-    violations.extend(uniqueness_violations)
-
-    is_tree, tree_violations = _tree_check(model, sol.basic_edges)
-    violations.extend(tree_violations)
-
+    load += [
+        f"station {model.num_classes + 1 + j} is allocated {total!r}, not fully"
+        for j, total in enumerate(sol.allocation.sum(axis=0).tolist())
+        if abs(total - 1.0) > DEFAULT_TOL
+    ]
+    uniqueness = _uniqueness_check(model, sol)
+    tree = _tree_check(model, sol.basic_edges)
     return AssumptionReport(
-        critically_loaded=critically_loaded,
-        unique=unique,
-        is_tree=is_tree,
-        violations=tuple(violations),
+        critically_loaded=not load,
+        unique=not uniqueness,
+        is_tree=not tree,
+        violations=(*load, *uniqueness, *tree),
     )
 
 

@@ -23,6 +23,11 @@ def _write(tmp_path, name, payload):
     return str(p)
 
 
+# valid models in extreme units: the LP's product mu * nu overflows a float,
+# and scaling by n overflows lambda and the int64 head counts
+LP_OVERFLOW = {"classes": 1, "stations": 1, "lambda": [1], "nu": [1e200], "mu": [[1e200]]}
+SCALE_OVERFLOW = {"classes": 1, "stations": 1, "lambda": [1e308], "nu": [1], "mu": [[1]]}
+
 REPORT_KEYS = [
     "model",
     "tolerance",
@@ -239,6 +244,27 @@ def test_numerical_failure_exit_5(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
 
+@pytest.mark.parametrize(
+    "payload, command, code",
+    [(LP_OVERFLOW, "analyze", 5), (LP_OVERFLOW, "simulate", 5), (SCALE_OVERFLOW, "simulate", 2)],
+    ids=["lp-analyze", "lp-simulate", "scale-simulate"],
+)
+def test_overflow_models_exit_cleanly_under_warnings_as_errors(tmp_path, payload, command, code):
+    # no numpy RuntimeWarning on the way to the error line
+    model = _write(tmp_path, "m.json", payload)
+    argv = [command, model] + (["--n", "10", "--T", "0.1", "--reps", "1", "--policy",
+                                "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out")]
+                               if command == "simulate" else [])
+    src = str(Path(fluidq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "fluidq", *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert ("non-finite" in proc.stderr) == (code == 5)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["analyze-json", "generate-out", "simulate-out-file"])
 def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, case):
     model = _write(tmp_path, "a.json", CASE_A)
@@ -273,6 +299,20 @@ def test_simulate_policy_mismatch_exit_4(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def test_simulate_negative_path_below_critical_load(tmp_path):
+    # at lambda = [4, 2] case_a has load 0.5, so the NC verdict forms no path
+    # verdict, yet the path (2,3) is negative and the pump has a path to drive
+    payload = dict(CASE_A, **{"lambda": [4, 2]})
+    report = run_analysis(validate_model(payload))
+    assert report.nc.path_verdict is None
+    assert [p.leaf_pair for p in report.paths if p.sign_class == "negative"] == [(2, 3)]
+    model = _write(tmp_path, "half.json", payload)
+    assert main([
+        "simulate", model, "--n", "10", "--T", "0.1", "--reps", "1",
+        "--policy", "negative-path", "--seed", "1", "--out", str(tmp_path / "out"),
+    ]) == 0
+
+
 # a valid 1x2 model whose capacities 1.4 round to 1 server each at n = 1
 ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], "mu": [[1, 1]]}
 
@@ -289,9 +329,10 @@ ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], 
         (CASE_A, "--T", "inf", "horizon T"),
         (CASE_A, "--T", "nan", "horizon T"),
         (ROUNDS_BADLY, "--n", "1", "drifted"),
+        (SCALE_OVERFLOW, "--n", "10", "overflows"),
     ],
     ids=["malformed-n", "descending-n", "repeated-n", "n-zero", "reps-zero", "T-zero", "T-inf",
-         "T-nan", "scaling"],
+         "T-nan", "scaling", "scaling-overflow"],
 )
 def test_simulate_invalid_request_exit_2(tmp_path, capsys, payload, flag, value, message):
     model = _write(tmp_path, "m.json", payload)

@@ -12,6 +12,8 @@ from fluidq import (
     NumericalFailure,
     generate_critical_instance,
     solve_lp,
+    solve_static_allocation,
+    validate_model,
 )
 from fluidq.static_fluid import _allocation_lp
 
@@ -192,3 +194,18 @@ def test_allocation_lp_pivot_count():
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.pivots <= 400
+
+
+def test_non_finite_program_raises_numerical_failure():
+    # rates in extreme units: mu * nu = 1e400 overflows in the allocation LP
+    model = validate_model(
+        {"classes": 1, "stations": 1, "lambda": [1], "nu": [1e200], "mu": [[1e200]]}
+    )
+    # with no RuntimeWarning on the way: the tests run with warnings as errors
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        solve_static_allocation(model)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_lp(LinearProgram([1.0, 0.0], a_ub=[[1.0, bad]], b_ub=[1.0]))
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_lp(LinearProgram([1.0, bad]))

@@ -168,6 +168,10 @@ def test_zero_path_check_degenerate(class_dependent_2x2):
     assert chk.satisfied
     assert not chk.strict
     assert np.array_equal(chk.perturbed_x, sol.class_masses)
+    # the degenerate check is the one with an empty grid, at step 0
+    assert chk.kappa == 0.0
+    assert chk.grid == ()
+    assert chk.perturbed_max == chk.baseline
 
 
 def test_zero_path_check_rejects_nonzero_path(case_a):
@@ -315,10 +319,10 @@ def test_nc_assumption_failure_unknown():
     m = validate_model(
         {"classes": 2, "stations": 2, "lambda": [3, 2], "nu": [1, 1], "mu": [[3, 0], [0, 2]]}
     )
-    v = run_analysis(m).nc
-    assert v.status == NC_UNKNOWN
-    assert v.basis == "assumptions"
-    assert v.violations
+    report = run_analysis(m)
+    assert report.nc.status == NC_UNKNOWN
+    assert report.nc.basis == "assumptions"
+    assert report.assumptions.violations
 
 
 def test_nc_tree_below_critical_load_unknown():

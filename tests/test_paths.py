@@ -23,6 +23,7 @@ from fluidq import (
     solve_static_allocation,
     validate_model,
 )
+from fluidq.analysis import run_analysis
 
 from support import (
     assign_signs,
@@ -217,8 +218,9 @@ def test_cycle_weights_empty_on_tree(case_a):
 
 def test_path_serialization_round_trip(case_a):
     _, paths = _paths(case_a)
-    d = paths[0].to_dict()
+    d = run_analysis(case_a).to_dict()["paths"][0]
     assert d["kind"] in (OPEN, CLOSED)
+    assert d["vertices"] == list(paths[0].vertices)
     assert len(d["edges"]) == len(paths[0].signed_edges)
     assert d["weight"] == paths[0].weight
 

@@ -2,6 +2,7 @@ import math
 from dataclasses import fields
 from itertools import accumulate, chain
 from operator import mul, sub
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from fluidq import (
     derive_seed,
     enumerate_simple_paths,
     generate_critical_instance,
+    load_model,
     make_policy,
     run_nc_experiment,
     scale_result,
     simulate,
     solve_static_allocation,
+    throughput_verdict_paths,
     validate_model,
 )
 from fluidq import simulator
@@ -32,6 +35,8 @@ from fluidq.simulator import _simulate_lockstep
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
 from support import erlang_c, reference_policy, reference_simulate, relabel_model
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _case_a_setup(case_a, n):
@@ -64,18 +69,14 @@ def test_build_system_half_integer_boundary():
 
 
 def test_build_system_scaling_violation():
-    m = validate_model(
-        {
-            "classes": 1,
-            "stations": 4,
-            "lambda": [1],
-            "nu": [0.95] * 4,
-            "mu": [[1, 1, 1, 1]],
-        }
-    )
-    sol = solve_static_allocation(m)
-    with pytest.raises(ScalingViolation):
-        build_system(m, sol, 10)
+    drifts = {"classes": 1, "stations": 4, "lambda": [1], "nu": [0.95] * 4, "mu": [[1, 1, 1, 1]]}
+    # n * lambda overflows a float, and n * m past int64 would cast to negative heads
+    overflows = {"classes": 1, "stations": 1, "lambda": [1e308], "nu": [1], "mu": [[1]]}
+    for raw, message in ((drifts, "drifted"), (overflows, "overflows")):
+        m = validate_model(raw)
+        sol = solve_static_allocation(m)
+        with pytest.raises(ScalingViolation, match=message):
+            build_system(m, sol, 10)
 
 
 def test_build_system_rejects_bad_n(case_a):
@@ -243,6 +244,15 @@ def test_make_policy_names(case_a):
         assert make_policy(name, case_a, sol, paths).name == name
     with pytest.raises(ValueError):
         make_policy("nope", case_a, sol, paths)
+    # the pump displaces along the path criterion's witness, on the shipped
+    # models and on planted instances
+    shipped = [load_model(str(p)) for p in sorted(MODELS.glob("*.json"))]
+    planted = [generate_critical_instance(seed, 3, 4)[0] for seed in (1, 2, 3)]
+    for model in shipped + planted:
+        sol = solve_static_allocation(model)
+        paths = enumerate_simple_paths(sol, activity_set(model), model)
+        pump = make_policy("negative-path", model, sol, paths)
+        assert pump.path is throughput_verdict_paths(paths).witness_path
 
 
 def test_pump_inert_without_negative_path(class_dependent_2x2):
