@@ -4,7 +4,8 @@ A model couples per-class fluid arrival rates, per-station capacities and the
 class-by-station service-rate matrix. Classes carry vertex labels
 1..num_classes and stations num_classes+1..num_classes+num_stations; matrices
 are indexed positionally (row = class label - 1, column = station label -
-num_classes - 1). Edge sets always use vertex labels, never positions.
+num_classes - 1). Edge sets always use vertex labels, never positions;
+``class_pos`` and ``station_pos`` convert, and refuse a label out of range.
 """
 
 from __future__ import annotations
@@ -64,16 +65,18 @@ class NetworkModel:
         return range(first, first + self.num_stations)
 
     def class_pos(self, label: int) -> int:
-        return label - 1
+        if 0 < label <= self.num_classes:
+            return label - 1
+        raise ValueError(f"{label} is not a class label of this model")
 
     def station_pos(self, label: int) -> int:
-        return label - self.num_classes - 1
+        if 0 < label - self.num_classes <= self.num_stations:
+            return label - self.num_classes - 1
+        raise ValueError(f"{label} is not a station label of this model")
 
     def rate(self, class_label: int, station_label: int) -> float:
         """Service rate of the (class, station) pair, by vertex labels."""
-        return float(
-            self.service_rates[self.class_pos(class_label), self.station_pos(station_label)]
-        )
+        return float(self.service_rates[self.edge_positions((class_label, station_label))])
 
     def edge_positions(self, edge: tuple[int, int]) -> tuple[int, int]:
         return self.class_pos(edge[0]), self.station_pos(edge[1])

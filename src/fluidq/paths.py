@@ -2,12 +2,13 @@
 
 Every class-station pair that is not a basic activity induces exactly one
 simple path: the unique tree path between the two vertices, oriented so the
-class is the starting leaf. One signed walk per path (``signed_path``) gives
-everything else: +1 on edges traversed station-to-class, -1 on edges
-traversed class-to-station and on the leaf pair of a closed path, the
-per-class signed rate sums, whose total is the path's weight, and the
-class- or pool-dependence that the zero paths' verdicts read. A path's JSON
-form is written in ``analysis.AnalysisReport.to_dict``, with the rest of the
+class is the starting leaf. ``signed_path`` builds each path's record, the
+only place a ``SimplePath`` is made, in one signed walk: +1 on edges
+traversed class-to-station, -1 on edges traversed station-to-class and on
+the leaf pair of a closed path, the per-class signed rate sums, whose total
+is the path's weight and gives its sign class, and the class- or
+pool-dependence that the zero paths' verdicts read. A path's JSON form is
+written in ``analysis.AnalysisReport.to_dict``, with the rest of the
 report's.
 """
 
@@ -56,10 +57,8 @@ class SimplePath:
         return (self.class_leaf, self.station_leaf)
 
 
-def signed_path(
-    vertices: Sequence[int], closed: bool, model: NetworkModel
-) -> tuple[tuple[SignedEdge, ...], np.ndarray, str]:
-    """Signed edges, per-class signed rate sums and dependence of an oriented path.
+def signed_path(vertices: Sequence[int], closed: bool, model: NetworkModel) -> SimplePath:
+    """The simple path through ``vertices``, built in one signed walk.
 
     ``vertices`` alternates class, station, class, ... station. Edges at even
     offsets pair a class with its own station and get +1; odd offsets hand
@@ -68,9 +67,14 @@ def signed_path(
     class's and its station's sum, in edge order. The path is class-dependent
     if every class sum vanishes, pool-dependent if every station sum does;
     class-dependence wins when both hold. Either one forces a zero path.
+
+    Raises:
+        ValueError: not a simple path: fewer than 4 or an odd number of
+            vertices, a repeated vertex, or a label outside the model.
     """
-    if len(vertices) < 4 or len(vertices) % 2:
-        raise ValueError("a simple path has an even vertex count of at least 4")
+    vertices = tuple(vertices)
+    if len(vertices) < 4 or len(vertices) % 2 or len(set(vertices)) < len(vertices):
+        raise ValueError("a simple path has an even count of at least 4 distinct vertices")
     signed: list[SignedEdge] = [
         ((u, v), +1) if k % 2 == 0 else ((v, u), -1)
         for k, (u, v) in enumerate(zip(vertices, vertices[1:]))
@@ -87,13 +91,19 @@ def signed_path(
     for i, v in per_class.items():
         class_weights[model.class_pos(i)] = v
     class_weights.setflags(write=False)
+    weight = float(class_weights.sum())
     if all(abs(v) <= DEFAULT_TOL for v in per_class.values()):
         dependence = CLASS_DEPENDENT
     elif all(abs(v) <= DEFAULT_TOL for v in per_station.values()):
         dependence = POOL_DEPENDENT
     else:
         dependence = NEITHER
-    return tuple(signed), class_weights, dependence
+    return SimplePath(
+        kind=CLOSED if closed else OPEN, class_leaf=vertices[0], station_leaf=vertices[-1],
+        vertices=vertices, signed_edges=tuple(signed), class_weights=class_weights,
+        weight=weight, dependence=dependence,
+        sign_class=ZERO if abs(weight) <= DEFAULT_TOL else NEGATIVE if weight < 0 else POSITIVE,
+    )
 
 
 def enumerate_simple_paths(
@@ -110,31 +120,9 @@ def enumerate_simple_paths(
     parent, closing = spanning_forest(model, sol.basic_edges)
     if closing or len(sol.basic_edges) != len(parent) - 1:
         raise NotATree("basic activities do not form a spanning tree")
-
-    paths: list[SimplePath] = []
-    for i in model.class_labels:
-        for j in model.station_labels:
-            if (i, j) in sol.basic_edges:
-                continue
-            vertices = tuple(tree_path(parent, i, j))
-            closed = (i, j) in acts
-            signed, m, dependence = signed_path(vertices, closed, model)
-            weight = float(m.sum())
-            paths.append(
-                SimplePath(
-                    kind=CLOSED if closed else OPEN,
-                    class_leaf=i,
-                    station_leaf=j,
-                    vertices=vertices,
-                    signed_edges=signed,
-                    class_weights=m,
-                    weight=weight,
-                    sign_class=(ZERO if abs(weight) <= DEFAULT_TOL
-                                else NEGATIVE if weight < 0 else POSITIVE),
-                    dependence=dependence,
-                )
-            )
-    return paths
+    return [signed_path(tree_path(parent, i, j), (i, j) in acts, model)
+            for i in model.class_labels for j in model.station_labels
+            if (i, j) not in sol.basic_edges]
 
 
 def basic_cycle_weights(
@@ -152,6 +140,5 @@ def basic_cycle_weights(
     cycles = []
     for i, j in closing:
         cycle = (i, *tree_path(parent, j, i)[:-1])  # i -> j -> ... -> back to i
-        _, m, _ = signed_path(cycle, closed=True, model=model)
-        cycles.append((cycle, -float(m.sum())))
+        cycles.append((cycle, -signed_path(cycle, True, model).weight))
     return cycles

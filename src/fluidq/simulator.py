@@ -97,12 +97,13 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
     sum |x0_i/n - m_i| <= I/(2n) < (I+J+1)/sqrt(n).
 
     Raises:
+        ValueError: n is a bool, not an integer, or below 1.
         ScalingViolation: the server bound fails, typically capacities near
             half-integers at a tiny n (use a larger n), or n times a rate is
             not finite or n times a capacity or class mass does not fit in int64.
     """
-    if n < 1:
-        raise ValueError("scale parameter n must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"scale parameter n must be an integer of at least 1, got {n!r}")
     with np.errstate(over="ignore"):
         arrivals, capacity = n * model.arrival_rates, n * model.capacities
         mass = n * sol.class_masses

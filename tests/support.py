@@ -317,6 +317,27 @@ def sign_class(weight):
     return NEGATIVE if weight < 0 else POSITIVE
 
 
+def tree_potentials(model, sol):
+    """Potentials on the basic tree, by vertex label: a_i at class i and b_j at
+    station j, with a_1 = 0 and a_i + b_j = mu_ij on every basic edge, found
+    by a walk from vertex 1. Along a tree path the signed rates telescope, so
+    a path's weight is a_i + b_j - mu_ij for its leaf pair, with no mu_ij term
+    on an open path."""
+    adj: dict[int, list[int]] = {}
+    for i, j in sol.basic_edges:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    pot = {1: 0.0}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for w in adj.get(v, ()):
+            if w not in pot:
+                pot[w] = model.rate(min(v, w), max(v, w)) - pot[v]
+                stack.append(w)
+    return pot
+
+
 def erlang_c(servers: int, offered_load: float) -> float:
     """Steady-state probability that all servers are busy in an M/M/c queue."""
     b = 1.0

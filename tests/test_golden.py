@@ -35,7 +35,8 @@ ZERO_PATHS_3X3 = {
     "nu": [1, 1, 1],
     "mu": [[1, 0, 1], [1, 2, 1], [1, 2, 0]],
 }
-# a basic cycle and a disconnected basic graph
+# a disconnected basic graph of 5 edges with no cycle, on an allocation that is
+# neither unique nor critically loaded; no golden file reaches a basic cycle
 CYCLE_4X4 = {
     "classes": 4,
     "stations": 4,

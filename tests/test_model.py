@@ -23,6 +23,13 @@ def test_case_a_validates(case_a):
     assert case_a.rate(2, 3) == 1.0
 
 
+@pytest.mark.parametrize("class_label, station_label", [(1, 2), (0, 3), (3, 4), (1, 6)])
+def test_rate_refuses_labels_outside_range(case_a, class_label, station_label):
+    # (1, 2) would read mu[0][2] through station position -1
+    with pytest.raises(ValueError):
+        case_a.rate(class_label, station_label)
+
+
 def test_minimal_model(minimal):
     assert minimal.arrival_rates.tolist() == [2.0]
     assert minimal.capacities.tolist() == [1.0]

@@ -32,6 +32,7 @@ from support import (
     path_weights,
     relabel_model,
     sign_class,
+    tree_potentials,
 )
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -114,7 +115,7 @@ def test_open_path_sign_alternation():
 
 
 def test_signed_path_rejects_short_sequences(case_a):
-    for vertices in ((1, 3), (1, 3, 2)):
+    for vertices in ((1, 3), (1, 3, 2), (1, 2, 1, 3), (1, 4, 1, 4), (3, 1, 4, 2), (1, 3, 2, 6)):
         for closed in (False, True):
             with pytest.raises(ValueError):
                 signed_path(vertices, closed, case_a)
@@ -138,10 +139,10 @@ def test_weight_equals_class_weight_sum_exactly():
         model, sol = generate_critical_instance(int(rng.integers(0, 5000)), I, J)
         for p in enumerate_simple_paths(sol, activity_set(model), model):
             assert p.weight == float(p.class_weights.sum())
-            edges, m, dependence = signed_path(p.vertices, p.kind == CLOSED, model)
-            assert edges == p.signed_edges and dependence == p.dependence
-            assert np.array_equal(m, p.class_weights)
-            assert float(m.sum()) == p.weight
+            q = signed_path(p.vertices, p.kind == CLOSED, model)
+            assert q.signed_edges == p.signed_edges and q.dependence == p.dependence
+            assert np.array_equal(q.class_weights, p.class_weights)
+            assert float(q.class_weights.sum()) == p.weight
 
 
 def test_class_dependent_rates_give_zero_class_weights():
@@ -153,7 +154,7 @@ def test_class_dependent_rates_give_zero_class_weights():
     assert len(paths) == 1
     p = paths[0]
     assert p.dependence == CLASS_DEPENDENT
-    assert signed_path(p.vertices, p.kind == CLOSED, m)[2] == CLASS_DEPENDENT
+    assert signed_path(p.vertices, p.kind == CLOSED, m).dependence == CLASS_DEPENDENT
     assert np.abs(p.class_weights).max() <= 1e-9
     assert p.sign_class == "zero"
 
@@ -163,10 +164,10 @@ def test_pool_dependent_rates_classified():
     m = validate_model(
         {"classes": 2, "stations": 2, "lambda": [5, 2], "nu": [1, 1], "mu": [[3, 2], [3, 2]]}
     )
-    edges, class_weights, dependence = signed_path((2, 4, 1, 3), closed=True, model=m)
-    assert edges == (((2, 4), +1), ((1, 4), -1), ((1, 3), +1), ((2, 3), -1))
-    assert class_weights.tolist() == [1.0, -1.0]
-    assert dependence == POOL_DEPENDENT
+    p = signed_path((2, 4, 1, 3), closed=True, model=m)
+    assert p.signed_edges == (((2, 4), +1), ((1, 4), -1), ((1, 3), +1), ((2, 3), -1))
+    assert p.class_weights.tolist() == [1.0, -1.0]
+    assert p.dependence == POOL_DEPENDENT
 
 
 def test_nonzero_weight_is_neither(case_a):
@@ -185,6 +186,35 @@ def test_relabeling_preserves_weight_multiset(case_a):
         relabeled = relabel_model(case_a, cp, sp)
         _, paths = _paths(relabeled)
         assert sorted(p.weight for p in paths) == pytest.approx(base_weights, abs=1e-9)
+
+
+def _potential_models():
+    """The shipped models and planted instances from 3x3 to 8x8, each also
+    with its classes and stations permuted."""
+    rng = np.random.default_rng(18)
+    models = [load_model(str(p)) for p in sorted(MODELS.glob("*.json"))]
+    models += [generate_critical_instance(seed, 3 + seed % 6, 3 + seed % 6)[0]
+               for seed in range(15)]
+    for model in models:
+        yield model
+        yield relabel_model(model, rng.permutation(model.num_classes),
+                            rng.permutation(model.num_stations))
+
+
+def test_path_weight_is_reduced_cost_of_tree_potentials():
+    """With a_i + b_j = mu_ij on every basic edge, each path's weight is
+    a_i + b_j - mu_ij for its leaf pair (no mu_ij on an open path)."""
+    checked = 0
+    for model in _potential_models():
+        sol = solve_static_allocation(model)
+        pot = tree_potentials(model, sol)
+        bound = 1e-12 * float(model.service_rates.max())
+        for p in enumerate_simple_paths(sol, activity_set(model), model):
+            i, j = p.leaf_pair
+            expected = pot[i] + pot[j] - (model.rate(i, j) if p.kind == CLOSED else 0.0)
+            assert abs(p.weight - expected) <= bound, (p.leaf_pair, p.weight, expected)
+            checked += 1
+    assert checked == 2 * 312
 
 
 def test_enumeration_requires_tree():

@@ -81,8 +81,18 @@ def test_build_system_scaling_violation():
 
 def test_build_system_rejects_bad_n(case_a):
     sol = solve_static_allocation(case_a)
+    for n in (0, 10.5, True):
+        with pytest.raises(ValueError):
+            build_system(case_a, sol, n)
+
+
+def test_build_system_accepts_numpy_integer_n(case_a):
+    sol = solve_static_allocation(case_a)
+    sys = build_system(case_a, sol, np.int64(10))
+    assert sys.servers.tolist() == build_system(case_a, sol, 10).servers.tolist()
+    # a scale that is not an integer is refused before any replication seed is drawn
     with pytest.raises(ValueError):
-        build_system(case_a, sol, 0)
+        run_nc_experiment(case_a, sol, "greedy-basic", [10.5], T=0.1, reps=1, seed=1)
 
 
 def test_poisson_arrival_totals(case_a):
