@@ -1,12 +1,13 @@
 """Command-line front end: analyze a model, run experiments, generate instances.
 
-Exit codes: 0 success, 2 model validation failure (including an infeasible
-allocation problem), an invalid simulation request (malformed or not
-strictly ascending --n, a scale, horizon or replication count below 1, or a
-scale too small to round the server counts), an output path that cannot be
-written (simulate checks --out before it runs) or a generated instance that
-fails its checks, 3 assumption failure under --strict, 4 policy/model
-mismatch for simulation, 5 numerical failure of the LP solver.
+Exit codes: 0 success, 2 model validation failure (including a file that
+cannot be decoded as JSON and an infeasible allocation problem), an invalid
+simulation request (malformed or not strictly ascending --n, a scale,
+horizon or replication count below 1, or a scale too small to round the
+server counts), an output path that cannot be written (simulate checks
+--out before it runs) or a generated instance that fails its checks, 3
+assumption failure under --strict, 4 policy/model mismatch for simulation,
+5 numerical failure of the LP solver.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ EXIT_NUMERICAL = 5
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         model = load_model(args.model)
-    except (ModelError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     try:
@@ -74,7 +75,7 @@ def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkMode
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         report = run_analysis(load_model(args.model))
-    except (ModelError, OSError, json.JSONDecodeError, InfeasibleModel) as exc:
+    except (ModelError, OSError, InfeasibleModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     model, sol, paths = report.model, report.solution, report.paths or []

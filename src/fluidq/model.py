@@ -168,9 +168,13 @@ def model_to_dict(model: NetworkModel) -> dict[str, Any]:
 
 
 def load_model(path: str) -> NetworkModel:
-    """Read and validate a model JSON file."""
+    """Read and validate a model JSON file; a file that cannot be decoded as
+    UTF-8 JSON (invalid, or nested too deep) raises ModelError too."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ModelError(f"cannot decode {path} as JSON: {exc}") from None
     return validate_model(raw)
 
 

@@ -26,14 +26,16 @@ result is bit-identical to ``simulate``'s, which stays the reference; user
 policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
 ``simulate``.
 
-Both engines share the fill, ``_fill``, and the pump's displacement rule,
-``NegativePathPump._displace`` (each indexes ``psi[i][j]`` and takes the
-engine's ``min``/``max``: builtins on ints, numpy's on columns), the checks
-(``_counts``, ``_violation``), and ``_Record``, which samples a replication
-and builds its ``SimResult``. The head clip and the event selection keep a
-form per engine, for speed: ``_shave``'s clip loop stops early but would cost
-about 4 numpy calls per pair on arrays, where the pump's ``_lockstep`` clips
-in closed form; ``bisect_right`` searches one list, ``_apply_events`` all
+Both engines start from the one rounding of the fluid split,
+``SystemInstance.core``, made by ``build_system``, and share the fill,
+``_fill``, and the pump's displacement rule, ``NegativePathPump._displace``
+(each indexes ``psi[i][j]`` and takes the engine's ``min``/``max``: builtins
+on ints, numpy's on columns), the checks (``_counts``, ``_violation``), and
+``_Record``, which samples a replication and builds its ``SimResult``. The
+head clip and the event selection keep a form per engine, for speed:
+``_shave``'s clip loop stops early but would cost about 4 numpy calls per
+pair on arrays, where the pump's ``_lockstep`` clips in closed form, in
+station order; ``bisect_right`` searches one list, ``_apply_events`` all
 columns at once.
 """
 
@@ -48,7 +50,7 @@ from operator import add, gt, sub
 
 import numpy as np
 
-from .model import NetworkModel
+from .model import NetworkModel, lp_columns
 from .optimality import throughput_verdict_paths
 from .paths import SimplePath
 from .static_fluid import FluidSolution
@@ -76,13 +78,15 @@ def _round_half_up(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemInstance:
-    """Integer-sized system at scale n, tied to its fluid solution."""
+    """Integer-sized system at scale n, tied to its fluid solution. Its arrays
+    are read-only: every replication and both engines share one system."""
 
     n: int
     arrival_rates: np.ndarray   # (I,) events per unit time, n * fluid rate
     servers: np.ndarray         # (J,) integer server counts
-    service_rates: np.ndarray   # (I, J) per-server completion rates
+    service_rates: np.ndarray   # (I, J) per-server completion rates, the model's
     x0: np.ndarray              # (I,) integer initial head counts
+    core: np.ndarray            # (I, J) integer fluid split, within the server counts
     model: NetworkModel
     solution: FluidSolution
 
@@ -95,6 +99,10 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
     construction, up to float rounding: arrival rates are exact multiples,
     service rates are not scaled, and x0 rounds half up, so
     sum |x0_i/n - m_i| <= I/(2n) < (I+J+1)/sqrt(n).
+
+    ``core``, the one rounding of the fluid split, is n * masses rounded half
+    up, each column then shaved one customer at a time off its largest entry
+    down to its server count. The t = 0 state and ``NegativePathPump`` read it.
 
     Raises:
         ValueError: n is a bool, not an integer, or below 1.
@@ -115,15 +123,15 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
         raise ScalingViolation(
             f"server counts drifted {server_drift:.6g} > 0.5/sqrt({n}); adjust n"
         )
-    return SystemInstance(
-        n=n,
-        arrival_rates=arrivals,
-        servers=servers,
-        service_rates=np.array(model.service_rates),
-        x0=_round_half_up(mass),
-        model=model,
-        solution=sol,
-    )
+    x0, core = _round_half_up(mass), _round_half_up(n * sol.masses)
+    for column, cap in zip(core.T, servers):
+        while column.sum() > cap:
+            column[column.argmax()] -= 1
+    for arr in (arrivals, servers, x0, core):
+        arr.setflags(write=False)
+    return SystemInstance(n=n, arrival_rates=arrivals, servers=servers,
+                          service_rates=model.service_rates, x0=x0, core=core, model=model,
+                          solution=sol)
 
 
 class SystemState:
@@ -186,10 +194,7 @@ class GreedyBasic(Policy):
     name = "greedy-basic"
 
     def __init__(self, model: NetworkModel, sol: FluidSolution):
-        self._order = sorted(
-            (model.edge_positions(e) for e in sol.basic_pairs),
-            key=lambda pos: (-model.service_rates[pos], pos),
-        )
+        self._order = _by_decreasing_rate(map(model.edge_positions, sol.basic_pairs), model)
 
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         psi = [[0] * len(state.servers) for _ in state.heads]
@@ -228,23 +233,18 @@ class NegativePathPump(Policy):
 
     def __init__(self, model: NetworkModel, sol: FluidSolution, paths: list[SimplePath] = ()):
         self.path = throughput_verdict_paths(paths).witness_path
-        self._model = model
+        self._fastest_first = _by_decreasing_rate(
+            zip(*(c.tolist() for c in lp_columns(model))), model)
+        self._slowest_first = _slowest_first(model.service_rates)
+        edges = self.path.signed_edges if self.path is not None else ()
+        self._dec = [model.edge_positions(e) for e, s in edges if s > 0]
+        self._inc = [model.edge_positions(e) for e, s in edges if s < 0]
 
     def prepare(self, sys: SystemInstance) -> None:
-        rates = sys.service_rates
-        self._core = _core_split(sys)
+        self._core = sys.core.tolist()
         self._servers_total = int(sys.servers.sum())
         self._step = math.ceil(math.sqrt(sys.n))
         self._shift = 0
-        self._fastest_first = sorted(
-            ((i, j) for i in range(rates.shape[0]) for j in range(rates.shape[1])
-             if rates[i, j] > 0),
-            key=lambda pos: (-rates[pos], pos),
-        )
-        self._slowest_first = _slowest_first(rates)
-        edges = self.path.signed_edges if self.path is not None else ()
-        self._dec = [self._model.edge_positions(e) for e, s in edges if s > 0]
-        self._inc = [self._model.edge_positions(e) for e, s in edges if s < 0]
         self._max_shift = min((self._core[i][j] for i, j in self._dec), default=0)
 
     def _displace(self, psi, heads, shift, minimum, maximum):
@@ -280,28 +280,26 @@ class NegativePathPump(Policy):
     def _lockstep(self, sys: SystemInstance, reps: int):
         self.prepare(sys)
         I, J = sys.service_rates.shape
-        core = np.array(self._core, dtype=np.int64)
-        slowest = np.array(self._slowest_first)
         # _shave of the fixed core in closed form: it takes a class's excess
-        # off its pairs slowest first, so the pair at step k of that walk keeps
-        # clip(sum of the counts at steps 0..k - excess, 0, its count)
-        walked = np.take_along_axis(core, slowest, axis=1)[:, :, None]
-        kept_upto = walked.cumsum(axis=1)
-        row_totals = core.sum(axis=1)[:, None]
-        unwalk = (np.arange(I)[:, None] * J + np.argsort(slowest, axis=1)).ravel()
+        # off its pairs slowest first, so a pair keeps clip(upto - excess, 0,
+        # its count), upto summing the class's counts up to this pair in that order
+        upto = np.empty_like(sys.core)
+        for row, order, out in zip(sys.core, self._slowest_first, upto):
+            out[order] = row[order].cumsum()
+        upto, count = upto[:, :, None], sys.core[:, :, None]
+        row_totals = sys.core.sum(axis=1)[:, None]
         servers = sys.servers[:, None]
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
         def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
-            kept = kept_upto - (row_totals - heads)[:, None, :]
-            np.minimum(np.maximum(kept, 0, out=kept), walked, out=kept)
-            by_class = kept.reshape(I * J, -1).take(unwalk, axis=0).reshape(I, J, -1)
-            rows = list(by_class)
+            psi = upto - (row_totals - heads)[:, None, :]
+            np.minimum(np.maximum(psi, 0, out=psi), count, out=psi)
+            rows = list(psi)
             shift[live] = self._displace(rows, heads, shift[live], np.minimum, np.maximum)
-            heads_left = heads - np.add.reduce(by_class, axis=1)
-            servers_left = servers - np.add.reduce(by_class, axis=0)
+            heads_left = heads - np.add.reduce(psi, axis=1)
+            servers_left = servers - np.add.reduce(psi, axis=0)
             _fill(rows, heads_left, servers_left, self._fastest_first, np.minimum)
-            return by_class.reshape(I * J, -1)
+            return psi.reshape(I * J, -1)
         return assign
 
 
@@ -342,6 +340,11 @@ def _fill(psi, heads_left, servers_left, order: list[tuple[int, int]], minimum):
     return psi
 
 
+def _by_decreasing_rate(pairs, model: NetworkModel) -> list[tuple[int, int]]:
+    """The (class, station) positions ``pairs`` by decreasing service rate, ties by position."""
+    return sorted(pairs, key=lambda pos: (-model.service_rates[pos], pos))
+
+
 def _slowest_first(rates: np.ndarray) -> list[list[int]]:
     """Per class, the stations by increasing service rate, ties by index."""
     return [sorted(range(len(row)), key=lambda j: (row[j], j)) for row in rates.tolist()]
@@ -357,15 +360,6 @@ def _shave(psi: list[list[int]], heads: list[int], slowest_first: list[list[int]
             take = min(excess, row[j])
             row[j] -= take
             excess -= take
-
-
-def _core_split(sys: SystemInstance) -> list[list[int]]:
-    """Rounded fluid masses, shaved so no station exceeds its server count."""
-    core = _round_half_up(sys.n * sys.solution.masses)
-    for j in range(core.shape[1]):
-        while core[:, j].sum() > sys.servers[j]:
-            core[int(np.argmax(core[:, j])), j] -= 1
-    return core.tolist()
 
 
 def _counts(psi, shape: tuple[int, int]) -> np.ndarray:
@@ -572,7 +566,7 @@ def simulate(
     lam_total = float(sys.arrival_rates.sum())
     lam_cum = np.cumsum(sys.arrival_rates).tolist()
 
-    initial = _core_split(sys)
+    initial = sys.core.tolist()
     _shave(initial, heads, _slowest_first(sys.service_rates))
     state = SystemState(0.0, heads, initial, servers)
     policy.prepare(sys)

@@ -118,9 +118,19 @@ def test_non_numeric_rate_exit_2(tmp_path, capsys, command):
 
 
 def test_analyze_unparseable_exit_2(tmp_path, capsys):
-    p = tmp_path / "garbage.json"
-    p.write_text("{not json")
-    assert main(["analyze", str(p)]) == 2
+    # invalid JSON, a file that is not UTF-8, and JSON nested too deep to decode
+    contents = {"garbage.json": b"{not json", "not_utf8.json": b"\xff\xfe{}",
+                "deep.json": b"[" * 10_000 + b"]" * 10_000}
+    for name, content in contents.items():
+        (tmp_path / name).write_bytes(content)
+        for command, extra in (("analyze", []), ("simulate", [
+                "--n", "10", "--T", "0.1", "--reps", "1", "--policy", "greedy-basic",
+                "--seed", "1", "--out", str(tmp_path / "out")])):
+            assert main([command, str(tmp_path / name), *extra]) == 2, (name, command)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
 
 def test_analyze_infeasible_exit_2(tmp_path):

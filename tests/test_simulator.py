@@ -34,7 +34,15 @@ from fluidq import simulator
 from fluidq.simulator import _simulate_lockstep
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
-from support import erlang_c, reference_policy, reference_simulate, relabel_model
+from support import (
+    _ref_clip_columns,
+    _ref_initial_assignment,
+    _ref_round_half_up,
+    erlang_c,
+    reference_policy,
+    reference_simulate,
+    relabel_model,
+)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -93,6 +101,72 @@ def test_build_system_accepts_numpy_integer_n(case_a):
     # a scale that is not an integer is refused before any replication seed is drawn
     with pytest.raises(ValueError):
         run_nc_experiment(case_a, sol, "greedy-basic", [10.5], T=0.1, reps=1, seed=1)
+
+
+def _shipped_and_planted_4x4():
+    for path in sorted(MODELS.glob("*.json")):
+        model = load_model(str(path))
+        yield model, solve_static_allocation(model)
+    for seed in range(5):
+        yield generate_critical_instance(seed, 4, 4)
+
+
+def test_build_system_core_matches_reference():
+    # the rounded split, then one customer off a column's largest entry until it fits
+    shaved = 0
+    for model, sol in _shipped_and_planted_4x4():
+        for n in (16, 25, 37, 100, 401, 1600):  # n >= J**2: the server counts round
+            sys = build_system(model, sol, n)
+            rounded = _ref_round_half_up(n * sol.masses)
+            expected = rounded.copy()
+            _ref_clip_columns(expected, sys.servers)
+            assert sys.core.dtype == np.int64
+            assert np.array_equal(sys.core, expected), (model, n)
+            shaved += not np.array_equal(rounded, expected)
+            assert not sys.core.flags.writeable
+            with pytest.raises(ValueError):
+                sys.core[0, 0] += 1
+    assert shaved > 0
+
+
+def test_system_arrays_are_read_only(case_a):
+    # every replication and both engines share one system, so no policy may change it
+    class Meddling(GreedyBasic):
+        def prepare(self, sys):
+            sys.servers[0] += 1
+
+    sol, sys = _case_a_setup(case_a, 25)
+    names = ("arrival_rates", "servers", "service_rates", "x0", "core")
+    before = {name: getattr(sys, name).copy() for name in names}
+    with pytest.raises(ValueError):
+        simulate(sys, Meddling(case_a, sol), 0.2, 1)
+    for name in names:
+        assert not getattr(sys, name).flags.writeable, name
+        assert np.array_equal(getattr(sys, name), before[name]), name
+    assert sys.service_rates is case_a.service_rates
+
+
+def test_initial_state_is_the_reference_split():
+    # the policy's first call sees the rounded split clipped to x0, slowest pairs first
+    class Recording(Policy):
+        name = "recording"
+
+        def prepare(self, sys):
+            self.first = None
+
+        def assign(self, state, sys):
+            if self.first is None:
+                self.first = [row[:] for row in state.in_service]
+            return [[0] * len(state.servers) for _ in state.heads]
+
+    policy, clipped = Recording(), 0
+    for model, sol in _shipped_and_planted_4x4():
+        for n in (16, 25, 100):
+            sys = build_system(model, sol, n)
+            simulate(sys, policy, 0.01, 1)
+            assert policy.first == _ref_initial_assignment(sys).tolist(), (model, n)
+            clipped += policy.first != sys.core.tolist()
+    assert clipped > 0
 
 
 def test_poisson_arrival_totals(case_a):
