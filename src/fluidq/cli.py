@@ -1,13 +1,12 @@
 """Command-line front end: analyze a model, run experiments, generate instances.
 
-Exit codes: 0 success, 2 model validation failure (including a file that
-cannot be decoded as JSON and an infeasible allocation problem), an invalid
-simulation request (malformed or not strictly ascending --n, a scale,
-horizon or replication count below 1, or a scale too small to round the
-server counts), an output path that cannot be written (simulate checks
---out before it runs) or a generated instance that fails its checks, 3
-assumption failure under --strict, 4 policy/model mismatch for simulation,
-5 numerical failure of the LP solver.
+Exit codes: 0 success, 2 an invalid model or request (a model file that
+cannot be read or decoded, an invalid or infeasible model, an invalid
+simulation request, an output path that cannot be written, or a generated
+instance that fails its checks), 3 assumption failure under --strict, 4
+policy/model mismatch for simulation, 5 numerical failure of the LP solver.
+``main`` maps every failure to its code and prints it as one ``error:`` line,
+so the commands return only 0, 3 and 4.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
-from .model import ModelError, NetworkModel, load_model, save_model
+from .model import NetworkModel, load_model, save_model
 from .optimality import throughput_verdict_paths
 from .simulator import POLICIES, ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
 from .static_fluid import GenerationFailed, InfeasibleModel, generate_critical_instance
@@ -33,16 +32,7 @@ EXIT_NUMERICAL = 5
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        model = load_model(args.model)
-    except (ModelError, OSError) as exc:
-        print(f"error: cannot load model: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
-    try:
-        report = run_analysis(model)
-    except InfeasibleModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
+    report = run_analysis(load_model(args.model))
     print(render_report(report))
     if args.json:
         Path(args.json).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -73,11 +63,7 @@ def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkMode
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        report = run_analysis(load_model(args.model))
-    except (ModelError, OSError, InfeasibleModel) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
+    report = run_analysis(load_model(args.model))
     model, sol, paths = report.model, report.solution, report.paths or []
     if args.policy == "negative-path" and throughput_verdict_paths(paths).optimal:
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
@@ -85,16 +71,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
-        print(f"error: --out: {existing} is not a directory", file=sys.stderr)
-        return EXIT_INVALID_MODEL
-
-    try:
-        n_list = [int(v) for v in args.n.split(",")]
-        policy = make_policy(args.policy, model, sol, paths)
-        result = run_nc_experiment(model, sol, policy, n_list, args.T, args.reps, args.seed)
-    except (ValueError, ScalingViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
+        raise NotADirectoryError(f"--out: {existing} is not a directory")
+    n_list = [int(v) for v in args.n.split(",")]
+    policy = make_policy(args.policy, model, sol, paths)
+    result = run_nc_experiment(model, sol, policy, n_list, args.T, args.reps, args.seed)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out / "trajectories.csv", result, model)
@@ -122,11 +102,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        model, sol = generate_critical_instance(args.seed, args.classes, args.stations)
-    except (GenerationFailed, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
+    model, sol = generate_critical_instance(args.seed, args.classes, args.stations)
     out = Path(args.out)
     save_model(model, str(out))
     sidecar = out.with_suffix(".solution.json")
@@ -179,9 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        # models are read inside the commands, so what reaches here is an output write
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    except (ValueError, OSError, InfeasibleModel, GenerationFailed, ScalingViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
 
 

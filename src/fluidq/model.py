@@ -99,14 +99,16 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     ``nu`` and ``mu`` (the on-disk JSON layout; arrays are positional).
 
     Raises:
-        ModelError: a count that is not an integer, or a rate that is not an
-            int or a float (a bool or string is refused, not converted), or
-            malformed array data.
+        ModelError: data that is not a mapping, a count that is not an
+            integer, or a rate that is not an int or a float (a bool or string
+            is refused, not converted), or malformed array data.
         DimensionMismatch: counts below one, missing fields or arrays whose
             lengths disagree with the declared counts.
         NonPositiveRate: an arrival rate or capacity that is not > 0.
         NegativeServiceRate: a service rate below zero.
     """
+    if not isinstance(raw, Mapping):
+        raise ModelError(f"a model is a JSON object, not {type(raw).__name__}")
     try:
         counts = (raw["classes"], raw["stations"])
         lam, nu, mu = (_rates(raw, name) for name in ("lambda", "nu", "mu"))

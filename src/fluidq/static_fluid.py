@@ -291,11 +291,14 @@ def generate_critical_instance(
     allocation. Deterministic in ``seed``.
 
     Raises:
+        ValueError: a size below 1 or a negative seed.
         GenerationFailed: the draw fails a check, which only numerical trouble can cause.
     """
     I, J = num_classes, num_stations
     if I < 1 or J < 1:
         raise ValueError("need at least one class and one station")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     classes, stations = zip(*_uniform_spanning_tree(rng, I, J))

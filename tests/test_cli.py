@@ -118,11 +118,16 @@ def test_non_numeric_rate_exit_2(tmp_path, capsys, command):
 
 
 def test_analyze_unparseable_exit_2(tmp_path, capsys):
-    # invalid JSON, a file that is not UTF-8, and JSON nested too deep to decode
+    # invalid JSON, a file that is not UTF-8, JSON nested too deep to decode,
+    # JSON that is not an object, a missing path and a directory: each prints
+    # the same one error line under both commands
     contents = {"garbage.json": b"{not json", "not_utf8.json": b"\xff\xfe{}",
-                "deep.json": b"[" * 10_000 + b"]" * 10_000}
+                "deep.json": b"[" * 10_000 + b"]" * 10_000, "list.json": b"[1, 2]"}
     for name, content in contents.items():
         (tmp_path / name).write_bytes(content)
+    (tmp_path / "dir.json").mkdir()
+    for name in [*contents, "missing.json", "dir.json"]:
+        errs = []
         for command, extra in (("analyze", []), ("simulate", [
                 "--n", "10", "--T", "0.1", "--reps", "1", "--policy", "greedy-basic",
                 "--seed", "1", "--out", str(tmp_path / "out")])):
@@ -131,6 +136,8 @@ def test_analyze_unparseable_exit_2(tmp_path, capsys):
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert not (tmp_path / "out").exists()
+            errs.append(captured.err)
+        assert errs[0] == errs[1], name
 
 
 def test_analyze_infeasible_exit_2(tmp_path):
@@ -174,13 +181,17 @@ def test_generate_minimal_has_no_paths(tmp_path):
     assert json.loads(rep.read_text())["paths"] == []
 
 
-@pytest.mark.parametrize("flag", ["--I", "--J"])
-def test_generate_bad_size_exit_2(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, value, err", [
+    ("--I", "0", "error: need at least one class and one station\n"),
+    ("--J", "0", "error: need at least one class and one station\n"),
+    ("--seed", "-1", "error: seed must be non-negative, got -1\n"),
+], ids=["--I", "--J", "--seed"])
+def test_generate_bad_size_exit_2(tmp_path, capsys, flag, value, err):
     out = tmp_path / "g.json"
-    sizes = {"--I": "2", "--J": "2", flag: "0"}
-    argv = ["generate", *[a for kv in sizes.items() for a in kv], "--seed", "1", "--out", str(out)]
+    args = {"--I": "2", "--J": "2", "--seed": "1", flag: value}
+    argv = ["generate", *[a for kv in args.items() for a in kv], "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: need at least one class and one station\n"
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 
@@ -294,7 +305,8 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, case):
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
+    assert (str(taken) if case == "simulate-out-file" else missing) in err
     assert taken.read_text() == "keep"
     assert not (tmp_path / "missing").exists()
 

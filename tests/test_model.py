@@ -63,6 +63,14 @@ def test_dimension_mismatches_rejected():
         validate_model({"classes": 1, "stations": 1, "lambda": [1], "nu": [1]})
 
 
+@pytest.mark.parametrize("raw", [[1, 2], None, "model", 3],
+                         ids=["list", "null", "str", "int"])
+def test_non_object_rejected(raw):
+    # not a subscripting error from inside the checks: the message names what was given
+    with pytest.raises(ModelError, match=f"a model is a JSON object, not {type(raw).__name__}$"):
+        validate_model(raw)
+
+
 @pytest.mark.parametrize(
     "count", [2.5, 2.0, "2", True], ids=["float", "integral-float", "str", "bool"]
 )
