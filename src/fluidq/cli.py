@@ -33,9 +33,9 @@ EXIT_NUMERICAL = 5
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = run_analysis(load_model(args.model))
-    print(render_report(report))
     if args.json:
         Path(args.json).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    print(render_report(report))
     if args.strict and not report.assumptions.all_hold:
         print("error: assumption checks failed (--strict)", file=sys.stderr)
         return EXIT_ASSUMPTIONS

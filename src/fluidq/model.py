@@ -39,12 +39,6 @@ class NegativeServiceRate(ModelError):
     pass
 
 
-def _readonly(values: Any, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class NetworkModel:
     """Immutable primitive data of a multiclass parallel-server network."""
@@ -83,13 +77,18 @@ class NetworkModel:
 
 
 def _rates(raw: Mapping[str, Any], name: str) -> np.ndarray:
-    """``raw[name]`` as floats, if every entry is an int or a float: a bool or
-    a string is refused, not converted, and so is a numpy array of either."""
+    """``raw[name]`` as a fresh read-only float array, if every entry is an int
+    or a float: a bool or a string is refused, not converted, and so is a
+    numpy array of either. Rows of unequal length are a DimensionMismatch."""
     entries = np.asarray(raw[name], dtype=object)
+    if entries.ndim == 1 and entries.size and all(np.ndim(v) == 1 for v in entries):
+        raise DimensionMismatch(f"{name} has rows of unequal lengths {[len(v) for v in entries]}")
     if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
                for v in entries.flat):
         raise TypeError(f"{name} entries must be ints or floats")
-    return entries.astype(float)
+    rates = entries.astype(float)
+    rates.setflags(write=False)
+    return rates
 
 
 def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
@@ -102,8 +101,8 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
         ModelError: data that is not a mapping, a count that is not an
             integer, or a rate that is not an int or a float (a bool or string
             is refused, not converted), or malformed array data.
-        DimensionMismatch: counts below one, missing fields or arrays whose
-            lengths disagree with the declared counts.
+        DimensionMismatch: counts below one, missing fields, rows of unequal
+            length or arrays whose lengths disagree with the declared counts.
         NonPositiveRate: an arrival rate or capacity that is not > 0.
         NegativeServiceRate: a service rate below zero.
     """
@@ -114,6 +113,8 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
         lam, nu, mu = (_rates(raw, name) for name in ("lambda", "nu", "mu"))
     except KeyError as exc:
         raise DimensionMismatch(f"missing model field {exc}") from None
+    except DimensionMismatch:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model data: {exc}") from None
     if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts):
@@ -139,9 +140,9 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     return NetworkModel(
         num_classes=num_classes,
         num_stations=num_stations,
-        arrival_rates=_readonly(lam),
-        capacities=_readonly(nu),
-        service_rates=_readonly(mu),
+        arrival_rates=lam,
+        capacities=nu,
+        service_rates=mu,
     )
 
 

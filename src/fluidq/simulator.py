@@ -32,11 +32,9 @@ Both engines start from the one rounding of the fluid split,
 (each indexes ``psi[i][j]`` and takes the engine's ``min``/``max``: builtins
 on ints, numpy's on columns), the checks (``_counts``, ``_violation``), and
 ``_Record``, which samples a replication and builds its ``SimResult``. The
-head clip and the event selection keep a form per engine, for speed:
-``_shave``'s clip loop stops early but would cost about 4 numpy calls per
-pair on arrays, where the pump's ``_lockstep`` clips in closed form, in
-station order; ``bisect_right`` searches one list, ``_apply_events`` all
-columns at once.
+head clip has one closed form, over ``build_system``'s table
+``SystemInstance.upto``. Only the event selection keeps a form per engine,
+for speed: ``bisect_right`` searches one list, ``_apply_events`` all columns.
 """
 
 from __future__ import annotations
@@ -78,8 +76,8 @@ def _round_half_up(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemInstance:
-    """Integer-sized system at scale n, tied to its fluid solution. Its arrays
-    are read-only: every replication and both engines share one system."""
+    """Integer-sized system at scale n, tied to its fluid solution. Its arrays,
+    the clip table ``upto`` too, are read-only: all replications share them."""
 
     n: int
     arrival_rates: np.ndarray   # (I,) events per unit time, n * fluid rate
@@ -87,6 +85,7 @@ class SystemInstance:
     service_rates: np.ndarray   # (I, J) per-server completion rates, the model's
     x0: np.ndarray              # (I,) integer initial head counts
     core: np.ndarray            # (I, J) integer fluid split, within the server counts
+    upto: np.ndarray            # (I, J) the class's core counts to the pair, slowest first
     model: NetworkModel
     solution: FluidSolution
 
@@ -102,7 +101,9 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
 
     ``core``, the one rounding of the fluid split, is n * masses rounded half
     up, each column then shaved one customer at a time off its largest entry
-    down to its server count. The t = 0 state and ``NegativePathPump`` read it.
+    down to its server count. ``upto``, the head clip's table, sums each
+    class's ``core`` counts slowest pair first (ties by station) up to and
+    including each pair. The t = 0 state and ``NegativePathPump`` read both.
 
     Raises:
         ValueError: n is a bool, not an integer, or below 1.
@@ -127,11 +128,13 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
     for column, cap in zip(core.T, servers):
         while column.sum() > cap:
             column[column.argmax()] -= 1
-    for arr in (arrivals, servers, x0, core):
+    slowest = np.argsort(model.service_rates, axis=1, kind="stable")
+    upto = np.take_along_axis(np.take_along_axis(core, slowest, 1).cumsum(1), slowest.argsort(1), 1)
+    for arr in (arrivals, servers, x0, core, upto):
         arr.setflags(write=False)
     return SystemInstance(n=n, arrival_rates=arrivals, servers=servers,
-                          service_rates=model.service_rates, x0=x0, core=core, model=model,
-                          solution=sol)
+                          service_rates=model.service_rates, x0=x0, core=core, upto=upto,
+                          model=model, solution=sol)
 
 
 class SystemState:
@@ -235,13 +238,12 @@ class NegativePathPump(Policy):
         self.path = throughput_verdict_paths(paths).witness_path
         self._fastest_first = _by_decreasing_rate(
             zip(*(c.tolist() for c in lp_columns(model))), model)
-        self._slowest_first = _slowest_first(model.service_rates)
         edges = self.path.signed_edges if self.path is not None else ()
         self._dec = [model.edge_positions(e) for e, s in edges if s > 0]
         self._inc = [model.edge_positions(e) for e, s in edges if s < 0]
 
     def prepare(self, sys: SystemInstance) -> None:
-        self._core = sys.core.tolist()
+        self._core, self._upto = sys.core.tolist(), sys.upto.tolist()
         self._servers_total = int(sys.servers.sum())
         self._step = math.ceil(math.sqrt(sys.n))
         self._shift = 0
@@ -268,9 +270,8 @@ class NegativePathPump(Policy):
 
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         heads = state.heads
-        psi = [row[:] for row in self._core]
         # clip rows to the available heads before sizing the displacement
-        _shave(psi, heads, self._slowest_first)
+        psi = _clip_to_heads(self._core, self._upto, heads)
         self._shift = self._displace(psi, heads, self._shift, min, max)
         # work-conserving completion, fastest activities first
         heads_left = [h - sum(row) for h, row in zip(heads, psi)]
@@ -280,19 +281,13 @@ class NegativePathPump(Policy):
     def _lockstep(self, sys: SystemInstance, reps: int):
         self.prepare(sys)
         I, J = sys.service_rates.shape
-        # _shave of the fixed core in closed form: it takes a class's excess
-        # off its pairs slowest first, so a pair keeps clip(upto - excess, 0,
-        # its count), upto summing the class's counts up to this pair in that order
-        upto = np.empty_like(sys.core)
-        for row, order, out in zip(sys.core, self._slowest_first, upto):
-            out[order] = row[order].cumsum()
-        upto, count = upto[:, :, None], sys.core[:, :, None]
+        upto, count = sys.upto[:, :, None], sys.core[:, :, None]
         row_totals = sys.core.sum(axis=1)[:, None]
         servers = sys.servers[:, None]
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
         def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
-            psi = upto - (row_totals - heads)[:, None, :]
+            psi = upto - (row_totals - heads)[:, None, :]  # _clip_to_heads on columns
             np.minimum(np.maximum(psi, 0, out=psi), count, out=psi)
             rows = list(psi)
             shift[live] = self._displace(rows, heads, shift[live], np.minimum, np.maximum)
@@ -345,21 +340,15 @@ def _by_decreasing_rate(pairs, model: NetworkModel) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda pos: (-model.service_rates[pos], pos))
 
 
-def _slowest_first(rates: np.ndarray) -> list[list[int]]:
-    """Per class, the stations by increasing service rate, ties by index."""
-    return [sorted(range(len(row)), key=lambda j: (row[j], j)) for row in rates.tolist()]
-
-
-def _shave(psi: list[list[int]], heads: list[int], slowest_first: list[list[int]]) -> None:
-    """Cut each row of ``psi`` down to its head count, slowest pairs first."""
-    for row, h, order in zip(psi, heads, slowest_first):
-        excess = sum(row) - h
-        for j in order:
-            if excess <= 0:
-                break
-            take = min(excess, row[j])
-            row[j] -= take
-            excess -= take
+def _clip_to_heads(core, upto, heads) -> list[list[int]]:
+    """A copy of ``core`` with each row cut to its head count, slowest pairs first:
+    excess e leaves clip(upto - e, 0, count); conditionals beat ``min``/``max`` here."""
+    psi = []
+    for row, sums, h in zip(core, upto, heads):
+        e = sum(row) - h
+        psi.append([c if u - e >= c else u - e if u > e else 0 for c, u in zip(row, sums)]
+                   if e > 0 else row[:])
+    return psi
 
 
 def _counts(psi, shape: tuple[int, int]) -> np.ndarray:
@@ -566,8 +555,7 @@ def simulate(
     lam_total = float(sys.arrival_rates.sum())
     lam_cum = np.cumsum(sys.arrival_rates).tolist()
 
-    initial = sys.core.tolist()
-    _shave(initial, heads, _slowest_first(sys.service_rates))
+    initial = _clip_to_heads(sys.core.tolist(), sys.upto.tolist(), heads)
     state = SystemState(0.0, heads, initial, servers)
     policy.prepare(sys)
 

@@ -304,7 +304,8 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, case):
                               "--policy", "greedy-basic", "--seed", "1", "--out", str(taken)],
     }[case]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no report before the error line
     assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
     assert (str(taken) if case == "simulate-out-file" else missing) in err
     assert taken.read_text() == "keep"

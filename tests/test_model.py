@@ -61,6 +61,10 @@ def test_dimension_mismatches_rejected():
         validate_model({"classes": 0, "stations": 1, "lambda": [], "nu": [1], "mu": []})
     with pytest.raises(DimensionMismatch):
         validate_model({"classes": 1, "stations": 1, "lambda": [1], "nu": [1]})
+    # every entry is a number, but the rows of mu differ in length
+    with pytest.raises(DimensionMismatch, match=r"^mu has rows of unequal lengths \[3, 2\]$"):
+        validate_model({"classes": 2, "stations": 3, "lambda": [1, 1], "nu": [1, 1, 1],
+                        "mu": [[1, 2, 3], [4, 5]]})
 
 
 @pytest.mark.parametrize("raw", [[1, 2], None, "model", 3],

@@ -17,6 +17,7 @@ from fluidq import (
     generate_critical_instance,
     max_throughput,
     nc_verdict,
+    signed_path,
     solve_static_allocation,
     throughput_verdict_lp,
     throughput_verdict_paths,
@@ -262,13 +263,27 @@ def test_gamma_family_constant_throughput():
         assert polytope.contains(psi)
         values.append(fam.throughput(g))
     assert max(values) - min(values) <= 1e-9
+    assert not polytope.contains(psi[:, :1])  # a matrix of the wrong shape
+    for g in (-0.01, fam.gamma_max + 0.01):
+        with pytest.raises(ValueError, match="outside"):
+            fam.allocation(g)
+    # delta = kappa * (-2) = 20 exceeds the mass 0.5 at (i0, j0): the family is empty
+    with pytest.raises(ValueError, match="kappa too large"):
+        gamma_family(sol, path, m, kappa=-10.0)
 
 
 def test_gamma_family_needs_zero_path(case_a):
     sol = solve_static_allocation(case_a)
     paths = enumerate_simple_paths(sol, activity_set(case_a), case_a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero paths"):
         gamma_family(sol, paths[0], case_a, kappa=0.01)
+    # a zero path, but an open one of six vertices: 1 - 2 + 1 - 1 + 1 = 0
+    m = validate_model({"classes": 3, "stations": 3, "lambda": [1, 1, 1], "nu": [1, 1, 1],
+                        "mu": [[1, 0, 0], [2, 1, 0], [0, 1, 1]]})
+    six = signed_path((1, 4, 2, 5, 3, 6), False, m)
+    assert six.sign_class == "zero"
+    with pytest.raises(ValueError, match="four-vertex"):
+        gamma_family(solve_static_allocation(m), six, m, kappa=0.01)
 
 
 def test_nc_case_a_possible(case_a):

@@ -112,21 +112,31 @@ def _shipped_and_planted_4x4():
 
 
 def test_build_system_core_matches_reference():
-    # the rounded split, then one customer off a column's largest entry until it fits
-    shaved = 0
+    # the rounded split, then one customer off a column's largest entry until it fits;
+    # the clip table sums each class's split slowest pair first, ties by station
+    shaved = reordered = 0
     for model, sol in _shipped_and_planted_4x4():
         for n in (16, 25, 37, 100, 401, 1600):  # n >= J**2: the server counts round
             sys = build_system(model, sol, n)
             rounded = _ref_round_half_up(n * sol.masses)
             expected = rounded.copy()
             _ref_clip_columns(expected, sys.servers)
-            assert sys.core.dtype == np.int64
+            upto = np.zeros_like(expected)
+            for i, row in enumerate(model.service_rates.tolist()):
+                total = 0
+                for j in sorted(range(len(row)), key=lambda j: (row[j], j)):
+                    total += int(expected[i, j])
+                    upto[i, j] = total
+            assert sys.core.dtype == sys.upto.dtype == np.int64
             assert np.array_equal(sys.core, expected), (model, n)
+            assert np.array_equal(sys.upto, upto), (model, n)
             shaved += not np.array_equal(rounded, expected)
-            assert not sys.core.flags.writeable
-            with pytest.raises(ValueError):
-                sys.core[0, 0] += 1
-    assert shaved > 0
+            reordered += not np.array_equal(upto, expected.cumsum(axis=1))
+            for table in (sys.core, sys.upto):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] += 1
+    assert shaved > 0 and reordered > 0
 
 
 def test_system_arrays_are_read_only(case_a):
@@ -136,7 +146,7 @@ def test_system_arrays_are_read_only(case_a):
             sys.servers[0] += 1
 
     sol, sys = _case_a_setup(case_a, 25)
-    names = ("arrival_rates", "servers", "service_rates", "x0", "core")
+    names = ("arrival_rates", "servers", "service_rates", "x0", "core", "upto")
     before = {name: getattr(sys, name).copy() for name in names}
     with pytest.raises(ValueError):
         simulate(sys, Meddling(case_a, sol), 0.2, 1)
@@ -259,6 +269,9 @@ def test_policy_violation_detected(case_a):
         simulate(sys, Rogue(), T=0.2, seed=1)
     assert "rogue" in str(err.value)
     assert "event" in str(err.value)
+    # the base class decides nothing
+    with pytest.raises(NotImplementedError):
+        simulate(sys, Policy(), T=0.2, seed=1)
 
 
 def test_erlang_c_small_system():
