@@ -135,7 +135,7 @@ def render_report(rep: AnalysisReport) -> str:
         "allocation fractions:",
         _fmt_matrix(sol.allocation),
         f"class masses: [{'  '.join(f'{v:.6g}' for v in sol.class_masses)}]",
-        "basic activities: " + " ".join(f"({i},{j})" for i, j in sol.basic_pairs),
+        "basic activities: " + " ".join(f"({i},{j})" for i, j in sorted(sol.basic_edges)),
         f"assumptions: critically_loaded={rep.assumptions.critically_loaded}"
         f" unique={rep.assumptions.unique} tree={rep.assumptions.is_tree}",
     ]

@@ -43,11 +43,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkModel) -> None:
-    I, J = model.num_classes, model.num_stations
     header = (
         ["n", "rep", "t"]
-        + [f"X_{i + 1}" for i in range(I)]
-        + [f"Psi_{i + 1}_{model.num_classes + 1 + j}" for i in range(I) for j in range(J)]
+        + [f"X_{i}" for i in model.class_labels]
+        + [f"Psi_{i}_{j}" for i in model.class_labels for j in model.station_labels]
         + ["occupancy_running"]
     )
     with path.open("w", newline="") as fh:

@@ -156,8 +156,8 @@ def lp_columns(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
 
 def activity_set(model: NetworkModel) -> frozenset[tuple[int, int]]:
     """The pairs along which service is possible: the ``lp_columns``, by vertex labels."""
-    rows, cols = lp_columns(model)
-    return frozenset(zip((rows + 1).tolist(), (cols + model.num_classes + 1).tolist()))
+    ci, sj = model.class_labels, model.station_labels
+    return frozenset((ci[i], sj[j]) for i, j in zip(*(c.tolist() for c in lp_columns(model))))
 
 
 def model_to_dict(model: NetworkModel) -> dict[str, Any]:

@@ -157,7 +157,7 @@ def _run_perturbation(
     direction = np.sum(directions, axis=0)
     grid = []
     if max(sups) > DEFAULT_TOL:
-        min_mass = min(float(sol.masses[model.edge_positions(e)]) for e in sol.basic_pairs)
+        min_mass = min(float(sol.masses[model.edge_positions(e)]) for e in sol.basic_edges)
         kappa = min(1e-3 * min_mass / max(1.0, sup) for sup in sups if sup > DEFAULT_TOL)
         kappa /= len(directions)
         for factor in KAPPA_GRID:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import DEFAULT_TOL, NetworkModel
-from .static_fluid import FluidSolution, spanning_forest, tree_path
+from .static_fluid import FluidSolution, _tree_check, spanning_forest, tree_path
 
 OPEN = "open"
 CLOSED = "closed"
@@ -117,9 +117,9 @@ def enumerate_simple_paths(
     Raises:
         NotATree: the basic graph is not a spanning tree of all vertices.
     """
-    parent, closing = spanning_forest(model, sol.basic_edges)
-    if closing or len(sol.basic_edges) != len(parent) - 1:
-        raise NotATree("basic activities do not form a spanning tree")
+    parent, violations = _tree_check(model, sol.basic_edges)
+    if violations:
+        raise NotATree("; ".join(violations))
     return [signed_path(tree_path(parent, i, j), (i, j) in acts, model)
             for i in model.class_labels for j in model.station_labels
             if (i, j) not in sol.basic_edges]

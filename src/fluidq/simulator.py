@@ -197,7 +197,7 @@ class GreedyBasic(Policy):
     name = "greedy-basic"
 
     def __init__(self, model: NetworkModel, sol: FluidSolution):
-        self._order = _by_decreasing_rate(map(model.edge_positions, sol.basic_pairs), model)
+        self._order = _by_decreasing_rate(map(model.edge_positions, sol.basic_edges), model)
 
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         psi = [[0] * len(state.servers) for _ in state.heads]

@@ -39,10 +39,6 @@ class FluidSolution:
     class_masses: np.ndarray        # (I,)
     basic_edges: frozenset[tuple[int, int]]  # vertex-labeled pairs with allocation > DEFAULT_TOL
 
-    @property
-    def basic_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.basic_edges))
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -83,18 +79,17 @@ def solve_static_allocation(model: NetworkModel) -> FluidSolution:
         InfeasibleModel: some class's rate cannot be served at any load
             (typically a class with no activity at all).
     """
-    I, J = model.num_classes, model.num_stations
     res = solve_lp(_allocation_lp(model))
     if res.status == INFEASIBLE:
         raise InfeasibleModel("arrival rates cannot be served by any allocation")
 
-    allocation = np.zeros((I, J))
+    allocation = np.zeros(model.service_rates.shape)
     allocation[lp_columns(model)] = np.clip(res.x[:-1], 0.0, None)
     load = float(res.value)
     masses = allocation * model.capacities[None, :]
     class_masses = masses.sum(axis=1)
-    basic = frozenset(
-        (i + 1, I + 1 + j) for i, j in np.argwhere(allocation > DEFAULT_TOL).tolist())
+    ci, sj = model.class_labels, model.station_labels
+    basic = frozenset((ci[i], sj[j]) for i, j in np.argwhere(allocation > DEFAULT_TOL).tolist())
     for arr in (allocation, masses, class_masses):
         arr.setflags(write=False)
     return FluidSolution(
@@ -116,7 +111,7 @@ def spanning_forest(
     Returns parent pointers over every vertex label (a root is its own
     parent) and the cycle-closing edges, in order.
     """
-    parent = {v: v for v in range(1, model.num_classes + model.num_stations + 1)}
+    parent = {v: v for v in (*model.class_labels, *model.station_labels)}
     closing = []
     for i, j in sorted(edges):
         if _to_root(parent, i)[-1] == _to_root(parent, j)[-1]:
@@ -153,7 +148,9 @@ def tree_path(parent: dict[int, int], src: int, dst: int) -> list[int]:
     return up + down[-2::-1]
 
 
-def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> list[str]:
+def _tree_check(
+    model: NetworkModel, edges: frozenset[tuple[int, int]]
+) -> tuple[dict[int, int], list[str]]:
     parent, closing = spanning_forest(model, edges)
     violations = []
     expected = len(parent) - 1
@@ -164,7 +161,7 @@ def _tree_check(model: NetworkModel, edges: frozenset[tuple[int, int]]) -> list[
     # the forest connects all I+J vertices iff it has I+J-1 edges
     if len(edges) - len(closing) < expected:
         violations.append("basic graph is disconnected")
-    return violations
+    return parent, violations
 
 
 def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> list[str]:
@@ -206,8 +203,8 @@ def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> list[str]:
     # every pair that moved, or the one that moved most if none moved by DEFAULT_TOL
     named = np.argwhere(moved >= min(DEFAULT_TOL, moved.max()))
     return [
-        f"allocation ({i + 1},{model.num_classes + 1 + j}) is {x_star[i, j]:.6g} at the "
-        f"optimum but {witness[i, j]:.6g} at another optimal allocation"
+        f"allocation ({model.class_labels[i]},{model.station_labels[j]}) is {x_star[i, j]:.6g}"
+        f" at the optimum but {witness[i, j]:.6g} at another optimal allocation"
         for i, j in named
     ]
 
@@ -225,12 +222,12 @@ def check_assumptions(model: NetworkModel, sol: FluidSolution) -> AssumptionRepo
     load = [f"optimal load is {sol.load!r}, not 1"] if abs(sol.load - 1.0) > DEFAULT_TOL else []
     # plain floats: a numpy scalar's repr would print as np.float64(...)
     load += [
-        f"station {model.num_classes + 1 + j} is allocated {total!r}, not fully"
-        for j, total in enumerate(sol.allocation.sum(axis=0).tolist())
+        f"station {j} is allocated {total!r}, not fully"
+        for j, total in zip(model.station_labels, sol.allocation.sum(axis=0).tolist())
         if abs(total - 1.0) > DEFAULT_TOL
     ]
     uniqueness = _uniqueness_check(model, sol)
-    tree = _tree_check(model, sol.basic_edges)
+    _, tree = _tree_check(model, sol.basic_edges)
     return AssumptionReport(
         critically_loaded=not load,
         unique=not uniqueness,
@@ -333,7 +330,8 @@ def generate_critical_instance(
         raise GenerationFailed(f"instance from seed {seed}: {exc}") from exc
     report = check_assumptions(model, sol)
     failed = [f"{k} is False" for k, v in vars(report).items() if v is False]
-    off_tree = sorted(sol.basic_edges ^ {(i + 1, I + 1 + j) for i, j in zip(classes, stations)})
+    tree = {(model.class_labels[i], model.station_labels[j]) for i, j in zip(classes, stations)}
+    off_tree = sorted(sol.basic_edges ^ tree)
     if off_tree:
         failed.append(f"basic edges and planted tree differ at {off_tree}")
     if failed:

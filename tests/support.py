@@ -477,7 +477,7 @@ class RefGreedyBasic(RefIdle):
 
     def __init__(self, model, sol):
         self._order = sorted(
-            (model.edge_positions(e) for e in sol.basic_pairs),
+            (model.edge_positions(e) for e in sol.basic_edges),
             key=lambda pos: (-model.service_rates[pos], pos),
         )
 

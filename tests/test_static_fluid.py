@@ -402,7 +402,8 @@ def test_spanning_forest_agrees_with_graph_walks():
         oracle = forest_oracle(I + J, edges)
         parent, closing = spanning_forest(model, edges)
         assert closing == oracle.closing
-        messages = _tree_check(model, edges)
+        tree_parent, messages = _tree_check(model, edges)
+        assert tree_parent == parent
         assert (not messages) == oracle.spanning
         assert messages == oracle.messages
         zeros = np.zeros((I, J))
