@@ -5,8 +5,10 @@ cannot be read or decoded, an invalid or infeasible model, an invalid
 simulation request, an output path that cannot be written, or a generated
 instance that fails its checks), 3 assumption failure under --strict, 4
 policy/model mismatch for simulation, 5 numerical failure of the LP solver.
-``main`` maps every failure to its code and prints it as one ``error:`` line,
-so the commands return only 0, 3 and 4.
+``main`` maps every failure of a command to its code and prints it as one
+``error:`` line, so the commands return only 0, 3 and 4. A command line that
+argparse rejects never reaches a command: argparse prints its usage and its
+own error line and raises ``SystemExit(2)``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "per_n": result.summary(),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    except OSError:  # a failed command leaves none of its files behind
+        (out / "trajectories.csv").unlink()
+        raise
 
     print(f"{'n':>8s} {'mean':>12s} {'median':>12s} {'q10':>12s} {'q90':>12s}")
     for row in result.rows:
@@ -105,10 +111,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     save_model(model, str(out))
     sidecar = out.with_suffix(".solution.json")
-    sidecar.write_text(
-        json.dumps(_fields(sol, "allocation", "load", "class_masses", "basic_edges"), indent=2)
-        + "\n"
-    )
+    fields = _fields(sol, "allocation", "load", "class_masses", "basic_edges")
+    try:
+        sidecar.write_text(json.dumps(fields, indent=2) + "\n")
+    except OSError:  # a failed command leaves none of its files behind
+        out.unlink()
+        raise
     print(f"wrote {out} (solution sidecar: {sidecar})")
     return EXIT_OK
 

@@ -4,8 +4,10 @@ A model couples per-class fluid arrival rates, per-station capacities and the
 class-by-station service-rate matrix. Classes carry vertex labels
 1..num_classes and stations num_classes+1..num_classes+num_stations; matrices
 are indexed positionally (row = class label - 1, column = station label -
-num_classes - 1). Edge sets always use vertex labels, never positions;
-``class_pos`` and ``station_pos`` convert, and refuse a label out of range.
+num_classes - 1). Edge sets always use vertex labels, never positions.
+``NetworkModel.class_labels`` and ``station_labels`` are the only conversion
+from a position to a label: ``class_labels[i]`` labels row i. ``class_pos``
+and ``station_pos`` are its inverse, and refuse a label out of range.
 """
 
 from __future__ import annotations

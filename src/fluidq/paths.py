@@ -37,7 +37,8 @@ SignedEdge = tuple[tuple[int, int], int]
 
 
 class NotATree(RuntimeError):
-    """Path enumeration requires the basic graph to be a spanning tree."""
+    """Path enumeration requires the basic graph to be a spanning tree; the
+    message is the tree test's violations, joined by "; "."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,9 @@ def enumerate_simple_paths(
     sorted by leaf pair for deterministic downstream iteration.
 
     Raises:
-        NotATree: the basic graph is not a spanning tree of all vertices.
+        NotATree: the basic graph is not a spanning tree of all vertices, by
+            ``static_fluid._tree_check``, the test ``check_assumptions`` runs
+            too; the message is its violations.
     """
     parent, violations = _tree_check(model, sol.basic_edges)
     if violations:

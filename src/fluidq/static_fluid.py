@@ -151,6 +151,10 @@ def tree_path(parent: dict[int, int], src: int, dst: int) -> list[int]:
 def _tree_check(
     model: NetworkModel, edges: frozenset[tuple[int, int]]
 ) -> tuple[dict[int, int], list[str]]:
+    """The spanning-tree test of the class-station graph, the only one:
+    ``check_assumptions`` and ``paths.enumerate_simple_paths`` both call it.
+    Returns the parent pointers of the spanning forest of ``edges`` and the
+    violations, which are empty iff ``edges`` form a spanning tree."""
     parent, closing = spanning_forest(model, edges)
     violations = []
     expected = len(parent) - 1

@@ -312,6 +312,45 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, case):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("case", ["generate-sidecar", "simulate-summary"])
+def test_failed_later_write_leaves_no_output(tmp_path, capsys, case):
+    # the command's first file is written, then a directory blocks the second:
+    # the first is removed before the error line
+    model = _write(tmp_path, "a.json", CASE_A)
+    out = tmp_path / "out"
+    argv, blocker = {
+        "generate-sidecar": (["generate", "--I", "3", "--J", "3", "--seed", "1",
+                              "--out", str(out / "x.json")], out / "x.solution.json"),
+        "simulate-summary": (["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
+                              "--policy", "greedy-basic", "--seed", "1", "--out", str(out)],
+                             out / "summary.json"),
+    }[case]
+    blocker.mkdir(parents=True)
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+    assert list(out.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["analyze", "models/case_a.json", "--tol", "1e-6"],
+     "fluidq: error: unrecognized arguments: --tol 1e-6"),
+    (["simulate", "models/case_a.json", "--n", "10", "--T", "x", "--reps", "1", "--policy",
+      "greedy-basic", "--seed", "1", "--out", "never"],
+     "fluidq simulate: error: argument --T: invalid float value: 'x'"),
+], ids=["analyze-tol", "simulate-T"])
+def test_rejected_command_line_exits_2_through_argparse(capsys, argv, last):
+    # argparse rejects the line before any command runs: usage, then its own
+    # error line, and SystemExit(2) rather than a return value from main
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == last
+
+
 def test_simulate_policy_mismatch_exit_4(tmp_path, capsys):
     model = _write(tmp_path, "cd.json", CLASS_DEPENDENT_2X2)
     code = main([

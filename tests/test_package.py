@@ -1,11 +1,16 @@
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import fluidq
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_public_names_resolve():
@@ -44,3 +49,15 @@ def test_benchmark_entry_points_resolve(case_a):
         system, fluidq.make_policy("greedy-basic", case_a, sol), 1.0,
         fluidq.derive_seed(1, 25, 0), warmup=0.5, sample_points=6)
     assert res.events > 0
+
+
+def test_readme_library_example_runs_under_warnings_as_errors():
+    # the example is read from the README, so the two cannot drift
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    src = str(Path(fluidq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", example], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "possible sub-optimal\n"

@@ -94,18 +94,22 @@ def test_disconnected_blocks_flagged():
 
 
 def test_underloaded_model_reported():
-    m = validate_model(
-        {"classes": 1, "stations": 1, "lambda": [1], "nu": [1], "mu": [[2]]}
-    )
-    sol = solve_static_allocation(m)
-    assert sol.load == pytest.approx(0.5, abs=1e-9)
-    rep = check_assumptions(m, sol)
-    assert not rep.critically_loaded
-    # plain floats, not the repr of a numpy scalar (np.float64(0.5))
-    assert rep.violations == (
-        "optimal load is 0.5, not 1",
-        "station 2 is allocated 0.5, not fully",
-    )
+    # the 2x1 model tells a station label offset by the class count (3) from
+    # one offset by the station count (2)
+    for raw, station in [
+        ({"classes": 1, "stations": 1, "lambda": [1], "nu": [1], "mu": [[2]]}, 2),
+        ({"classes": 2, "stations": 1, "lambda": [0.5, 0.5], "nu": [1], "mu": [[2], [2]]}, 3),
+    ]:
+        m = validate_model(raw)
+        sol = solve_static_allocation(m)
+        assert sol.load == pytest.approx(0.5, abs=1e-9)
+        rep = check_assumptions(m, sol)
+        assert not rep.critically_loaded
+        # plain floats, not the repr of a numpy scalar (np.float64(0.5))
+        assert rep.violations == (
+            "optimal load is 0.5, not 1",
+            f"station {station} is allocated 0.5, not fully",
+        )
 
 
 def test_non_unique_allocation_flagged(class_dependent_2x2):
@@ -412,8 +416,10 @@ def test_spanning_forest_agrees_with_graph_walks():
             assert len(enumerate_simple_paths(sol, activity_set(model), model)) == (
                 I * J - (I + J - 1))
         else:
-            with pytest.raises(NotATree):
+            # the message is the tree test's violations, as the oracle words them
+            with pytest.raises(NotATree) as raised:
                 enumerate_simple_paths(sol, activity_set(model), model)
+            assert str(raised.value) == "; ".join(oracle.messages)
         for u, v in itertools.product(parent, repeat=2):
             if oracle.connected(u, v):
                 assert tree_path(parent, u, v) == oracle.path(u, v)
