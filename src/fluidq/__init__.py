@@ -1,6 +1,8 @@
 """Static fluid analysis, path diagnostics and many-server simulation for
 multiclass parallel-server queueing networks."""
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     DEFAULT_TOL,
     DimensionMismatch,
@@ -87,24 +89,6 @@ from .simulator import (
 from .analysis import AnalysisReport, render_report, run_analysis
 from . import cli  # noqa: F401  the console entry point fluidq.cli.main
 
-__all__ = [
-    "DEFAULT_TOL", "DimensionMismatch", "ModelError", "NegativeServiceRate",
-    "NetworkModel", "NonPositiveRate", "activity_set", "load_model", "model_to_dict",
-    "save_model", "validate_model",
-    "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LinearProgram", "LPResult",
-    "NumericalFailure", "solve_lp",
-    "AssumptionReport", "FluidSolution", "GenerationFailed", "InfeasibleModel",
-    "check_assumptions", "generate_critical_instance", "solve_static_allocation",
-    "CLASS_DEPENDENT", "CLOSED", "NEGATIVE", "NEITHER", "NotATree", "OPEN",
-    "POOL_DEPENDENT", "POSITIVE", "SimplePath", "ZERO", "basic_cycle_weights",
-    "enumerate_simple_paths", "signed_path",
-    "AllocationPolytope", "GammaFamily", "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
-    "NCVerdict", "PerturbationCheck", "ThroughputVerdict",
-    "combined_zero_path_check", "gamma_family", "max_throughput", "nc_verdict",
-    "throughput_verdict_lp", "throughput_verdict_paths", "zero_path_check",
-    "ExperimentResult", "ExperimentRow", "GreedyBasic", "IdlePolicy",
-    "NegativePathPump", "Policy", "PolicyViolation", "ScaledTrajectories",
-    "ScalingViolation", "SimResult", "SystemInstance", "SystemState", "build_system",
-    "derive_seed", "make_policy", "run_nc_experiment", "scale_result", "simulate",
-    "AnalysisReport", "render_report", "run_analysis",
-]
+# the public names are the ones imported above, each listed once
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -9,19 +9,26 @@ policy/model mismatch for simulation, 5 numerical failure of the LP solver.
 ``error:`` line, so the commands return only 0, 3 and 4. A command line that
 argparse rejects never reaches a command: argparse prints its usage and its
 own error line and raises ``SystemExit(2)``.
+
+Every command writes its output files through ``_write``. A failure while
+writing removes every output file the command created, the partly written one
+included, and never a path that was already there; the directory ``simulate``
+creates for ``--out`` stays.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
 from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
-from .model import NetworkModel, load_model, save_model
+from .model import NetworkModel, load_model, model_to_dict
 from .optimality import throughput_verdict_paths
 from .simulator import POLICIES, ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
 from .static_fluid import GenerationFailed, InfeasibleModel, generate_critical_instance
@@ -33,10 +40,26 @@ EXIT_POLICY_MISMATCH = 4
 EXIT_NUMERICAL = 5
 
 
+def _write(files: dict[Path, object]) -> None:
+    """Write a command's output files in order: a str as is, anything else as
+    indented JSON. On an OSError, remove each file that did not exist before
+    this call, the partly written one included, and re-raise."""
+    created = [path for path in files if not os.path.lexists(path)]
+    try:
+        for path, content in files.items():
+            text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     report = run_analysis(load_model(args.model))
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        _write({Path(args.json): report.to_dict()})
     print(render_report(report))
     if args.strict and not report.assumptions.all_hold:
         print("error: assumption checks failed (--strict)", file=sys.stderr)
@@ -44,23 +67,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_trajectories(path: Path, result: ExperimentResult, model: NetworkModel) -> None:
+def _trajectories_csv(result: ExperimentResult, model: NetworkModel) -> str:
     header = (
         ["n", "rep", "t"]
         + [f"X_{i}" for i in model.class_labels]
         + [f"Psi_{i}_{j}" for i in model.class_labels for j in model.station_labels]
         + ["occupancy_running"]
     )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for res in result.results:
-            for s in range(res.sample_times.size):
-                row = [res.n, res.rep, f"{res.sample_times[s]:.10g}"]
-                row += [int(v) for v in res.sample_heads[s]]
-                row += [int(v) for v in res.sample_in_service[s].ravel()]
-                row += [f"{res.sample_occupancy[s]:.10g}"]
-                writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for res in result.results:
+        for s in range(res.sample_times.size):
+            row = [res.n, res.rep, f"{res.sample_times[s]:.10g}"]
+            row += [int(v) for v in res.sample_heads[s]]
+            row += [int(v) for v in res.sample_in_service[s].ravel()]
+            row += [f"{res.sample_occupancy[s]:.10g}"]
+            writer.writerow(row)
+    return buf.getvalue()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -78,7 +102,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = run_nc_experiment(model, sol, policy, n_list, args.T, args.reps, args.seed)
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectories(out / "trajectories.csv", result, model)
     summary = {
         "policy": args.policy,
         "policy_note": (
@@ -91,11 +114,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "per_n": result.summary(),
     }
-    try:
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    except OSError:  # a failed command leaves none of its files behind
-        (out / "trajectories.csv").unlink()
-        raise
+    _write({out / "trajectories.csv": _trajectories_csv(result, model),
+            out / "summary.json": summary})
 
     print(f"{'n':>8s} {'mean':>12s} {'median':>12s} {'q10':>12s} {'q90':>12s}")
     for row in result.rows:
@@ -109,14 +129,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     model, sol = generate_critical_instance(args.seed, args.classes, args.stations)
     out = Path(args.out)
-    save_model(model, str(out))
     sidecar = out.with_suffix(".solution.json")
-    fields = _fields(sol, "allocation", "load", "class_masses", "basic_edges")
-    try:
-        sidecar.write_text(json.dumps(fields, indent=2) + "\n")
-    except OSError:  # a failed command leaves none of its files behind
-        out.unlink()
-        raise
+    _write({out: model_to_dict(model),
+            sidecar: _fields(sol, "allocation", "load", "class_masses", "basic_edges")})
     print(f"wrote {out} (solution sidecar: {sidecar})")
     return EXIT_OK
 

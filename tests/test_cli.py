@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -331,6 +332,93 @@ def test_failed_later_write_leaves_no_output(tmp_path, capsys, case):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
     assert list(out.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("case", ["analyze-json", "analyze-json-existing", "generate", "simulate"])
+def test_write_cut_by_file_size_limit_leaves_no_output(tmp_path, case):
+    # the child may write at most 1 KiB to a file, and Python ignores SIGXFSZ, so
+    # the first output file fails partway with [Errno 27]: every file the command
+    # created goes, the partly written one included; a path already there stays
+    resource = pytest.importorskip("resource")
+    model = _write(tmp_path, "a.json", CASE_A)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "analyze-json": ["analyze", model, "--json", str(out / "r.json")],
+        "analyze-json-existing": ["analyze", model, "--json", str(out / "r.json")],
+        "generate": ["generate", "--I", "8", "--J", "8", "--seed", "1",
+                     "--out", str(out / "g.json")],
+        "simulate": ["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
+                     "--policy", "greedy-basic", "--seed", "1", "--out", str(out)],
+    }[case]
+    existing = ["r.json"] if case == "analyze-json-existing" else []
+    for name in existing:
+        (out / name).write_text("keep")
+
+    def limit_file_size():
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
+
+    src = str(Path(fluidq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "fluidq", *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, preexec_fn=limit_file_size)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: [Errno 27] ") and proc.stderr.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == existing
+
+
+class _HalfWritten:
+    """An output file whose write stores half its text, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("case, existing", [
+    ("generate", []), ("simulate", []), ("generate", ["x.json"]),
+    ("simulate", ["trajectories.csv"]),
+], ids=["generate-sidecar", "simulate-summary", "generate-existing-model",
+        "simulate-existing-trajectories"])
+def test_write_failing_halfway_removes_only_created_files(tmp_path, capsys, monkeypatch,
+                                                          case, existing):
+    # the second file stops after half its text: the first goes too, unless it
+    # was there before the command
+    model = _write(tmp_path, "a.json", CASE_A)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, failing = {
+        "generate": (["generate", "--I", "3", "--J", "3", "--seed", "1",
+                      "--out", str(out / "x.json")], "x.solution.json"),
+        "simulate": (["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
+                      "--policy", "greedy-basic", "--seed", "1", "--out", str(out)],
+                     "summary.json"),
+    }[case]
+    for name in existing:
+        (out / name).write_text("keep")
+    real_open = Path.open
+
+    def open_failing_halfway(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return _HalfWritten(fh) if path.name == failing else fh
+
+    monkeypatch.setattr(Path, "open", open_failing_halfway)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert sorted(p.name for p in out.iterdir()) == existing
 
 
 @pytest.mark.parametrize("argv, last", [

@@ -21,6 +21,32 @@ def test_public_names_resolve():
         assert not isinstance(value, types.ModuleType), name
 
 
+def test_public_names_are_the_imported_ones():
+    # __all__ is derived from the package's imports: the same names as when it
+    # was a hand-written list, none added and none dropped
+    assert sorted(fluidq.__all__) == sorted([
+        "DEFAULT_TOL", "DimensionMismatch", "ModelError", "NegativeServiceRate",
+        "NetworkModel", "NonPositiveRate", "activity_set", "load_model", "model_to_dict",
+        "save_model", "validate_model",
+        "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LinearProgram", "LPResult",
+        "NumericalFailure", "solve_lp",
+        "AssumptionReport", "FluidSolution", "GenerationFailed", "InfeasibleModel",
+        "check_assumptions", "generate_critical_instance", "solve_static_allocation",
+        "CLASS_DEPENDENT", "CLOSED", "NEGATIVE", "NEITHER", "NotATree", "OPEN",
+        "POOL_DEPENDENT", "POSITIVE", "SimplePath", "ZERO", "basic_cycle_weights",
+        "enumerate_simple_paths", "signed_path",
+        "AllocationPolytope", "GammaFamily", "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
+        "NCVerdict", "PerturbationCheck", "ThroughputVerdict",
+        "combined_zero_path_check", "gamma_family", "max_throughput", "nc_verdict",
+        "throughput_verdict_lp", "throughput_verdict_paths", "zero_path_check",
+        "ExperimentResult", "ExperimentRow", "GreedyBasic", "IdlePolicy",
+        "NegativePathPump", "Policy", "PolicyViolation", "ScaledTrajectories",
+        "ScalingViolation", "SimResult", "SystemInstance", "SystemState", "build_system",
+        "derive_seed", "make_policy", "run_nc_experiment", "scale_result", "simulate",
+        "AnalysisReport", "render_report", "run_analysis",
+    ])
+
+
 def test_benchmark_entry_points_resolve(case_a):
     # bench/run.py drives the CLI through fluidq.cli.main and builds paths in
     # this call form; bench/spans.py traces run_analysis under fluidq.cli
