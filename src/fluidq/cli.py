@@ -12,8 +12,8 @@ own error line and raises ``SystemExit(2)``.
 
 Every command writes its output files through ``_write``. A failure while
 writing removes every output file the command created, the partly written one
-included, and never a path that was already there; the directory ``simulate``
-creates for ``--out`` stays.
+included, and leaves a file that was already there whole; the directory
+``simulate`` creates for ``--out`` stays.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -42,16 +43,25 @@ EXIT_NUMERICAL = 5
 
 def _write(files: dict[Path, object]) -> None:
     """Write a command's output files in order: a str as is, anything else as
-    indented JSON. On an OSError, remove each file that did not exist before
-    this call, the partly written one included, and re-raise."""
+    indented JSON. A path that is a regular file already is replaced, from a
+    temporary file beside it, only once every file is written. On an OSError,
+    remove the temporary files and each path that did not exist, and re-raise."""
     created = [path for path in files if not os.path.lexists(path)]
+    staged: dict[Path, Path] = {}  # temporary file -> the file it replaces
     try:
         for path, content in files.items():
             text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
-            with path.open("w", encoding="utf-8", newline="") as fh:
+            replace = path.is_file() and not path.is_symlink()
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp") if replace else path
+            with temp.open("x" if replace else "w", encoding="utf-8", newline="") as fh:
+                if replace:
+                    staged[temp] = path
                 fh.write(text)
+        for temp, path in staged.items():
+            shutil.copymode(path, temp)
+            os.replace(temp, path)
     except OSError:
-        for path in created:
+        for path in [*created, *staged]:
             path.unlink(missing_ok=True)
         raise
 

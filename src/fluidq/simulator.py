@@ -34,7 +34,7 @@ on ints, numpy's on columns), the checks (``_counts``, ``_violation``), and
 ``_Record``, which samples a replication and builds its ``SimResult``. The
 head clip has one closed form, over ``build_system``'s table
 ``SystemInstance.upto``. Only the event selection keeps a form per engine,
-for speed: ``bisect_right`` searches one list, ``_apply_events`` all columns.
+for speed: ``bisect_right`` searches one list, one count spans all columns.
 """
 
 from __future__ import annotations
@@ -607,35 +607,13 @@ def simulate(
     return record.result(occupancy, arrivals, completions, heads, events)
 
 
-def _apply_events(u: np.ndarray, lam_total: float, lam_cum: np.ndarray, svc_cum: np.ndarray,
-                  heads: np.ndarray, psi: np.ndarray, arrivals: np.ndarray,
-                  completions: np.ndarray) -> None:
-    """Fire in each column the event that ``u`` selects, as ``simulate`` does:
-    the class or pair is the number of cumulative rates at or below ``u``
-    (what ``bisect_right`` returns), capped at the last one."""
-    classes, pairs = lam_cum.shape[0], svc_cum.shape[0]
-    arrive = u < lam_total
-    i = np.add.reduce(lam_cum <= u, axis=0)
-    np.minimum(i, classes - 1, out=i)
-    arrived = (np.arange(classes)[:, None] == i) & arrive
-    k = np.add.reduce(svc_cum <= u - lam_total, axis=0)
-    np.minimum(k, pairs - 1, out=k)
-    completed = (np.arange(pairs)[:, None] == k) > arrive
-    heads += arrived
-    arrivals += arrived
-    heads -= np.add.reduce(completed.reshape(classes, -1, u.size), axis=1)
-    psi -= completed
-    completions += completed
+def _event_heads(I: int, J: int) -> np.ndarray:
+    """Each event's change of the I head counts: arrivals by class, then completions by pair."""
+    return np.hstack([np.eye(I, dtype=np.int64), -np.eye(I, dtype=np.int64).repeat(J, axis=1)])
 
 
-def _simulate_lockstep(
-    sys: SystemInstance,
-    policy: Policy,
-    T: float,
-    seeds: list[int],
-    warmup: float = 0.0,
-    sample_points: int = 101,
-) -> list[SimResult]:
+def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: list[int],
+                       warmup: float = 0.0, sample_points: int = 101) -> list[SimResult]:
     """``simulate`` for each seed of ``seeds``, all replications stepped together.
 
     Each step handles one event of every replication still running, on
@@ -644,15 +622,19 @@ def _simulate_lockstep(
     ``simulate(sys, policy, T, seeds[k], warmup, sample_points)`` draws, in
     the same order, and does the same float arithmetic on the same values:
     ``np.add.accumulate`` adds in order, as ``accumulate`` does, at any number
-    of pairs. So the k-th result equals that run's in every field. A
-    replication that reaches T leaves the arrays; the steps go on until the
-    last one ends.
+    of pairs, and ``(random_raw() >> 11) * 2**-53`` is ``random()``'s uniform.
+    So the k-th result equals that run's in every field. A replication that
+    reaches T leaves the arrays; the steps go on until the last one ends. A
+    column's event is one row of ``counts``: arrivals by class, then
+    completions by pair.
 
     ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
     ``assign(heads, live)``, which maps the (classes, R) head counts of the
     replications numbered ``live`` to their (pairs, R) assignment and keeps any
     per-replication state of its own. Every assignment, and the counting
-    identity, is checked on every step for every running replication.
+    identity, is checked on every step for every running replication, by a
+    minimum and one product ``G @ psi <= bound`` over the zero-rate pairs,
+    classes and stations; ``_violation`` names the rule only if one broke.
 
     Raises:
         PolicyViolation: an infeasible assignment; the message names the
@@ -667,29 +649,33 @@ def _simulate_lockstep(
     servers_total = int(sys.servers.sum())
     x0 = sys.x0[:, None]
     lam_total = float(sys.arrival_rates.sum())
-    lam_cum = np.cumsum(sys.arrival_rates)[:, None]
+    lam_low = np.cumsum(sys.arrival_rates)[:-1, None]  # all cumulative rates but the last
+    delta = _event_heads(I, J)
+    pairs = np.eye(I * J, dtype=np.int64).reshape(I, J, -1)
+    G = np.vstack([pairs.reshape(I * J, -1)[zero_rate], pairs.sum(1), pairs.sum(0)])
 
     # per replication, by its number
     gens = [np.random.default_rng(seed) for seed in seeds]
-    exponentials, uniforms = [g.exponential for g in gens], [g.random for g in gens]
+    exponentials, raws = [g.exponential for g in gens], [g.bit_generator.random_raw for g in gens]
     records = [_Record(sys, policy, seed, T, warmup, sample_points) for seed in seeds]
     results: list[SimResult | None] = [None] * R
-    # per column, one column per running replication
-    live = np.arange(R)
-    heads = np.repeat(x0, R, axis=1)
-    arrivals = np.zeros((I, R), dtype=np.int64)
-    completions = np.zeros((I * J, R), dtype=np.int64)
+    # per column, one per running replication; the heads are rows of the bound
+    live = cols = np.arange(R)
+    bound = np.concatenate([np.zeros_like(zero_rate), sys.x0, sys.servers])[:, None].repeat(R, 1)
+    heads = bound[-I - J:-J]
+    counts = np.zeros((I + I * J, R), dtype=np.int64)
     t = np.zeros(R)
     occupancy = np.zeros(R)
     due = np.zeros(R)  # time of each column's next sample
 
     def decide(event: int) -> np.ndarray:
         try:
-            psi = _counts(assign(heads, live), (I * J, live.size)).astype(np.int64)
-            found = _violation(psi, heads, sys.servers, zero_rate)
+            psi = _counts(assign(heads, live), (I * J, live.size)).astype(np.int64, copy=False)
+            found = ((psi.min() < 0 or (G @ psi > bound).any())
+                     and _violation(psi, heads, sys.servers, zero_rate))
         except PolicyViolation as exc:
             found = exc, 0
-        if found is None:
+        if not found:
             return psi
         raise PolicyViolation(f"policy {policy.name!r} in replication {live[found[1]]} "
                               f"at event {event}: {found[0]}")
@@ -715,25 +701,29 @@ def _simulate_lockstep(
         if ending:
             for c in np.flatnonzero(final):
                 results[live[c]] = records[live[c]].result(
-                    occupancy[c], arrivals[:, c], completions[:, c], heads[:, c], events)
+                    occupancy[c], counts[:I, c], counts[I:, c], heads[:, c], events)
             keep = ~final
-            exponentials = list(compress(exponentials, keep))
-            uniforms = list(compress(uniforms, keep))
-            (live, heads, psi, arrivals, completions, t_next, occupancy, due, svc_cum,
-             total_rate) = (a[..., keep] for a in (
-                live, heads, psi, arrivals, completions, t_next, occupancy, due, svc_cum,
-                total_rate))
+            exponentials, raws = list(compress(exponentials, keep)), list(compress(raws, keep))
+            live, bound, counts, t_next, occupancy, due, svc_cum, total_rate = (
+                a[..., keep] for a in (live, bound, counts, t_next, occupancy, due, svc_cum,
+                                       total_rate))
+            heads, cols = bound[-I - J:-J], cols[:live.size]
         if not live.size:
             return results
 
         t = t_next
-        u = np.array([draw() for draw in uniforms]) * total_rate
-        _apply_events(u, lam_total, lam_cum, svc_cum, heads, psi, arrivals, completions)
+        u = (np.array([raw() for raw in raws], dtype=np.uint64) >> 11) * 2**-53 * total_rate
+        # bisect_right's count against all rates but the last is its count capped
+        # at the last index, as the cumulative rates never decrease
+        e = np.where(u < lam_total, np.add.reduce(lam_low <= u, axis=0),
+                     np.add.reduce(svc_cum[:-1] <= u - lam_total, axis=0, initial=I))
+        heads += delta.take(e, 1)
+        np.add.at(counts, (e, cols), 1)
         events += 1
 
         psi = decide(events)
-        completed = np.add.reduce(completions.reshape(I, J, -1), axis=1)
-        if not (heads == x0 + arrivals - completed).all():
+        completed = np.add.reduce(counts[I:].reshape(I, J, -1), axis=1)
+        if not (heads == x0 + counts[:I] - completed).all():
             raise RuntimeError("event accounting broke the counting identity")
 
 

@@ -338,7 +338,8 @@ def test_failed_later_write_leaves_no_output(tmp_path, capsys, case):
 def test_write_cut_by_file_size_limit_leaves_no_output(tmp_path, case):
     # the child may write at most 1 KiB to a file, and Python ignores SIGXFSZ, so
     # the first output file fails partway with [Errno 27]: every file the command
-    # created goes, the partly written one included; a path already there stays
+    # created goes, the partly written one included; a file already there stays
+    # whole, with its old bytes
     resource = pytest.importorskip("resource")
     model = _write(tmp_path, "a.json", CASE_A)
     out = tmp_path / "out"
@@ -368,6 +369,7 @@ def test_write_cut_by_file_size_limit_leaves_no_output(tmp_path, case):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: [Errno 27] ") and proc.stderr.count("\n") == 1
     assert sorted(p.name for p in out.iterdir()) == existing
+    assert all((out / name).read_text() == "keep" for name in existing)
 
 
 class _HalfWritten:
@@ -396,7 +398,7 @@ class _HalfWritten:
 def test_write_failing_halfway_removes_only_created_files(tmp_path, capsys, monkeypatch,
                                                           case, existing):
     # the second file stops after half its text: the first goes too, unless it
-    # was there before the command
+    # was there before the command, and then it keeps its old bytes
     model = _write(tmp_path, "a.json", CASE_A)
     out = tmp_path / "out"
     out.mkdir()
@@ -419,6 +421,28 @@ def test_write_failing_halfway_removes_only_created_files(tmp_path, capsys, monk
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
     assert sorted(p.name for p in out.iterdir()) == existing
+    assert all((out / name).read_text() == "keep" for name in existing)
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+def test_write_replaces_an_existing_file_whole(tmp_path, capsys, link):
+    # a regular file is replaced through a temporary file that leaves nothing
+    # behind and keeps the old mode; a symlink stays, and its target is written
+    model = _write(tmp_path, "a.json", CASE_A)
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "r.json"
+    target.write_text("keep")
+    target.chmod(0o640)
+    path = out / "link.json" if link else target
+    if link:
+        path.symlink_to(target)
+    assert main(["analyze", model, "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted({"r.json", path.name})
+    assert path.is_symlink() == link
+    assert list(json.loads(target.read_text())) == REPORT_KEYS
+    assert target.stat().st_mode & 0o777 == 0o640
 
 
 @pytest.mark.parametrize("argv, last", [

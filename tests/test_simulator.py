@@ -735,13 +735,88 @@ def test_lockstep_infeasibility_raises(case_b, monkeypatch, corrupt, rep, messag
     assert str(err.value) == f"policy 'greedy-basic' in replication {rep} at event 3: {message}"
 
 
-def test_lockstep_counting_identity_enforced(case_a, monkeypatch):
-    def miscount(u, lam_total, lam_cum, svc_cum, heads, psi, arrivals, completions):
-        apply_events(u, lam_total, lam_cum, svc_cum, heads, psi, arrivals, completions)
-        completions[0, -1] += 1
+class _FixedOnce(Policy):
+    """Answers ``psi`` (one column) at event 0 of a lockstep run, then serves nobody."""
 
-    apply_events = simulator._apply_events
-    monkeypatch.setattr(simulator, "_apply_events", miscount)
+    name = "fixed"
+
+    def __init__(self, psi):
+        self.psi = psi
+
+    def _lockstep(self, sys, reps):
+        first = iter([self.psi[:, None]])
+        return lambda heads, live: next(first, np.zeros((self.psi.size, live.size), np.int64))
+
+
+@pytest.mark.parametrize("I,J", [(1, 1), (2, 3), (4, 5)])
+def test_lockstep_feasibility_agrees_with_violation(monkeypatch, I, J):
+    # the step's product test fires, and so calls the rule list, exactly when the
+    # rule list names a rule; the step then raises with that rule's reason
+    violation, calls = simulator._violation, []
+    monkeypatch.setattr(simulator, "_violation",
+                        lambda *args: calls.append(args) or violation(*args))
+    rng = np.random.default_rng(I * 10 + J)
+    seen = set()
+    for _ in range(150):
+        rates = rng.choice([0.0, 1.0, 2.5], size=I * J, p=[0.2, 0.4, 0.4])
+        zero_rate = np.flatnonzero(rates == 0)
+        psi = rng.integers(0, 4, size=I * J) * (rates > 0)
+        heads = psi.reshape(I, J).sum(axis=1) + rng.integers(0, 2, size=I)
+        servers = psi.reshape(I, J).sum(axis=0) + rng.integers(0, 2, size=J)
+        # each rule is broken on its own, or with others, or not at all
+        if rng.random() < 0.25:
+            psi[rng.integers(I * J)] = -1
+        if rng.random() < 0.25 and zero_rate.size:
+            psi[rng.choice(zero_rate)] = 1
+        if rng.random() < 0.25:
+            heads[rng.integers(I)] -= rng.integers(1, 3)
+        if rng.random() < 0.25:
+            servers[rng.integers(J)] -= rng.integers(1, 3)
+        found = violation(psi[:, None], heads[:, None], servers, zero_rate)
+        model = validate_model({"classes": I, "stations": J, "lambda": [1.0] * I,
+                                "nu": [1.0] * J, "mu": rates.reshape(I, J).tolist()})
+        empty = np.zeros((I, J), dtype=np.int64)
+        sys = simulator.SystemInstance(
+            n=1, arrival_rates=model.arrival_rates, servers=servers,
+            service_rates=model.service_rates, x0=heads, core=empty, upto=empty, model=model,
+            solution=None)
+        calls.clear()
+        try:
+            _simulate_lockstep(sys, _FixedOnce(psi), 1e-9, [1])
+        except PolicyViolation as exc:
+            assert found is not None
+            assert str(exc) == f"policy 'fixed' in replication 0 at event 0: {found[0]}"
+        else:
+            assert found is None
+        assert bool(calls) == (found is not None)
+        seen.add(found and found[0])
+    assert len(seen) == 5  # every rule, and none, came up
+
+
+@pytest.mark.parametrize("base", [1, 8, 1001])
+def test_raw_uniform_is_random(base):
+    # the lockstep engine draws a uniform as (random_raw() >> 11) * 2**-53; that
+    # must be numpy's random() bit for bit, between exponential draws too
+    pattern = np.random.default_rng(base)
+    for rep in range(4):
+        seed = derive_seed(base, 100, rep)
+        raw, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            for _ in range(pattern.integers(0, 3)):
+                assert raw.exponential().hex() == reference.exponential().hex()
+            uniform = (raw.bit_generator.random_raw() >> 11) * 2**-53
+            assert uniform.hex() == reference.random().hex()
+
+
+def test_lockstep_counting_identity_enforced(case_a, monkeypatch):
+    # the event step's head table forgets that a completion at class 0 leaves
+    def miscount(I, J):
+        table = event_heads(I, J)
+        table[0, I:] = 0
+        return table
+
+    event_heads = simulator._event_heads
+    monkeypatch.setattr(simulator, "_event_heads", miscount)
     sol, sys = _case_a_setup(case_a, 10)
     with pytest.raises(RuntimeError, match="event accounting broke the counting identity"):
         _simulate_lockstep(sys, GreedyBasic(case_a, sol), 1.0, [1, 2, 3])
