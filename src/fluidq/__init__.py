@@ -13,7 +13,6 @@ from .model import (
     activity_set,
     load_model,
     model_to_dict,
-    save_model,
     validate_model,
 )
 from .linprog import (
@@ -74,7 +73,6 @@ from .simulator import (
     NegativePathPump,
     Policy,
     PolicyViolation,
-    ScaledTrajectories,
     ScalingViolation,
     SimResult,
     SystemInstance,
@@ -83,7 +81,6 @@ from .simulator import (
     derive_seed,
     make_policy,
     run_nc_experiment,
-    scale_result,
     simulate,
 )
 from .analysis import AnalysisReport, render_report, run_analysis

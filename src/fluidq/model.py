@@ -181,9 +181,3 @@ def load_model(path: str) -> NetworkModel:
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ModelError(f"cannot decode {path} as JSON: {exc}") from None
     return validate_model(raw)
-
-
-def save_model(model: NetworkModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")

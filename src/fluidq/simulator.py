@@ -28,9 +28,10 @@ policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
 
 Both engines start from the one rounding of the fluid split,
 ``SystemInstance.core``, made by ``build_system``, and share the fill,
-``_fill``, and the pump's displacement rule, ``NegativePathPump._displace``
-(each indexes ``psi[i][j]`` and takes the engine's ``min``/``max``: builtins
-on ints, numpy's on columns), the checks (``_counts``, ``_violation``), and
+``_fill``, which all three built-ins run (``IdlePolicy`` over no pairs), and
+the pump's displacement rule, ``NegativePathPump._displace`` (each indexes
+``psi[i][j]`` and takes the engine's ``min``/``max``: builtins on ints,
+numpy's on columns), the checks (``_counts``, ``_violation``), and
 ``_Record``, which samples a replication and builds its ``SimResult``. The
 head clip has one closed form, over ``build_system``'s table
 ``SystemInstance.upto``. Only the event selection keeps a form per engine,
@@ -178,19 +179,6 @@ class Policy:
         raise NotImplementedError
 
 
-class IdlePolicy(Policy):
-    """Serves nobody. Exists to exercise the degenerate corner in tests."""
-
-    name = "idle"
-
-    def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
-        return [[0] * len(state.servers) for _ in state.heads]
-
-    def _lockstep(self, sys: SystemInstance, reps: int):
-        pairs = sys.service_rates.size
-        return lambda heads, live: np.zeros((pairs, heads.shape[1]), dtype=np.int64)
-
-
 class GreedyBasic(Policy):
     """Work-conserving fill of basic activities in decreasing-rate order."""
 
@@ -211,6 +199,16 @@ class GreedyBasic(Policy):
             _fill(list(psi), heads.copy(), servers.repeat(live.size, 1), self._order, np.minimum)
             return psi.reshape(I * J, -1)
         return assign
+
+
+class IdlePolicy(GreedyBasic):
+    """The fill over no activities: serves nobody. Exists to exercise the
+    degenerate corner in tests."""
+
+    name = "idle"
+
+    def __init__(self):
+        self._order = []
 
 
 class NegativePathPump(Policy):
@@ -450,18 +448,6 @@ class SimResult:
     final_heads: np.ndarray
     events: int
     invariants_checked: bool
-
-
-@dataclass(frozen=True)
-class ScaledTrajectories:
-    """Centred and sqrt(n)-scaled trajectories with derived queue/idle parts."""
-
-    times: np.ndarray
-    heads: np.ndarray        # (S, I)
-    in_service: np.ndarray   # (S, I, J)
-    servers: np.ndarray      # (J,)
-    queued: np.ndarray       # (S, I)
-    idle: np.ndarray         # (S, J)
 
 
 def _check_horizon(T: float, warmup: float) -> None:
@@ -725,19 +711,6 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
         completed = np.add.reduce(counts[I:].reshape(I, J, -1), axis=1)
         if not (heads == x0 + counts[:I] - completed).all():
             raise RuntimeError("event accounting broke the counting identity")
-
-
-def scale_result(res: SimResult, sys: SystemInstance, sol: FluidSolution) -> ScaledTrajectories:
-    """Centre the sampled trajectories at the fluid quantities and divide by
-    sqrt(n); queue and idle parts follow from the head-count identities."""
-    root = math.sqrt(sys.n)
-    heads_hat = (res.sample_heads - sys.n * sol.class_masses[None, :]) / root
-    psi_hat = (res.sample_in_service - sys.n * sol.masses[None, :, :]) / root
-    servers_hat = (sys.servers - sys.n * sys.model.capacities) / root
-    queued_hat = heads_hat - psi_hat.sum(axis=2)
-    idle_hat = servers_hat[None, :] - psi_hat.sum(axis=1)
-    return ScaledTrajectories(times=res.sample_times, heads=heads_hat, in_service=psi_hat,
-                              servers=servers_hat, queued=queued_hat, idle=idle_hat)
 
 
 def _splitmix64(z: int) -> int:

@@ -7,7 +7,6 @@ from fluidq import (
     NegativeServiceRate,
     NonPositiveRate,
     activity_set,
-    model_to_dict,
     validate_model,
 )
 
@@ -180,12 +179,3 @@ def test_relabeling_commutes(case_a):
         assert np.array_equal(
             relabeled.service_rates, case_a.service_rates[np.ix_(cp, sp)]
         )
-
-
-def test_json_round_trip(case_a, tmp_path):
-    from fluidq import load_model, save_model
-
-    path = tmp_path / "model.json"
-    save_model(case_a, str(path))
-    again = load_model(str(path))
-    assert model_to_dict(again) == model_to_dict(case_a)

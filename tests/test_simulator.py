@@ -24,7 +24,6 @@ from fluidq import (
     load_model,
     make_policy,
     run_nc_experiment,
-    scale_result,
     simulate,
     solve_static_allocation,
     throughput_verdict_paths,
@@ -239,20 +238,6 @@ def test_derive_seed_stable():
     assert derive_seed(1, 25, 0) == derive_seed(1, 25, 0)
     assert derive_seed(1, 25, 0) != derive_seed(1, 25, 1)
     assert derive_seed(1, 25, 0) != derive_seed(2, 25, 0)
-
-
-def test_scale_result_identities(case_a):
-    sol, sys = _case_a_setup(case_a, 100)
-    res = simulate(sys, GreedyBasic(case_a, sol), T=0.3, seed=2)
-    sc = scale_result(res, sys, sol)
-    # centering: heads 165 for class 1 scales to 1.5 at n = 100
-    expect = (res.sample_heads - 100 * sol.class_masses[None, :]) / 10.0
-    assert np.allclose(sc.heads, expect, atol=1e-12)
-    assert np.allclose(sc.queued, sc.heads - sc.in_service.sum(axis=2), atol=1e-12)
-    assert np.allclose(
-        sc.idle, sc.servers[None, :] - sc.in_service.sum(axis=1), atol=1e-12
-    )
-    assert np.allclose(sc.servers, 0.0, atol=1e-12)
 
 
 def test_policy_violation_detected(case_a):
@@ -662,7 +647,7 @@ def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points):
 
 
 @pytest.mark.parametrize("n", [4, 10, 100])
-@pytest.mark.parametrize("policy", ["greedy-basic", "negative-path"])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
 @pytest.mark.parametrize("name", ["case_a", "case_b", "non_integer_2x2", *GENERATED])
 def test_fill_never_gets_a_negative_leftover(monkeypatch, name, policy, n):
     # the invariant that lets _fill add min(heads left, servers left) unguarded
