@@ -12,8 +12,8 @@ own error line and raises ``SystemExit(2)``.
 
 Every command writes its output files through ``_write``. A failure while
 writing removes every output file the command created, the partly written one
-included, and leaves a file that was already there whole; the directory
-``simulate`` creates for ``--out`` stays.
+included, and leaves a file that was already there whole; ``simulate`` then
+removes the ``--out`` directories it created too.
 """
 
 from __future__ import annotations
@@ -43,23 +43,34 @@ EXIT_NUMERICAL = 5
 
 def _write(files: dict[Path, object]) -> None:
     """Write a command's output files in order: a str as is, anything else as
-    indented JSON. A path that is a regular file already is replaced, from a
-    temporary file beside it, only once every file is written. On an OSError,
-    remove the temporary files and each path that did not exist, and re-raise."""
+    indented JSON. The file open on fd 1 (/dev/stdout, say) is written through
+    fd 1, after ``sys.stdout``; a regular file already there, symlinked or not,
+    is replaced from a temporary file beside it once every file is written. On
+    an OSError, remove the temporary files and each path that did not exist."""
     created = [path for path in files if not os.path.lexists(path)]
     staged: dict[Path, Path] = {}  # temporary file -> the file it replaces
     try:
+        stdout = os.fstat(1)
+    except OSError:  # fd 1 is closed, so no path is it
+        stdout = None
+    try:
         for path, content in files.items():
             text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
-            replace = path.is_file() and not path.is_symlink()
-            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp") if replace else path
+            if stdout is not None and path.exists() and os.path.samestat(path.stat(), stdout):
+                sys.stdout.flush()
+                with open(1, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                    fh.write(text)
+                continue
+            target = Path(os.path.realpath(path))  # Path.resolve raises on a link loop
+            replace = target.is_file()
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp") if replace else path
             with temp.open("x" if replace else "w", encoding="utf-8", newline="") as fh:
                 if replace:
-                    staged[temp] = path
+                    staged[temp] = target
                 fh.write(text)
-        for temp, path in staged.items():
-            shutil.copymode(path, temp)
-            os.replace(temp, path)
+        for temp, target in staged.items():
+            shutil.copymode(target, temp)
+            os.replace(temp, target)
     except OSError:
         for path in [*created, *staged]:
             path.unlink(missing_ok=True)
@@ -104,7 +115,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
     out = Path(args.out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    chain = (out, *out.parents)
+    existing = next(p for p in chain if p.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"--out: {existing} is not a directory")
     n_list = [int(v) for v in args.n.split(",")]
@@ -124,8 +136,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "per_n": result.summary(),
     }
-    _write({out / "trajectories.csv": _trajectories_csv(result, model),
-            out / "summary.json": summary})
+    try:
+        _write({out / "trajectories.csv": _trajectories_csv(result, model),
+                out / "summary.json": summary})
+    except OSError:
+        for made in chain[:chain.index(existing)]:  # the directories made above, deepest first
+            made.rmdir()
+        raise
 
     print(f"{'n':>8s} {'mean':>12s} {'median':>12s} {'q10':>12s} {'q90':>12s}")
     for row in result.rows:

@@ -202,8 +202,7 @@ class GreedyBasic(Policy):
 
 
 class IdlePolicy(GreedyBasic):
-    """The fill over no activities: serves nobody. Exists to exercise the
-    degenerate corner in tests."""
+    """The fill over no activities, so it serves nobody: a corner for tests."""
 
     name = "idle"
 

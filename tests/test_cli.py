@@ -334,27 +334,36 @@ def test_failed_later_write_leaves_no_output(tmp_path, capsys, case):
     assert list(out.iterdir()) == [blocker]
 
 
-@pytest.mark.parametrize("case", ["analyze-json", "analyze-json-existing", "generate", "simulate"])
+@pytest.mark.parametrize("case", ["analyze-json", "analyze-json-existing", "analyze-json-symlink",
+                                  "generate", "simulate", "simulate-new-dirs"])
 def test_write_cut_by_file_size_limit_leaves_no_output(tmp_path, case):
     # the child may write at most 1 KiB to a file, and Python ignores SIGXFSZ, so
     # the first output file fails partway with [Errno 27]: every file the command
-    # created goes, the partly written one included; a file already there stays
-    # whole, with its old bytes
+    # created goes, the partly written one included, and so does every directory
+    # simulate made for --out; a file already there stays whole, with its old
+    # bytes, and so do a symlink and the file it points to, and an --out directory
+    # that was already there
     resource = pytest.importorskip("resource")
     model = _write(tmp_path, "a.json", CASE_A)
     out = tmp_path / "out"
     out.mkdir()
+    simulate = ["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
+                "--policy", "greedy-basic", "--seed", "1", "--out"]
     argv = {
         "analyze-json": ["analyze", model, "--json", str(out / "r.json")],
         "analyze-json-existing": ["analyze", model, "--json", str(out / "r.json")],
+        "analyze-json-symlink": ["analyze", model, "--json", str(out / "link.json")],
         "generate": ["generate", "--I", "8", "--J", "8", "--seed", "1",
                      "--out", str(out / "g.json")],
-        "simulate": ["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
-                     "--policy", "greedy-basic", "--seed", "1", "--out", str(out)],
+        "simulate": [*simulate, str(out)],
+        "simulate-new-dirs": [*simulate, str(out / "sim" / "x")],
     }[case]
-    existing = ["r.json"] if case == "analyze-json-existing" else []
-    for name in existing:
-        (out / name).write_text("keep")
+    existing = {"analyze-json-existing": ["r.json"],
+                "analyze-json-symlink": ["link.json", "r.json"]}.get(case, [])
+    if existing:
+        (out / "r.json").write_text("keep")
+    if case == "analyze-json-symlink":
+        (out / "link.json").symlink_to(out / "r.json")
 
     def limit_file_size():
         hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
@@ -368,8 +377,10 @@ def test_write_cut_by_file_size_limit_leaves_no_output(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: [Errno 27] ") and proc.stderr.count("\n") == 1
+    assert out.is_dir()
     assert sorted(p.name for p in out.iterdir()) == existing
     assert all((out / name).read_text() == "keep" for name in existing)
+    assert (out / "link.json").is_symlink() == (case == "analyze-json-symlink")
 
 
 class _HalfWritten:
@@ -391,23 +402,25 @@ class _HalfWritten:
 
 
 @pytest.mark.parametrize("case, existing", [
-    ("generate", []), ("simulate", []), ("generate", ["x.json"]),
+    ("generate", []), ("simulate", []), ("simulate-new-dirs", []), ("generate", ["x.json"]),
     ("simulate", ["trajectories.csv"]),
-], ids=["generate-sidecar", "simulate-summary", "generate-existing-model",
-        "simulate-existing-trajectories"])
+], ids=["generate-sidecar", "simulate-summary", "simulate-summary-new-dirs",
+        "generate-existing-model", "simulate-existing-trajectories"])
 def test_write_failing_halfway_removes_only_created_files(tmp_path, capsys, monkeypatch,
                                                           case, existing):
     # the second file stops after half its text: the first goes too, unless it
-    # was there before the command, and then it keeps its old bytes
+    # was there before the command, and then it keeps its old bytes; the
+    # directories simulate made for --out go, and one already there stays
     model = _write(tmp_path, "a.json", CASE_A)
     out = tmp_path / "out"
     out.mkdir()
+    simulate = ["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
+                "--policy", "greedy-basic", "--seed", "1", "--out"]
     argv, failing = {
         "generate": (["generate", "--I", "3", "--J", "3", "--seed", "1",
                       "--out", str(out / "x.json")], "x.solution.json"),
-        "simulate": (["simulate", model, "--n", "10", "--T", "0.2", "--reps", "2",
-                      "--policy", "greedy-basic", "--seed", "1", "--out", str(out)],
-                     "summary.json"),
+        "simulate": ([*simulate, str(out)], "summary.json"),
+        "simulate-new-dirs": ([*simulate, str(out / "sim" / "x")], "summary.json"),
     }[case]
     for name in existing:
         (out / name).write_text("keep")
@@ -420,6 +433,7 @@ def test_write_failing_halfway_removes_only_created_files(tmp_path, capsys, monk
     monkeypatch.setattr(Path, "open", open_failing_halfway)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert out.is_dir()
     assert sorted(p.name for p in out.iterdir()) == existing
     assert all((out / name).read_text() == "keep" for name in existing)
 
@@ -443,6 +457,41 @@ def test_write_replaces_an_existing_file_whole(tmp_path, capsys, link):
     assert path.is_symlink() == link
     assert list(json.loads(target.read_text())) == REPORT_KEYS
     assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_json_to_a_symlink_loop_exits_2(tmp_path, capsys):
+    # the writer resolves a symlink to replace the file it points to; a link
+    # that points to itself is an unwritable path like any other
+    model = _write(tmp_path, "a.json", CASE_A)
+    loop = tmp_path / "loop.json"
+    loop.symlink_to(loop)
+    assert main(["analyze", model, "--json", str(loop)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert loop.is_symlink()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_json_to_stdout_redirected_to_a_file_comes_before_the_report(tmp_path, capsys):
+    # --json /dev/stdout names the file the shell redirected stdout into: the
+    # JSON goes through fd 1 first and the text report follows it, rather than
+    # a second open of the file writing the JSON from offset 0 under the report
+    model = _write(tmp_path, "a.json", CASE_A)
+    assert main(["analyze", model]) == 0
+    report = capsys.readouterr().out
+    src = str(Path(fluidq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    both = tmp_path / "both.txt"
+    argv = ["analyze", model, "--json", "/dev/stdout"]
+    with both.open("w") as fh:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fluidq", *argv],
+                              env={**os.environ, "PYTHONPATH": path}, stdout=fh,
+                              stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    text = both.read_text()
+    value, end = json.JSONDecoder().raw_decode(text)
+    assert list(value) == REPORT_KEYS
+    assert text[end:] == "\n" + report
 
 
 @pytest.mark.parametrize("argv, last", [
