@@ -663,3 +663,105 @@ def reference_simulate(sys, policy, T, seed, warmup=0.0, sample_points=101):
         completions=completions, x0=sys.x0.copy(), final_heads=heads.copy(),
         events=events, invariants_checked=True,
     )
+
+
+def _poisson(mean):
+    """pmf[k] and above[k] = P(N > k) of N ~ Poisson(mean), k = 0 .. top, where
+    the mass past ``top`` is far below 1e-16; tails are summed from the top, so
+    small ones keep their digits."""
+    top = int(mean + 12 * math.sqrt(mean) + 40)
+    k = np.arange(top + 1)
+    pmf = np.exp(k * math.log(mean) - mean - np.array([math.lgamma(v + 1) for v in k]))
+    above = np.append(np.cumsum(pmf[::-1])[::-1][1:], 0.0)
+    return pmf, above
+
+
+def exact_transient(sys, policy, T, warmup=0.0, eps=1e-12):
+    """The exact means of ``queue_occupancy`` and ``final_heads`` of
+    ``fluidq.simulate(sys, ...)`` under the reference ``policy``, from the
+    finite CTMC the n-th system is once its heads are truncated.
+
+    A state is the heads and, for the pump, its ``shift`` after the last
+    assignment, which with the heads fixes the assignment. States that take
+    more than A arrivals to reach, with P(more than A arrivals in [0, T]) <
+    ``eps``, are cut: an arrival into one leaves the chain, which moves each
+    result by less than ``eps`` times its range. Uniformization at the largest
+    exit rate L then gives, with pi_k the state law after k jumps of the
+    uniformized chain, int_w^T P(busy(t)) dt = (1/L) sum_k (P(N(LT) > k) -
+    P(N(Lw) > k)) pi_k . busy and E heads(T) = sum_k P(N(LT) = k) pi_k . heads
+    (Jensen 1953; Stewart 1994). The jumps are index arrays, and one step of
+    pi is one ``np.bincount``.
+
+    Returns (occupancy, final heads as an (I,) array, number of states).
+    """
+    I, J = sys.service_rates.shape
+    x0 = sys.x0.astype(np.int64)
+    _, arrivals_above = _poisson(float(sys.arrival_rates.sum()) * T)
+    cap = int(np.argmax(arrivals_above < eps))
+    policy.prepare(sys)
+
+    decided = {}
+
+    def decide(heads, shift):
+        """The assignment and the new shift at ``heads`` after ``shift``, once each."""
+        key = (tuple(heads), shift)
+        if key not in decided:
+            if shift is not None:
+                policy._shift = shift
+            psi = np.asarray(policy.assign(SystemState(0.0, heads.copy(), None, sys.servers), sys))
+            decided[key] = psi, getattr(policy, "_shift", None)
+        return decided[key]
+
+    states = [(x0, *decide(x0, getattr(policy, "_shift", None)))]
+    index = {(tuple(x0), states[0][2]): 0}
+    src, dst, rate = [], [], []
+
+    def jump(k, heads, shift, r):
+        if np.maximum(heads - x0, 0).sum() > cap:
+            target = -1  # cut: the chain loses this mass
+        else:
+            psi, shift = decide(heads, shift)
+            target = index.setdefault((tuple(heads), shift), len(states))
+            if target == len(states):
+                states.append((heads, psi, shift))
+        src.append(k)
+        dst.append(target)
+        rate.append(r)
+
+    k = 0
+    while k < len(states):
+        heads, psi, shift = states[k]
+        for i in range(I):
+            up = heads.copy()
+            up[i] += 1
+            jump(k, up, shift, float(sys.arrival_rates[i]))
+            for j in range(J):
+                if psi[i, j] > 0 and sys.service_rates[i, j] > 0:
+                    down = heads.copy()
+                    down[i] -= 1
+                    jump(k, down, shift, float(sys.service_rates[i, j] * psi[i, j]))
+        k += 1
+
+    size = len(states)
+    src, dst, rate = np.array(src), np.array(dst), np.array(rate)
+    out = np.bincount(src, weights=rate, minlength=size)
+    L = float(out.max())
+    stay = 1.0 - out / L
+    kept = dst >= 0
+    src, dst, move = src[kept], dst[kept], rate[kept] / L
+    heads = np.array([h for h, _, _ in states], dtype=float)
+    busy = heads.sum(axis=1) >= int(sys.servers.sum())
+
+    pmf, above = _poisson(L * T)
+    weight = above.copy()
+    if warmup > 0:
+        _, early = _poisson(L * warmup)
+        weight[:early.size] -= early[:weight.size]
+    pi = np.zeros(size)
+    pi[0] = 1.0
+    occupancy, final = 0.0, np.zeros(I)
+    for w, p in zip(weight, pmf):
+        occupancy += w * pi[busy].sum() / L
+        final += p * (pi @ heads)
+        pi = pi * stay + np.bincount(dst, weights=pi[src] * move, minlength=size)
+    return occupancy, final, size

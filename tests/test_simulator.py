@@ -38,6 +38,7 @@ from support import (
     _ref_initial_assignment,
     _ref_round_half_up,
     erlang_c,
+    exact_transient,
     reference_policy,
     reference_simulate,
     relabel_model,
@@ -644,6 +645,36 @@ def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points):
         assert sample_points < 2 or expected.sample_times[-1] == 1.0
         assert expected.events > 0
         _assert_same_result(got, expected)
+
+
+# (model, policy, n, T) of the exact-oracle systems, a few thousand states each.
+# At n <= 4 the pump's step is at least its cap, so its shift reaches the target
+# in one step; at n = 9 (step 3, cap 5) it lags, so case_a runs there too,
+# over a horizon short enough to keep the state space as small
+EXACT_CASES = (
+    [(name, policy, n, 1.0)
+     for name, n in (("case_a", 2), ("case_b", 3), ("class_dependent_2x2", 4))
+     for policy in POLICY_NAMES]
+    + [("case_a", "negative-path", 9, 0.25)]
+)
+
+
+@pytest.mark.parametrize("name,policy,n,T", EXACT_CASES)
+def test_simulation_matches_exact_transient(name, policy, n, T):
+    # on each route, 300 replications' mean occupancy and mean final heads lie
+    # within 4 standard errors of the exact means, and of the truncation's error
+    model, sol, paths, sys = _setup(name, n)
+    occupancy, final, _ = exact_transient(sys, reference_policy(policy, model, sol, paths), T,
+                                          warmup=0.2 * T)
+    pol = make_policy(policy, model, sol, paths)
+    loop = [simulate(sys, pol, T, derive_seed(1, n, rep), warmup=0.2 * T) for rep in range(300)]
+    lockstep = _simulate_lockstep(sys, pol, T, [derive_seed(2, n, rep) for rep in range(300)],
+                                  warmup=0.2 * T)
+    for batch in (loop, lockstep):
+        heads = np.array([res.final_heads for res in batch]).T
+        for got, exact in ((np.array([res.queue_occupancy for res in batch]), occupancy),
+                           *zip(heads, final)):
+            assert abs(got.mean() - exact) <= 4 * got.std(ddof=1) / math.sqrt(got.size) + 1e-9
 
 
 @pytest.mark.parametrize("n", [4, 10, 100])
