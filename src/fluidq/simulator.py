@@ -17,12 +17,20 @@ One pass over each assignment, ``_checked``, both checks it and prices it:
 the running sums of its service clocks are the table the next event is
 drawn from.
 
+Each replication draws its randoms from its own ``default_rng(seed)`` in
+blocks of ``DRAW_BLOCK`` events: at the first event of a block, one call
+draws the block's exponentials and a second its uniforms. Event e's holding
+time is its exponential over the total rate, and its uniform times the total
+rate selects what happens. A replication's stream therefore depends on its
+seed alone, not on the engine or on how many replications run with it.
+
 ``run_nc_experiment`` has a second route for many replications of a built-in
 policy: ``_simulate_lockstep`` steps all replications of one scale together,
 one event of each per step, on arrays with a column per replication, and the
 built-ins answer through a vectorized form of the same integer algorithm.
-Each replication keeps its own generator, draws and float arithmetic, so its
-result is bit-identical to ``simulate``'s, which stays the reference; user
+Each replication keeps its own generator, blocks of draws and float
+arithmetic, so its result is bit-identical to ``simulate``'s, which stays
+the reference; user
 policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
 ``simulate``.
 
@@ -44,7 +52,6 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import compress
 from operator import add, gt, sub
 
 import numpy as np
@@ -58,6 +65,12 @@ from .static_fluid import FluidSolution
 # From this many replications on, stepping a scale's replications together
 # beats looping ``simulate`` (see ``run_nc_experiment``).
 LOCKSTEP_MIN_REPS = 16
+
+# Each replication draws its randoms in blocks of this many events: at event e
+# with e % DRAW_BLOCK == 0 its generator draws ``standard_exponential(DRAW_BLOCK)``
+# and then ``random(DRAW_BLOCK)``, and event e reads element e % DRAW_BLOCK of
+# each. It defines every replication's stream.
+DRAW_BLOCK = 256
 
 
 class ScalingViolation(RuntimeError):
@@ -521,13 +534,15 @@ def simulate(
     pair is drawn from. Numpy's ``sum`` adds in that order below 8 pairs and
     pairwise from 8 on, so a total rate may differ from it in its last bit.
 
+    The blocks of draws (see ``DRAW_BLOCK``) are turned into Python floats once
+    per block, so the loop does its arithmetic on Python floats.
+
     Raises:
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
     """
     _check_horizon(T, warmup)
     rng = np.random.default_rng(seed)
-    exponential, uniform = rng.exponential, rng.random
     I, J = sys.model.num_classes, sys.model.num_stations
     rates = sys.service_rates.ravel().tolist()
     inactive = [divmod(k, J) for k, rate in enumerate(rates) if not rate > 0]
@@ -558,9 +573,13 @@ def simulate(
     events = 0
 
     while True:
+        k = events % DRAW_BLOCK
+        if not k:
+            exponentials = rng.standard_exponential(DRAW_BLOCK).tolist()
+            uniforms = rng.random(DRAW_BLOCK).tolist()
         busy_from = max(t, warmup) if sum(heads) >= servers_total else math.inf
         total_rate = lam_total + svc_cum[-1]
-        t_next = t + exponential() / total_rate
+        t_next = t + exponentials[k] / total_rate
         final = t_next >= T
         seg_end = T if final else t_next
 
@@ -572,7 +591,7 @@ def simulate(
             break
 
         t = t_next
-        u = uniform() * total_rate
+        u = uniforms[k] * total_rate
         if u < lam_total:
             i = min(bisect_right(lam_cum, u), I - 1)
             heads[i] += 1
@@ -603,14 +622,16 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
 
     Each step handles one event of every replication still running, on
     (pairs, R) and (classes, R) int64 counts with one column per replication.
-    Replication k draws from its own generator exactly what
-    ``simulate(sys, policy, T, seeds[k], warmup, sample_points)`` draws, in
-    the same order, and does the same float arithmetic on the same values:
-    ``np.add.accumulate`` adds in order, as ``accumulate`` does, at any number
-    of pairs, and ``(random_raw() >> 11) * 2**-53`` is ``random()``'s uniform.
-    So the k-th result equals that run's in every field. A replication that
-    reaches T leaves the arrays; the steps go on until the last one ends. A
-    column's event is one row of ``counts``: arrivals by class, then
+    Every running replication is at the same event index, so every
+    ``DRAW_BLOCK`` steps each one's own generator draws its next blocks of
+    exponentials and uniforms, exactly what
+    ``simulate(sys, policy, T, seeds[k], warmup, sample_points)`` draws, and
+    the step reads one (R,) row of each (DRAW_BLOCK, R) block. It does the
+    same float arithmetic on the same values: ``np.add.accumulate`` adds in
+    order, as ``accumulate`` does, at any number of pairs. So the k-th result
+    equals that run's in every field. A replication that reaches T leaves the
+    arrays, its blocks' columns too; the steps go on until the last one ends.
+    A column's event is one row of ``counts``: arrivals by class, then
     completions by pair.
 
     ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
@@ -641,7 +662,6 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
 
     # per replication, by its number
     gens = [np.random.default_rng(seed) for seed in seeds]
-    exponentials, raws = [g.exponential for g in gens], [g.bit_generator.random_raw for g in gens]
     records = [_Record(sys, policy, seed, T, warmup, sample_points) for seed in seeds]
     results: list[SimResult | None] = [None] * R
     # per column, one per running replication; the heads are rows of the bound
@@ -668,10 +688,15 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     events = 0
     psi = decide(0)
     while True:
+        k = events % DRAW_BLOCK
+        if not k:
+            blocks = [gens[r] for r in live]
+            exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in blocks])
+            uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in blocks])
         busy = np.add.reduce(heads, axis=0) >= servers_total
         svc_cum = np.add.accumulate(rates * psi, axis=0)
         total_rate = lam_total + svc_cum[-1]
-        t_next = t + np.array([draw() for draw in exponentials]) / total_rate
+        t_next = t + exponentials[k] / total_rate
         final = t_next >= T
         ending = final.any()
         seg_end = np.where(final, T, t_next) if ending else t_next
@@ -688,16 +713,16 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
                 results[live[c]] = records[live[c]].result(
                     occupancy[c], counts[:I, c], counts[I:, c], heads[:, c], events)
             keep = ~final
-            exponentials, raws = list(compress(exponentials, keep)), list(compress(raws, keep))
             live, bound, counts, t_next, occupancy, due, svc_cum, total_rate = (
                 a[..., keep] for a in (live, bound, counts, t_next, occupancy, due, svc_cum,
                                        total_rate))
+            exponentials, uniforms = exponentials[:, keep], uniforms[:, keep]
             heads, cols = bound[-I - J:-J], cols[:live.size]
         if not live.size:
             return results
 
         t = t_next
-        u = (np.array([raw() for raw in raws], dtype=np.uint64) >> 11) * 2**-53 * total_rate
+        u = uniforms[k] * total_rate
         # bisect_right's count against all rates but the last is its count capped
         # at the last index, as the cumulative rates never decrease
         e = np.where(u < lam_total, np.add.reduce(lam_low <= u, axis=0),

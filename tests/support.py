@@ -38,6 +38,7 @@ from fluidq import (
     solve_static_allocation,
     validate_model,
 )
+from fluidq.simulator import DRAW_BLOCK
 
 ORACLE_TOL = 1e-7
 
@@ -577,7 +578,8 @@ def reference_policy(name, model, sol, paths=None):
 
 def reference_simulate(sys, policy, T, seed, warmup=0.0, sample_points=101):
     """The numpy event loop: one replication of ``fluidq.simulate``, whose
-    trajectories must match it exactly."""
+    trajectories must match it exactly. It reads the same blocks of
+    ``DRAW_BLOCK`` exponentials and uniforms from the same generator."""
     rng = np.random.default_rng(seed)
     I, J = sys.model.num_classes, sys.model.num_stations
     act_mask = sys.service_rates > 0
@@ -612,10 +614,12 @@ def reference_simulate(sys, policy, T, seed, warmup=0.0, sample_points=101):
         return t1 - lo if t1 > lo else 0.0
 
     while True:
+        if events % DRAW_BLOCK == 0:
+            block = rng.standard_exponential(DRAW_BLOCK), rng.random(DRAW_BLOCK)
         busy = int(heads.sum()) >= servers_total
         svc = sys.service_rates * state.in_service
         total_rate = lam_total + float(svc.sum())
-        t_next = t + rng.exponential() / total_rate
+        t_next = t + block[0][events % DRAW_BLOCK] / total_rate
         final = t_next >= T
         seg_end = T if final else t_next
 
@@ -633,7 +637,7 @@ def reference_simulate(sys, policy, T, seed, warmup=0.0, sample_points=101):
             break
 
         t = t_next
-        u = rng.random() * total_rate
+        u = block[1][events % DRAW_BLOCK] * total_rate
         if u < lam_total:
             i = min(int(np.searchsorted(lam_cum, u, side="right")), I - 1)
             heads[i] += 1

@@ -627,24 +627,40 @@ def _assert_same_result(got, expected):
     assert got.queue_occupancy == expected.queue_occupancy
 
 
-@pytest.mark.parametrize("name,policy,n,warmup,sample_points", [
-    *(pytest.param(*case, 11, id="-".join(map(str, case))) for case in LOCKSTEP_CASES),
-    *(pytest.param("case_a", policy, 40, 0.2, points, id=f"case_a-{policy}-40-0.2-{points}-points")
+# (model, policy, n, T) whose 5 replications run about 1,000 to 1,300 events
+# each, some ending before a block boundary that the others cross
+BLOCK_CASES = (
+    [("case_a", policy, 400, T) for policy, T in zip(POLICY_NAMES, (0.13, 0.13, 0.27))]
+    + [("erlang_1x1", "greedy-basic", 100, 5.6)]
+)
+
+
+@pytest.mark.parametrize("name,policy,n,warmup,sample_points,T,blocks", [
+    *(pytest.param(*case, 11, 1.0, 0, id="-".join(map(str, case))) for case in LOCKSTEP_CASES),
+    *(pytest.param("case_a", policy, 40, 0.2, points, 1.0, 0,
+                   id=f"case_a-{policy}-40-0.2-{points}-points")
       for policy in POLICY_NAMES for points in (0, 1, 2)),
+    *(pytest.param(name, policy, n, 0.0, 11, T, 4, id=f"{name}-{policy}-{n}-T{T}-blocks")
+      for name, policy, n, T in BLOCK_CASES),
 ])
-def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points):
-    # the last of 2 or more sample points lies at exactly T
+def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points, T, blocks):
+    # the last of 2 or more sample points lies at exactly T; with ``blocks``, every
+    # replication reads from at least that many blocks of draws and they end in
+    # different blocks, so the lockstep engine draws a block for fewer columns
     model, sol, paths, sys = _setup(name, n)
     pol = make_policy(policy, model, sol, paths)
     seeds = [derive_seed(8, n, rep) for rep in range(5)]
-    batch = _simulate_lockstep(sys, pol, 1.0, seeds, warmup, sample_points)
+    batch = _simulate_lockstep(sys, pol, T, seeds, warmup, sample_points)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
-        expected = simulate(sys, pol, 1.0, seed, warmup=warmup, sample_points=sample_points)
+        expected = simulate(sys, pol, T, seed, warmup=warmup, sample_points=sample_points)
         assert expected.sample_times.size == sample_points
-        assert sample_points < 2 or expected.sample_times[-1] == 1.0
+        assert sample_points < 2 or expected.sample_times[-1] == T
         assert expected.events > 0
         _assert_same_result(got, expected)
+    events = [res.events for res in batch]
+    assert not blocks or (min(events) >= (blocks - 1) * simulator.DRAW_BLOCK
+                          and len({e // simulator.DRAW_BLOCK for e in events}) > 1)
 
 
 # (model, policy, n, T) of the exact-oracle systems, a few thousand states each.
@@ -807,21 +823,6 @@ def test_lockstep_feasibility_agrees_with_violation(monkeypatch, I, J):
         assert bool(calls) == (found is not None)
         seen.add(found and found[0])
     assert len(seen) == 5  # every rule, and none, came up
-
-
-@pytest.mark.parametrize("base", [1, 8, 1001])
-def test_raw_uniform_is_random(base):
-    # the lockstep engine draws a uniform as (random_raw() >> 11) * 2**-53; that
-    # must be numpy's random() bit for bit, between exponential draws too
-    pattern = np.random.default_rng(base)
-    for rep in range(4):
-        seed = derive_seed(base, 100, rep)
-        raw, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(2000):
-            for _ in range(pattern.integers(0, 3)):
-                assert raw.exponential().hex() == reference.exponential().hex()
-            uniform = (raw.bit_generator.random_raw() >> 11) * 2**-53
-            assert uniform.hex() == reference.random().hex()
 
 
 def test_lockstep_counting_identity_enforced(case_a, monkeypatch):
