@@ -18,11 +18,12 @@ the running sums of its service clocks are the table the next event is
 drawn from.
 
 Each replication draws its randoms from its own ``default_rng(seed)`` in
-blocks of ``DRAW_BLOCK`` events: at the first event of a block, one call
-draws the block's exponentials and a second its uniforms. Event e's holding
-time is its exponential over the total rate, and its uniform times the total
-rate selects what happens. A replication's stream therefore depends on its
-seed alone, not on the engine or on how many replications run with it.
+blocks of ``DRAW_BLOCK`` events: at event e with e % DRAW_BLOCK == 0 it draws
+``standard_exponential(DRAW_BLOCK)`` and then ``random(DRAW_BLOCK)``, and
+event e reads element e % DRAW_BLOCK of each. Its holding time is that
+exponential over the total rate, and that uniform times the total rate
+selects what happens. A replication's stream therefore depends on its seed
+alone, not on the engine or on how many replications run with it.
 
 ``run_nc_experiment`` has a second route for many replications of a built-in
 policy: ``_simulate_lockstep`` steps all replications of one scale together,
@@ -30,9 +31,8 @@ one event of each per step, on arrays with a column per replication, and the
 built-ins answer through a vectorized form of the same integer algorithm.
 Each replication keeps its own generator, blocks of draws and float
 arithmetic, so its result is bit-identical to ``simulate``'s, which stays
-the reference; user
-policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications, always take
-``simulate``.
+the reference; user policies, and fewer than ``LOCKSTEP_MIN_REPS``
+replications, always take ``simulate``.
 
 Both engines start from the one rounding of the fluid split,
 ``SystemInstance.core``, made by ``build_system``, and share the fill,
@@ -66,10 +66,8 @@ from .static_fluid import FluidSolution
 # beats looping ``simulate`` (see ``run_nc_experiment``).
 LOCKSTEP_MIN_REPS = 16
 
-# Each replication draws its randoms in blocks of this many events: at event e
-# with e % DRAW_BLOCK == 0 its generator draws ``standard_exponential(DRAW_BLOCK)``
-# and then ``random(DRAW_BLOCK)``, and event e reads element e % DRAW_BLOCK of
-# each. It defines every replication's stream.
+# Events per block of draws (see the module docstring); part of every
+# replication's stream, so changing it changes every result.
 DRAW_BLOCK = 256
 
 
@@ -690,9 +688,9 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     while True:
         k = events % DRAW_BLOCK
         if not k:
-            blocks = [gens[r] for r in live]
-            exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in blocks])
-            uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in blocks])
+            exponentials = np.column_stack([gens[r].standard_exponential(DRAW_BLOCK)
+                                            for r in live])
+            uniforms = np.column_stack([gens[r].random(DRAW_BLOCK) for r in live])
         busy = np.add.reduce(heads, axis=0) >= servers_total
         svc_cum = np.add.accumulate(rates * psi, axis=0)
         total_rate = lam_total + svc_cum[-1]
