@@ -27,12 +27,14 @@ alone, not on the engine or on how many replications run with it.
 
 ``run_nc_experiment`` has a second route for many replications of a built-in
 policy: ``_simulate_lockstep`` steps all replications of one scale together,
-one event of each per step, on arrays with a column per replication, and the
-built-ins answer through a vectorized form of the same integer algorithm.
-Each replication keeps its own generator, blocks of draws and float
-arithmetic, so its result is bit-identical to ``simulate``'s, which stays
-the reference; user policies, and fewer than ``LOCKSTEP_MIN_REPS``
-replications, always take ``simulate``.
+one event of each per step, on arrays whose column c is replication c from
+the first event to the last, and the built-ins answer through a vectorized
+form of the same integer algorithm, ``assign(heads)``. A replication that
+reaches T is recorded; its column keeps stepping, unrecorded and still
+checked, until the last one ends. Each replication keeps its own generator,
+blocks of draws and float arithmetic, so its result is bit-identical to
+``simulate``'s, which stays the reference; user policies, and fewer than
+``LOCKSTEP_MIN_REPS`` replications, always take ``simulate``.
 
 Both engines start from the one rounding of the fluid split,
 ``SystemInstance.core``, made by ``build_system``, and share the fill,
@@ -203,11 +205,11 @@ class GreedyBasic(Policy):
         return _fill(psi, list(state.heads), list(state.servers), self._order, min)
 
     def _lockstep(self, sys: SystemInstance, reps: int):
-        (I, J), servers = sys.service_rates.shape, sys.servers[:, None]
+        (I, J), servers = sys.service_rates.shape, sys.servers[:, None].repeat(reps, 1)
 
-        def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
-            psi = np.zeros((I, J, live.size), dtype=np.int64)
-            _fill(list(psi), heads.copy(), servers.repeat(live.size, 1), self._order, np.minimum)
+        def assign(heads: np.ndarray) -> np.ndarray:
+            psi = np.zeros((I, J, reps), dtype=np.int64)
+            _fill(list(psi), heads.copy(), servers.copy(), self._order, np.minimum)
             return psi.reshape(I * J, -1)
         return assign
 
@@ -294,11 +296,12 @@ class NegativePathPump(Policy):
         servers = sys.servers[:, None]
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
-        def assign(heads: np.ndarray, live: np.ndarray) -> np.ndarray:
+        def assign(heads: np.ndarray) -> np.ndarray:
+            nonlocal shift
             psi = upto - (row_totals - heads)[:, None, :]  # _clip_to_heads on columns
             np.minimum(np.maximum(psi, 0, out=psi), count, out=psi)
             rows = list(psi)
-            shift[live] = self._displace(rows, heads, shift[live], np.minimum, np.maximum)
+            shift = self._displace(rows, heads, shift, np.minimum, np.maximum)
             heads_left = heads - np.add.reduce(psi, axis=1)
             servers_left = servers - np.add.reduce(psi, axis=0)
             _fill(rows, heads_left, servers_left, self._fastest_first, np.minimum)
@@ -618,27 +621,27 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
                        warmup: float = 0.0, sample_points: int = 101) -> list[SimResult]:
     """``simulate`` for each seed of ``seeds``, all replications stepped together.
 
-    Each step handles one event of every replication still running, on
-    (pairs, R) and (classes, R) int64 counts with one column per replication.
-    Every running replication is at the same event index, so every
-    ``DRAW_BLOCK`` steps each one's own generator draws its next blocks of
-    exponentials and uniforms, exactly what
-    ``simulate(sys, policy, T, seeds[k], warmup, sample_points)`` draws, and
-    the step reads one (R,) row of each (DRAW_BLOCK, R) block. It does the
-    same float arithmetic on the same values: ``np.add.accumulate`` adds in
-    order, as ``accumulate`` does, at any number of pairs. So the k-th result
-    equals that run's in every field. A replication that reaches T leaves the
-    arrays, its blocks' columns too; the steps go on until the last one ends.
-    A column's event is one row of ``counts``: arrivals by class, then
-    completions by pair.
+    Each step handles one event of every replication, on (pairs, R) and
+    (classes, R) int64 counts whose column k is replication k for the whole
+    call. Every column is at the same event index, so every ``DRAW_BLOCK``
+    steps each one's own generator draws its next blocks of exponentials and
+    uniforms, exactly what ``simulate(sys, policy, T, seeds[k], warmup,
+    sample_points)`` draws, and the step reads one (R,) row of each
+    (DRAW_BLOCK, R) block. It does the same float arithmetic on the same
+    values: ``np.add.accumulate`` adds in order, as ``accumulate`` does, at
+    any number of pairs. So the k-th result equals that run's in every field.
+    A replication that reaches its ``horizon``, T, is recorded, and its
+    horizon becomes nan, which no time reaches: the column keeps stepping,
+    unrecorded, until the last replication ends. A column's event is one row
+    of ``counts``: arrivals by class, then completions by pair.
 
     ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
-    ``assign(heads, live)``, which maps the (classes, R) head counts of the
-    replications numbered ``live`` to their (pairs, R) assignment and keeps any
-    per-replication state of its own. Every assignment, and the counting
-    identity, is checked on every step for every running replication, by a
-    minimum and one product ``G @ psi <= bound`` over the zero-rate pairs,
-    classes and stations; ``_violation`` names the rule only if one broke.
+    ``assign(heads)``, which maps the (classes, R) head counts to the
+    (pairs, R) assignment and keeps any per-replication state of its own, a
+    column per replication. Every assignment, and the counting identity, is
+    checked on every step for every column, ended ones too, by a minimum and
+    one product ``G @ psi <= bound`` over the zero-rate pairs, classes and
+    stations; ``_violation`` names the rule only if one broke.
 
     Raises:
         PolicyViolation: an infeasible assignment; the message names the
@@ -658,29 +661,29 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     pairs = np.eye(I * J, dtype=np.int64).reshape(I, J, -1)
     G = np.vstack([pairs.reshape(I * J, -1)[zero_rate], pairs.sum(1), pairs.sum(0)])
 
-    # per replication, by its number
+    # column c is replication c for the whole call; the heads are rows of the bound
     gens = [np.random.default_rng(seed) for seed in seeds]
     records = [_Record(sys, policy, seed, T, warmup, sample_points) for seed in seeds]
     results: list[SimResult | None] = [None] * R
-    # per column, one per running replication; the heads are rows of the bound
-    live = cols = np.arange(R)
+    cols = np.arange(R)
     bound = np.concatenate([np.zeros_like(zero_rate), sys.x0, sys.servers])[:, None].repeat(R, 1)
     heads = bound[-I - J:-J]
     counts = np.zeros((I + I * J, R), dtype=np.int64)
     t = np.zeros(R)
+    horizon = np.full(R, T)  # T until the column's replication is recorded, then nan
     occupancy = np.zeros(R)
     due = np.zeros(R)  # time of each column's next sample
 
     def decide(event: int) -> np.ndarray:
         try:
-            psi = _counts(assign(heads, live), (I * J, live.size)).astype(np.int64, copy=False)
+            psi = _counts(assign(heads), (I * J, R)).astype(np.int64, copy=False)
             found = ((psi.min() < 0 or (G @ psi > bound).any())
                      and _violation(psi, heads, sys.servers, zero_rate))
         except PolicyViolation as exc:
             found = exc, 0
         if not found:
             return psi
-        raise PolicyViolation(f"policy {policy.name!r} in replication {live[found[1]]} "
+        raise PolicyViolation(f"policy {policy.name!r} in replication {found[1]} "
                               f"at event {event}: {found[0]}")
 
     events = 0
@@ -688,36 +691,30 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     while True:
         k = events % DRAW_BLOCK
         if not k:
-            exponentials = np.column_stack([gens[r].standard_exponential(DRAW_BLOCK)
-                                            for r in live])
-            uniforms = np.column_stack([gens[r].random(DRAW_BLOCK) for r in live])
+            exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in gens])
+            uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in gens])
         busy = np.add.reduce(heads, axis=0) >= servers_total
         svc_cum = np.add.accumulate(rates * psi, axis=0)
         total_rate = lam_total + svc_cum[-1]
         t_next = t + exponentials[k] / total_rate
-        final = t_next >= T
+        final = t_next >= horizon
         ending = final.any()
         seg_end = np.where(final, T, t_next) if ending else t_next
 
         for c in ((due < seg_end) | final).nonzero()[0]:
             busy_from = max(t[c], warmup) if busy[c] else math.inf
-            due[c] = records[live[c]].sample(heads[:, c], psi[:, c].reshape(I, J), occupancy[c],
-                                             busy_from, seg_end[c], final[c])
+            due[c] = records[c].sample(heads[:, c], psi[:, c].reshape(I, J), occupancy[c],
+                                       busy_from, seg_end[c], final[c])
         piece = seg_end - np.maximum(t, warmup)
         np.add(occupancy, np.maximum(piece, 0.0, out=piece), out=occupancy, where=busy)
 
         if ending:
             for c in np.flatnonzero(final):
-                results[live[c]] = records[live[c]].result(
+                results[c] = records[c].result(
                     occupancy[c], counts[:I, c], counts[I:, c], heads[:, c], events)
-            keep = ~final
-            live, bound, counts, t_next, occupancy, due, svc_cum, total_rate = (
-                a[..., keep] for a in (live, bound, counts, t_next, occupancy, due, svc_cum,
-                                       total_rate))
-            exponentials, uniforms = exponentials[:, keep], uniforms[:, keep]
-            heads, cols = bound[-I - J:-J], cols[:live.size]
-        if not live.size:
-            return results
+            horizon[final] = math.nan  # no time reaches it, not even an inf one
+            if np.isnan(horizon).all():
+                return results
 
         t = t_next
         u = uniforms[k] * total_rate

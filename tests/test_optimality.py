@@ -1,3 +1,6 @@
+from itertools import count, islice
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from fluidq import (
     enumerate_simple_paths,
     gamma_family,
     generate_critical_instance,
+    load_model,
     max_throughput,
     nc_verdict,
     signed_path,
@@ -28,8 +32,11 @@ from fluidq import (
 import fluidq.optimality
 from fluidq.analysis import run_analysis
 
-from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
-from support import max_throughput_oracle, tune_zero_path
+from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
+from support import max_throughput_oracle, relabel_model, tune_zero_path
+from test_golden import CYCLE_4X4, ZERO_PATHS_3X3
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 # a 3x3 instance found by randomized search: throughput optimal, assumptions
 # hold, yet its zero path is neither class- nor pool-dependent and the mass
@@ -426,3 +433,46 @@ def test_verdict_does_not_depend_on_units(raw, unit):
         if c in (1e4, 1e6, 1e8):
             assert status == expected, c
         assert status in (expected, NC_UNKNOWN), c
+
+
+def _label_invariance_models():
+    """The shipped models, three hand-written corners, 40 planted draws from
+    2x2 to 7x7 and the first 30 tuned zero-path instances."""
+    models = [load_model(str(p)) for p in sorted(MODELS.glob("*.json"))]
+    models += [validate_model(raw) for raw in (MINIMAL, ZERO_PATHS_3X3, CYCLE_4X4)]
+    models += [generate_critical_instance(seed, 2 + seed % 6, 2 + seed // 6 % 6)[0]
+               for seed in range(40)]
+    tuned = (tune_zero_path(seed * 37, 2 + seed % 3, 2 + seed // 3 % 3) for seed in count(1))
+    return models + [out[0] for out in islice(filter(None, tuned), 30)]
+
+
+def _verdict_in_labels_of(model, class_perm, station_perm):
+    """What relabeling ``model`` must leave unchanged, in ``model``'s labels: the
+    status, basis and assumption flags and, where the allocation is unique,
+    the basic edges and each path's kind, sign class and dependence by leaf pair."""
+    old = [*(model.class_labels[c] for c in class_perm),
+           *(model.station_labels[s] for s in station_perm)]
+    back = dict(zip([*model.class_labels, *model.station_labels], old))
+    rep = run_analysis(relabel_model(model, class_perm, station_perm))
+    flags = (rep.nc.status, rep.nc.basis, rep.assumptions.critically_loaded,
+             rep.assumptions.unique, rep.assumptions.is_tree)
+    if not rep.assumptions.unique:
+        return flags
+    edges = frozenset((back[i], back[j]) for i, j in rep.solution.basic_edges)
+    paths = {(back[p.class_leaf], back[p.station_leaf]): (p.kind, p.sign_class, p.dependence)
+             for p in rep.paths or ()}
+    return flags, edges, paths
+
+
+def test_verdict_does_not_depend_on_labels():
+    # four seeded permutations of the classes and stations of each of 76 models
+    rng = np.random.default_rng(27)
+    relabeled = 0
+    for model in _label_invariance_models():
+        I, J = model.num_classes, model.num_stations
+        expected = _verdict_in_labels_of(model, range(I), range(J))
+        for _ in range(4):
+            cp, sp = rng.permutation(I), rng.permutation(J)
+            assert _verdict_in_labels_of(model, cp, sp) == expected, (model, cp, sp)
+            relabeled += 1
+    assert relabeled == 304

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import accumulate, chain
 from operator import mul, sub
 from pathlib import Path
@@ -635,21 +635,26 @@ BLOCK_CASES = (
 )
 
 
-@pytest.mark.parametrize("name,policy,n,warmup,sample_points,T,blocks", [
-    *(pytest.param(*case, 11, 1.0, 0, id="-".join(map(str, case))) for case in LOCKSTEP_CASES),
-    *(pytest.param("case_a", policy, 40, 0.2, points, 1.0, 0,
+@pytest.mark.parametrize("name,policy,n,warmup,sample_points,T,blocks,reps,tail", [
+    *(pytest.param(*case, 11, 1.0, 0, 5, 0, id="-".join(map(str, case)))
+      for case in LOCKSTEP_CASES),
+    *(pytest.param("case_a", policy, 40, 0.2, points, 1.0, 0, 5, 0,
                    id=f"case_a-{policy}-40-0.2-{points}-points")
       for policy in POLICY_NAMES for points in (0, 1, 2)),
-    *(pytest.param(name, policy, n, 0.0, 11, T, 4, id=f"{name}-{policy}-{n}-T{T}-blocks")
+    *(pytest.param(name, policy, n, 0.0, 11, T, 4, 5, 0, id=f"{name}-{policy}-{n}-T{T}-blocks")
       for name, policy, n, T in BLOCK_CASES),
+    *(pytest.param("case_a", policy, 2, 0.0, 11, 5.0, 0, 20, 20, id=f"case_a-{policy}-2-T5-tail")
+      for policy in POLICY_NAMES),
 ])
-def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points, T, blocks):
+def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points, T, blocks, reps,
+                                  tail):
     # the last of 2 or more sample points lies at exactly T; with ``blocks``, every
     # replication reads from at least that many blocks of draws and they end in
-    # different blocks, so the lockstep engine draws a block for fewer columns
+    # different blocks; with ``tail``, the last replication runs at least that
+    # many events past the first one's end, while the ended columns keep stepping
     model, sol, paths, sys = _setup(name, n)
     pol = make_policy(policy, model, sol, paths)
-    seeds = [derive_seed(8, n, rep) for rep in range(5)]
+    seeds = [derive_seed(8, n, rep) for rep in range(reps)]
     batch = _simulate_lockstep(sys, pol, T, seeds, warmup, sample_points)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
@@ -661,6 +666,7 @@ def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points, T, blo
     events = [res.events for res in batch]
     assert not blocks or (min(events) >= (blocks - 1) * simulator.DRAW_BLOCK
                           and len({e // simulator.DRAW_BLOCK for e in events}) > 1)
+    assert max(events) - min(events) >= tail
 
 
 # (model, policy, n, T) of the exact-oracle systems, a few thousand states each.
@@ -718,16 +724,16 @@ def test_fill_never_gets_a_negative_leftover(monkeypatch, name, policy, n):
 
 def _lockstep_rogue(corrupt):
     """A ``_lockstep`` that serves nobody at events 0 to 2, then returns
-    ``corrupt(psi, heads, col, sys)`` for the column of replication 2."""
+    ``corrupt(psi, heads, 2, sys)``: column 2 is replication 2."""
     def factory(self, sys, reps):
         events = []
 
-        def assign(heads, live):
+        def assign(heads):
             psi = np.zeros((sys.service_rates.size, heads.shape[1]), dtype=np.int64)
             events.append(len(events))
             if events[-1] < 3:
                 return psi
-            return corrupt(psi, heads, int(np.flatnonzero(live == 2)[0]), sys)
+            return corrupt(psi, heads, 2, sys)
         return assign
     return factory
 
@@ -767,6 +773,42 @@ def test_lockstep_infeasibility_raises(case_b, monkeypatch, corrupt, rep, messag
     assert str(err.value) == f"policy 'greedy-basic' in replication {rep} at event 3: {message}"
 
 
+def test_lockstep_policy_sees_every_column_to_the_last_step(monkeypatch):
+    # column c is replication c for the whole call: every assign call, those after
+    # the first replication has ended included, gets the head counts of all R
+    lockstep, shapes = GreedyBasic._lockstep, []
+
+    def recording(self, sys, reps):
+        assign = lockstep(self, sys, reps)
+        return lambda heads: shapes.append(heads.shape) or assign(heads)
+
+    monkeypatch.setattr(GreedyBasic, "_lockstep", recording)
+    model, sol, paths, sys = _setup("case_a", 2)
+    pol = make_policy("greedy-basic", model, sol, paths)
+    seeds = [derive_seed(8, 2, rep) for rep in range(20)]
+    batch = _simulate_lockstep(sys, pol, 5.0, seeds)
+    events = [res.events for res in batch]
+    assert max(events) - min(events) >= 20
+    assert shapes == [(model.num_classes, len(seeds))] * (max(events) + 1)
+    for seed, got in zip(seeds, batch):
+        _assert_same_result(got, simulate(sys, pol, 5.0, seed))
+
+
+def test_lockstep_records_a_replication_once_when_holding_times_overflow():
+    # at an arrival rate of 1e-310 an empty system's holding time is inf; a column
+    # that ended at T busy and then empties must not be recorded a second time
+    model = validate_model({"classes": 1, "stations": 1, "lambda": [5], "nu": [5],
+                            "mu": [[1]]})
+    sol = solve_static_allocation(model)
+    sys = replace(build_system(model, sol, 1), arrival_rates=np.array([1e-310]))
+    pol, seeds = GreedyBasic(model, sol), list(range(8))
+    with np.errstate(over="ignore"):
+        batch = _simulate_lockstep(sys, pol, 1.0, seeds)
+    assert len({res.events for res in batch}) > 1
+    for seed, got in zip(seeds, batch):
+        _assert_same_result(got, simulate(sys, pol, 1.0, seed))
+
+
 class _FixedOnce(Policy):
     """Answers ``psi`` (one column) at event 0 of a lockstep run, then serves nobody."""
 
@@ -777,7 +819,7 @@ class _FixedOnce(Policy):
 
     def _lockstep(self, sys, reps):
         first = iter([self.psi[:, None]])
-        return lambda heads, live: next(first, np.zeros((self.psi.size, live.size), np.int64))
+        return lambda heads: next(first, np.zeros((self.psi.size, heads.shape[1]), np.int64))
 
 
 @pytest.mark.parametrize("I,J", [(1, 1), (2, 3), (4, 5)])
