@@ -27,10 +27,11 @@ alone, not on the engine or on how many replications run with it.
 
 ``run_nc_experiment`` has a second route for many replications of a built-in
 policy: ``_simulate_lockstep`` steps all replications of one scale together,
-one event of each per step, on arrays whose column c is replication c from
-the first event to the last, and the built-ins answer through a vectorized
-form of the same integer algorithm, ``assign(heads)``. A replication that
-reaches T is recorded; its column keeps stepping, unrecorded and still
+one event of each per step, on arrays whose column c is replication c from the
+first event to the last, and the built-ins answer through a vectorized form of
+the same integer algorithm, ``assign(heads)``, into a buffer the policy
+overwrites on its next call (the engine copies what it keeps). A replication
+that reaches T is recorded; its column keeps stepping, unrecorded and still
 checked, until the last one ends. Each replication keeps its own generator,
 blocks of draws and float arithmetic, so its result is bit-identical to
 ``simulate``'s, which stays the reference; user policies, and fewer than
@@ -45,7 +46,7 @@ numpy's on columns), the checks (``_counts``, ``_violation``), and
 ``_Record``, which samples a replication and builds its ``SimResult``. The
 head clip has one closed form, over ``build_system``'s table
 ``SystemInstance.upto``. Only the event selection keeps a form per engine,
-for speed: ``bisect_right`` searches one list, one count spans all columns.
+for speed: ``bisect_right`` on one list; ``searchsorted`` and a count on columns.
 """
 
 from __future__ import annotations
@@ -205,12 +206,14 @@ class GreedyBasic(Policy):
         return _fill(psi, list(state.heads), list(state.servers), self._order, min)
 
     def _lockstep(self, sys: SystemInstance, reps: int):
-        (I, J), servers = sys.service_rates.shape, sys.servers[:, None].repeat(reps, 1)
+        psi, left, rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
+        I, servers, flat = len(heads_left), sys.servers[:, None], psi.reshape(-1, reps)
 
         def assign(heads: np.ndarray) -> np.ndarray:
-            psi = np.zeros((I, J, reps), dtype=np.int64)
-            _fill(list(psi), heads.copy(), servers.copy(), self._order, np.minimum)
-            return psi.reshape(I * J, -1)
+            psi.fill(0)
+            left[:I], left[I:] = heads, servers
+            _fill(rows, heads_left, servers_left, self._order, np.minimum)
+            return flat
         return assign
 
 
@@ -290,22 +293,21 @@ class NegativePathPump(Policy):
 
     def _lockstep(self, sys: SystemInstance, reps: int):
         self.prepare(sys)
-        I, J = sys.service_rates.shape
-        upto, count = sys.upto[:, :, None], sys.core[:, :, None]
+        psi, left, rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
+        I, servers, flat = len(heads_left), sys.servers[:, None], psi.reshape(-1, reps)
+        upto, count, zero = sys.upto[:, :, None], sys.core[:, :, None], np.zeros((), np.int64)
         row_totals = sys.core.sum(axis=1)[:, None]
-        servers = sys.servers[:, None]
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
         def assign(heads: np.ndarray) -> np.ndarray:
             nonlocal shift
-            psi = upto - (row_totals - heads)[:, None, :]  # _clip_to_heads on columns
-            np.minimum(np.maximum(psi, 0, out=psi), count, out=psi)
-            rows = list(psi)
+            np.subtract(upto, np.subtract(row_totals, heads, out=left[:I])[:, None], out=psi)
+            np.minimum(np.maximum(psi, zero, out=psi), count, out=psi)  # _clip_to_heads on columns
             shift = self._displace(rows, heads, shift, np.minimum, np.maximum)
-            heads_left = heads - np.add.reduce(psi, axis=1)
-            servers_left = servers - np.add.reduce(psi, axis=0)
+            np.subtract(heads, np.add.reduce(psi, axis=1, out=left[:I]), out=left[:I])
+            np.subtract(servers, np.add.reduce(psi, axis=0, out=left[I:]), out=left[I:])
             _fill(rows, heads_left, servers_left, self._fastest_first, np.minimum)
-            return psi.reshape(I * J, -1)
+            return flat
         return assign
 
 
@@ -344,6 +346,14 @@ def _fill(psi, heads_left, servers_left, order: list[tuple[int, int]], minimum):
         heads_left[i] -= k
         servers_left[j] -= k
     return psi
+
+
+def _lockstep_buffers(sys: SystemInstance, reps: int):
+    """A built-in's lockstep buffers, which each ``assign`` overwrites: the (I, J, R) assignment,
+    the (I + J, R) leftovers, and the lists of their rows that ``_fill`` and ``_displace`` index."""
+    (I, J), psi = sys.core.shape, np.empty((*sys.core.shape, reps), dtype=np.int64)
+    left = np.empty((I + J, reps), dtype=np.int64)
+    return psi, left, [list(row) for row in psi], list(left[:I]), list(left[I:])
 
 
 def _by_decreasing_rate(pairs, model: NetworkModel) -> list[tuple[int, int]]:
@@ -638,10 +648,12 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
     ``assign(heads)``, which maps the (classes, R) head counts to the
     (pairs, R) assignment and keeps any per-replication state of its own, a
-    column per replication. Every assignment, and the counting identity, is
-    checked on every step for every column, ended ones too, by a minimum and
-    one product ``G @ psi <= bound`` over the zero-rate pairs, classes and
-    stations; ``_violation`` names the rule only if one broke.
+    column per replication: a buffer the policy owns and overwrites on its
+    next call, read by the step before that call and copied by a record where
+    it samples. Every assignment, and the counting identity, is checked on
+    every step for every column, ended ones too, by a minimum and one product
+    ``G @ psi <= bound`` over the zero-rate pairs, classes and stations;
+    ``_violation`` names the rule only if one broke.
 
     Raises:
         PolicyViolation: an infeasible assignment; the message names the
@@ -653,10 +665,11 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     assign = policy._lockstep(sys, R)
     rates = sys.service_rates.reshape(I * J, 1)
     zero_rate = np.flatnonzero(~(rates > 0))
-    servers_total = int(sys.servers.sum())
     x0 = sys.x0[:, None]
-    lam_total = float(sys.arrival_rates.sum())
-    lam_low = np.cumsum(sys.arrival_rates)[:-1, None]  # all cumulative rates but the last
+    # the step's scalars as 0-d arrays, which a ufunc takes faster than Python numbers
+    servers_total, lam_total, start, zero = map(
+        np.asarray, (sys.servers.sum(), sys.arrival_rates.sum(), float(warmup), 0.0))
+    lam_low = np.cumsum(sys.arrival_rates)[:-1]  # all cumulative rates but the last
     delta = _event_heads(I, J)
     pairs = np.eye(I * J, dtype=np.int64).reshape(I, J, -1)
     G = np.vstack([pairs.reshape(I * J, -1)[zero_rate], pairs.sum(1), pairs.sum(0)])
@@ -669,10 +682,15 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     bound = np.concatenate([np.zeros_like(zero_rate), sys.x0, sys.servers])[:, None].repeat(R, 1)
     heads = bound[-I - J:-J]
     counts = np.zeros((I + I * J, R), dtype=np.int64)
-    t = np.zeros(R)
+    arrived, completed = counts[:I], counts[I:].reshape(I, J, R)
+    t, occupancy = np.zeros((2, R))
     horizon = np.full(R, T)  # T until the column's replication is recorded, then nan
-    occupancy = np.zeros(R)
     due = np.zeros(R)  # time of each column's next sample
+    # the step's temporaries, made once: final stays False until a time reaches T, and as
+    # times never decrease, every step from then on rewrites it
+    final = np.zeros(R, dtype=bool)
+    rated, svc_cum = np.empty((2, I * J, R))
+    svc_total, svc_low = svc_cum[-1], svc_cum[:-1]
 
     def decide(event: int) -> np.ndarray:
         try:
@@ -686,50 +704,52 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
         raise PolicyViolation(f"policy {policy.name!r} in replication {found[1]} "
                               f"at event {event}: {found[0]}")
 
-    events = 0
+    events, first_due = 0, 0.0  # first_due: the earliest of the columns' next sample times
     psi = decide(0)
-    while True:
-        k = events % DRAW_BLOCK
-        if not k:
-            exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in gens])
-            uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in gens])
-        busy = np.add.reduce(heads, axis=0) >= servers_total
-        svc_cum = np.add.accumulate(rates * psi, axis=0)
-        total_rate = lam_total + svc_cum[-1]
-        t_next = t + exponentials[k] / total_rate
-        final = t_next >= horizon
-        ending = final.any()
-        seg_end = np.where(final, T, t_next) if ending else t_next
+    with np.errstate(over="ignore"):  # a holding time past the float range is inf, as in simulate
+        while True:
+            k = events % DRAW_BLOCK
+            if not k:
+                exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in gens])
+                uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in gens])
+            busy = np.add.reduce(heads, axis=0) >= servers_total
+            np.add.accumulate(np.multiply(rates, psi, out=rated), axis=0, out=svc_cum)
+            total_rate = lam_total + svc_total
+            t_next = t + exponentials[k] / total_rate
+            latest = np.maximum.reduce(t_next)  # < T: no column ends; <= first_due: none samples
+            ending = latest >= T and np.greater_equal(t_next, horizon, out=final).any()
+            seg_end = np.where(final, T, t_next) if ending else t_next
 
-        for c in ((due < seg_end) | final).nonzero()[0]:
-            busy_from = max(t[c], warmup) if busy[c] else math.inf
-            due[c] = records[c].sample(heads[:, c], psi[:, c].reshape(I, J), occupancy[c],
-                                       busy_from, seg_end[c], final[c])
-        piece = seg_end - np.maximum(t, warmup)
-        np.add(occupancy, np.maximum(piece, 0.0, out=piece), out=occupancy, where=busy)
+            if ending or first_due < latest:
+                for c in ((due < seg_end) | final).nonzero()[0]:
+                    busy_from = max(t[c], warmup) if busy[c] else math.inf
+                    due[c] = records[c].sample(heads[:, c], psi[:, c].reshape(I, J), occupancy[c],
+                                               busy_from, seg_end[c], final[c])
+                first_due = due.min()
+            piece = seg_end - np.maximum(t, start)
+            np.add(occupancy, np.maximum(piece, zero, out=piece), out=occupancy, where=busy)
 
-        if ending:
-            for c in np.flatnonzero(final):
-                results[c] = records[c].result(
-                    occupancy[c], counts[:I, c], counts[I:, c], heads[:, c], events)
-            horizon[final] = math.nan  # no time reaches it, not even an inf one
-            if np.isnan(horizon).all():
-                return results
+            if ending:
+                for c in np.flatnonzero(final):
+                    results[c] = records[c].result(
+                        occupancy[c], arrived[:, c], counts[I:, c], heads[:, c], events)
+                horizon[final] = math.nan  # no time reaches it, not even an inf one
+                if np.isnan(horizon).all():
+                    return results
 
-        t = t_next
-        u = uniforms[k] * total_rate
-        # bisect_right's count against all rates but the last is its count capped
-        # at the last index, as the cumulative rates never decrease
-        e = np.where(u < lam_total, np.add.reduce(lam_low <= u, axis=0),
-                     np.add.reduce(svc_cum[:-1] <= u - lam_total, axis=0, initial=I))
-        heads += delta.take(e, 1)
-        np.add.at(counts, (e, cols), 1)
-        events += 1
+            t = t_next
+            u = uniforms[k] * total_rate
+            # bisect_right's count against all rates but the last is its count capped
+            # at the last index, as the cumulative rates never decrease
+            e = np.where(u < lam_total, lam_low.searchsorted(u, "right"),
+                         np.add.reduce(svc_low <= u - lam_total, axis=0, initial=I))
+            heads += delta.take(e, 1)
+            np.add.at(counts, (e, cols), 1)
+            events += 1
 
-        psi = decide(events)
-        completed = np.add.reduce(counts[I:].reshape(I, J, -1), axis=1)
-        if not (heads == x0 + counts[:I] - completed).all():
-            raise RuntimeError("event accounting broke the counting identity")
+            psi = decide(events)
+            if not (heads == x0 + arrived - np.add.reduce(completed, axis=1)).all():
+                raise RuntimeError("event accounting broke the counting identity")
 
 
 def _splitmix64(z: int) -> int:

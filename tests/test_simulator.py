@@ -722,6 +722,36 @@ def test_fill_never_gets_a_negative_leftover(monkeypatch, name, policy, n):
     assert minimums == {min, np.minimum}
 
 
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("name", ["case_a", "case_b", "class_dependent_2x2", "generated_4x4"])
+def test_lockstep_assign_matches_scalar_assign(name, policy):
+    # assign(heads) overwrites the same buffers on every call. Along a random walk of
+    # head counts, with columns sent to no heads and far above the servers, each column
+    # equals the scalar assign of a policy prepared for that column and stepped along
+    # the same heads, so the pump's per-column shift is compared too
+    model, sol, paths, sys = _setup(name, 100)
+    assert name != "generated_4x4" or any(p.sign_class == NEGATIVE for p in paths)
+    reps, rng = 12, np.random.default_rng(28)
+    assign = make_policy(policy, model, sol, paths)._lockstep(sys, reps)
+    scalars = [make_policy(policy, model, sol, paths) for _ in range(reps)]
+    for pol in scalars:
+        pol.prepare(sys)
+    servers, far = sys.servers.tolist(), 10 * int(sys.servers.sum())
+    heads = sys.x0[:, None].repeat(reps, 1)  # changed in place, as the engine does
+    seen = set()
+    for step in range(300):
+        psi = assign(heads)
+        assert psi.shape == (sys.service_rates.size, reps)
+        for c, pol in enumerate(scalars):
+            state = SystemState(0.0, heads[:, c].tolist(), [], servers)
+            assert psi[:, c].tolist() == [*chain(*pol.assign(state, sys))], (step, c)
+        seen.update(map(int, heads.sum(axis=0) >= sum(servers)))
+        np.maximum(heads + rng.integers(-4, 5, heads.shape), 0, out=heads)
+        zero, high, back = rng.choice(reps, 3, replace=False)
+        heads[:, zero], heads[:, high], heads[:, back] = 0, far, sys.x0
+    assert seen == {0, 1}  # columns below and at or above the servers came up
+
+
 def _lockstep_rogue(corrupt):
     """A ``_lockstep`` that serves nobody at events 0 to 2, then returns
     ``corrupt(psi, heads, 2, sys)``: column 2 is replication 2."""
@@ -802,8 +832,7 @@ def test_lockstep_records_a_replication_once_when_holding_times_overflow():
     sol = solve_static_allocation(model)
     sys = replace(build_system(model, sol, 1), arrival_rates=np.array([1e-310]))
     pol, seeds = GreedyBasic(model, sol), list(range(8))
-    with np.errstate(over="ignore"):
-        batch = _simulate_lockstep(sys, pol, 1.0, seeds)
+    batch = _simulate_lockstep(sys, pol, 1.0, seeds)
     assert len({res.events for res in batch}) > 1
     for seed, got in zip(seeds, batch):
         _assert_same_result(got, simulate(sys, pol, 1.0, seed))
