@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -43,7 +44,7 @@ EXIT_NUMERICAL = 5
 
 def _write(files: dict[Path, object]) -> None:
     """Write a command's output files in order: a str as is, anything else as
-    indented JSON. The file open on fd 1 (/dev/stdout, say) is written through
+    compact JSON. The file open on fd 1 (/dev/stdout, say) is written through
     fd 1, after ``sys.stdout``; a regular file already there, symlinked or not,
     is replaced from a temporary file beside it once every file is written. On
     an OSError, remove the temporary files and each path that did not exist."""
@@ -55,7 +56,7 @@ def _write(files: dict[Path, object]) -> None:
         stdout = None
     try:
         for path, content in files.items():
-            text = content if isinstance(content, str) else json.dumps(content, indent=2) + "\n"
+            text = content if isinstance(content, str) else json.dumps(content) + "\n"
             if stdout is not None and path.exists() and os.path.samestat(path.stat(), stdout):
                 sys.stdout.flush()
                 with open(1, "w", encoding="utf-8", newline="", closefd=False) as fh:
@@ -163,6 +164,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluidq",
