@@ -11,8 +11,17 @@ import pytest
 import fluidq.cli
 import fluidq.simulator
 import fluidq.static_fluid
-from fluidq import InfeasibleModel, NumericalFailure, load_model, validate_model
-from fluidq.analysis import render_report, run_analysis
+from fluidq import (
+    InfeasibleModel,
+    NumericalFailure,
+    generate_critical_instance,
+    load_model,
+    make_policy,
+    model_to_dict,
+    run_nc_experiment,
+    validate_model,
+)
+from fluidq.analysis import _fields, render_report, run_analysis
 from fluidq.cli import main
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
@@ -149,13 +158,35 @@ def test_analyze_infeasible_exit_2(tmp_path):
     assert main(["analyze", model]) == 2
 
 
+# feasible, but its activity graph is disconnected, so the assumptions fail
+DISCONNECTED = {
+    "classes": 2, "stations": 2, "lambda": [3, 2], "nu": [1, 1], "mu": [[3, 0], [0, 2]]
+}
+
+
 def test_analyze_strict_exit_3(tmp_path):
-    disconnected = {
-        "classes": 2, "stations": 2, "lambda": [3, 2], "nu": [1, 1], "mu": [[3, 0], [0, 2]]
-    }
-    model = _write(tmp_path, "disc.json", disconnected)
+    model = _write(tmp_path, "disc.json", DISCONNECTED)
     assert main(["analyze", model]) == 0
     assert main(["analyze", model, "--strict"]) == 3
+
+
+def test_main_reuses_one_parser_without_carrying_options(tmp_path, capsys):
+    # the parser is built once per process, so no option may outlive its call
+    assert fluidq.cli.build_parser() is fluidq.cli.build_parser()
+    disconnected = _write(tmp_path, "disc.json", DISCONNECTED)
+    assert main(["analyze", disconnected, "--strict"]) == 3
+    assert main(["analyze", disconnected]) == 0
+    model = _write(tmp_path, "a.json", CASE_A)
+    report = tmp_path / "report.json"
+    assert main(["analyze", model, "--json", str(report)]) == 0
+    written = report.read_bytes()
+    # another model's report, so a --json carried over would change the file
+    assert main(["analyze", _write(tmp_path, "b.json", CASE_B)]) == 0
+    assert report.read_bytes() == written
+    with pytest.raises(SystemExit) as raised:
+        main(["analyze", model, "--tol", "1"])
+    assert raised.value.code == 2
+    assert main(["analyze", model]) == 0
 
 
 def test_generate_then_analyze_round_trip(tmp_path):
@@ -590,6 +621,41 @@ def test_simulate_writes_outputs(tmp_path):
     assert [row["n"] for row in summary["per_n"]] == [10, 20]
     for row in summary["per_n"]:
         assert set(row) == {"n", "reps", "mean", "median", "q10", "q90"}
+
+
+def _one_line_json(path):
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n"), path.name
+    return json.loads(text)
+
+
+def _round_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+def test_json_outputs_are_one_line_and_round_trip(tmp_path):
+    model = _write(tmp_path, "a.json", CASE_A)
+    analysis = run_analysis(load_model(model))
+    report = tmp_path / "report.json"
+    assert main(["analyze", model, "--json", str(report)]) == 0
+    assert _one_line_json(report) == _round_trip(analysis.to_dict())
+
+    gen = tmp_path / "gen.json"
+    assert main(["generate", "--I", "4", "--J", "5", "--seed", "3", "--out", str(gen)]) == 0
+    planted, sol = generate_critical_instance(3, 4, 5)
+    assert _one_line_json(gen) == _round_trip(model_to_dict(planted))
+    assert _one_line_json(tmp_path / "gen.solution.json") == _round_trip(
+        _fields(sol, "allocation", "load", "class_masses", "basic_edges"))
+
+    out = tmp_path / "exp"
+    assert main(["simulate", model, "--n", "10,20", "--T", "0.2", "--reps", "2",
+                 "--policy", "greedy-basic", "--seed", "42", "--out", str(out)]) == 0
+    policy = make_policy("greedy-basic", analysis.model, analysis.solution, analysis.paths)
+    result = run_nc_experiment(analysis.model, analysis.solution, policy, [10, 20], 0.2, 2, 42)
+    assert _one_line_json(out / "summary.json") == _round_trip({
+        "policy": "greedy-basic", "policy_note": None, "T": 0.2, "reps": 2, "seed": 42,
+        "per_n": result.summary(),
+    })
 
 
 def test_simulate_deterministic_outputs(tmp_path):

@@ -4,7 +4,8 @@ The files under ``tests/golden/`` were captured from the CLI before the
 package was cut down to its core, and regenerated when the LP solver moved
 to activity-only programs and Dantzig pricing: that changed float rounding
 and, where the optimal allocation is not unique, the vertex returned; and
-once more when assumption violations stopped printing numpy scalar reprs.
+once more when assumption violations stopped printing numpy scalar reprs; and
+when the JSON files became compact, which changed only their whitespace.
 The analysis must reproduce them exactly.
 Regenerate them (only when an output is meant to change) with
 
