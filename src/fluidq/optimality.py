@@ -100,20 +100,23 @@ def max_throughput(
     """Maximum total service rate over the mass polytope, with a maximizer.
 
     The polytope is never empty (the zero matrix is feasible), so this always
-    succeeds.
+    succeeds. The objective is divided by its largest rate, so the solver's
+    absolute pivot tolerance meets reduced costs of order 1 in any time unit;
+    the value is ``rates @ x``, in the model's units.
     """
     rows, cols = lp_columns(model)
+    rates = model.service_rates[rows, cols]
     incidence = np.vstack([
         rows == np.arange(model.num_classes)[:, None],
         cols == np.arange(model.num_stations)[:, None],
     ])
     res = solve_lp(LinearProgram(
-        -model.service_rates[rows, cols],
+        -rates / rates.max(initial=0.0),
         a_ub=incidence, b_ub=np.concatenate([class_masses, capacities]),
     ))
     psi = np.zeros(model.service_rates.shape)
     psi[rows, cols] = np.clip(res.x, 0.0, None)
-    return -float(res.value), psi
+    return float(rates @ res.x), psi
 
 
 def throughput_verdict_lp(model: NetworkModel, sol: FluidSolution) -> ThroughputVerdict:

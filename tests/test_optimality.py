@@ -90,6 +90,26 @@ def test_max_throughput_random_against_oracle():
         assert AllocationPolytope(x_bar, model.capacities).contains(psi)
 
 
+@pytest.mark.parametrize("unit", ["time", "capacity"])
+@pytest.mark.parametrize("raw", [CASE_A, CASE_B], ids=["case_a", "case_b"])
+def test_max_throughput_is_homogeneous_in_the_rates(raw, unit):
+    # an absolute pivot tolerance on the raw rates stopped the simplex early:
+    # at c = 1e-11 in time units case_a's value was 0
+    model = validate_model(raw)
+    sol = solve_static_allocation(model)
+    expected, _ = max_throughput(sol.class_masses, model.capacities, model)
+    for c in (1e-11, 3e-11, 1e-10, 1e4, 1e8):
+        scaled = validate_model(dict(raw, **{
+            "lambda": [c * v for v in raw["lambda"]],
+            "mu" if unit == "time" else "nu":
+                (np.asarray(raw["mu" if unit == "time" else "nu"], dtype=float) * c).tolist(),
+        }))
+        # class masses are invariant in time units and scale with capacity
+        masses = sol.class_masses * (1.0 if unit == "time" else c)
+        value, _ = max_throughput(masses, scaled.capacities, scaled)
+        assert value == pytest.approx(c * expected, rel=1e-12, abs=0.0), c
+
+
 def test_lp_verdict_case_a_sub_optimal(case_a):
     sol = solve_static_allocation(case_a)
     v = throughput_verdict_lp(case_a, sol)
