@@ -15,6 +15,7 @@ from fluidq import (
     solve_static_allocation,
     validate_model,
 )
+from fluidq.linprog import COLD, WARM
 from fluidq.static_fluid import _allocation_lp
 
 from support import vertex_optimum
@@ -135,10 +136,10 @@ def test_redundant_and_contradictory_rows():
     assert solve_lp(bad).status == INFEASIBLE
 
 
-def test_fuzz_against_vertex_oracle():
-    # random dense LPs with mixed statuses, judged by independent enumeration
-    rng = np.random.default_rng(99)
-    for _ in range(150):
+def _fuzz_programs(rng, count):
+    """Random dense LPs with mixed statuses, total mass capped at 10 so that
+    the vertex oracle's vertex set is the whole story."""
+    for _ in range(count):
         n = int(rng.integers(1, 5))
         m_eq = int(rng.integers(0, 3))
         m_ub = int(rng.integers(0, 4))
@@ -147,16 +148,24 @@ def test_fuzz_against_vertex_oracle():
         a_ub = rng.uniform(-2, 2, (m_ub, n)).round(2)
         b_ub = rng.uniform(-2, 2, m_ub).round(2)
         c = rng.uniform(-2, 2, n).round(2)
-        # cap total mass so the oracle's vertex set is the whole story
         a_ub = np.vstack([a_ub, np.ones(n)])
         b_ub = np.append(b_ub, 10.0)
-        res = solve_lp(LinearProgram(c, a_eq, b_eq, a_ub, b_ub))
-        oracle = vertex_optimum(c, a_eq, b_eq, a_ub, b_ub)
-        if oracle is None:
-            assert res.status == INFEASIBLE
-        else:
-            assert res.status == OPTIMAL, oracle
-            assert res.value == pytest.approx(oracle[0], abs=1e-6)
+        yield LinearProgram(c, a_eq, b_eq, a_ub, b_ub)
+
+
+def _agrees_with_vertex_oracle(lp, res):
+    oracle = vertex_optimum(lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub)
+    if oracle is None:
+        assert res.status == INFEASIBLE
+    else:
+        assert res.status == OPTIMAL, oracle
+        assert res.value == pytest.approx(oracle[0], abs=1e-6)
+
+
+def test_fuzz_against_vertex_oracle():
+    # random dense LPs with mixed statuses, judged by independent enumeration
+    for lp in _fuzz_programs(np.random.default_rng(99), 150):
+        _agrees_with_vertex_oracle(lp, solve_lp(lp))
 
 
 def test_optimal_range_confirmed_by_perturbed_objectives(case_a):
@@ -209,3 +218,81 @@ def test_non_finite_program_raises_numerical_failure():
             solve_lp(LinearProgram([1.0, 0.0], a_ub=[[1.0, bad]], b_ub=[1.0]))
         with pytest.raises(NumericalFailure, match="non-finite"):
             solve_lp(LinearProgram([1.0, bad]))
+
+
+def _rows(lp):
+    return lp.b_eq.size + lp.b_ub.size
+
+
+def _programs_with_full_bases():
+    """Optimal programs whose cold solve keeps every row, so its final basis
+    has one column per row: transportation, fuzz and allocation programs."""
+    rng = np.random.default_rng(5)
+    lps = [_random_transportation(rng) for _ in range(20)]
+    lps += list(_fuzz_programs(np.random.default_rng(99), 150))
+    lps += [_allocation_lp(generate_critical_instance(seed, 6, 5)[0]) for seed in range(5)]
+    for lp in lps:
+        res = solve_lp(lp)
+        if res.status == OPTIMAL and res.basis.size == _rows(lp):
+            yield lp, res
+
+
+def test_warm_start_at_the_optimal_basis_takes_no_pivot():
+    solved = 0
+    for lp, cold in _programs_with_full_bases():
+        warm = solve_lp(lp, cold.basis)
+        assert (warm.start, warm.fallback, warm.pivots) == (WARM, None, 0)
+        assert np.array_equal(warm.basis, cold.basis)
+        assert np.allclose(warm.x, cold.x, rtol=1e-12, atol=1e-12)
+        solved += 1
+    assert solved >= 60
+
+
+# a 2x2 transportation program: x_ij at column 2i + j, rows 0-1 ship each
+# supply in full, rows 2-3 cap each demand, with slacks at columns 4 and 5
+TRANSPORT_2X2 = LinearProgram(
+    [1.0, 2.0, 3.0, 1.0],
+    [[1, 1, 0, 0], [0, 0, 1, 1]], [2.0, 3.0],
+    [[1, 0, 1, 0], [0, 1, 0, 1]], [4.0, 4.0],
+)
+
+
+@pytest.mark.parametrize("basis, reason", [
+    ([0, 3, 4], "basis has shape (3,), the program has 4 rows"),
+    ([0, 3, 4, 5, 1], "basis has shape (5,), the program has 4 rows"),
+    ([0, 3, 4, 4], "basis repeats a column"),
+    # the four shipments close a cycle: x_00 - x_01 - x_10 + x_11 = 0 on every row
+    ([0, 1, 2, 3], "basis is singular"),
+    # both supplies shipped to demand 0: its slack is 4 - 2 - 3 = -1
+    ([0, 2, 4, 5], "basis is infeasible"),
+    ([0, 3, 4, 6], "basis names a column outside 0..5"),
+    ([-1, 3, 4, 5], "basis names a column outside 0..5"),
+], ids=["short", "long", "repeated", "singular", "infeasible", "past-the-end", "negative"])
+def test_warm_start_fallbacks_are_the_cold_start(basis, reason):
+    cold = solve_lp(TRANSPORT_2X2)
+    res = solve_lp(TRANSPORT_2X2, basis)
+    assert (res.start, res.fallback) == (COLD, reason)
+    assert (res.status, res.value, res.pivots) == (cold.status, cold.value, cold.pivots)
+    assert np.array_equal(res.x, cold.x) and np.array_equal(res.basis, cold.basis)
+
+
+def test_warm_start_from_a_valid_basis_reaches_the_optimum():
+    # x_01 = 2 and x_10 = 3 is a vertex, but not the cheapest
+    res = solve_lp(TRANSPORT_2X2, [1, 2, 4, 5])
+    assert (res.start, res.status, res.value) == (WARM, OPTIMAL, 5.0)
+    assert res.pivots > 0
+    assert np.array_equal(res.x, solve_lp(TRANSPORT_2X2).x)
+
+
+def test_fuzz_from_a_random_basis_against_vertex_oracle():
+    # the fuzz programs again, each started from a random basis; a basis that
+    # cannot start phase 2 falls back, and the answer must not change
+    rng = np.random.default_rng(98)
+    starts = {COLD: 0, WARM: 0}
+    for lp in _fuzz_programs(np.random.default_rng(99), 150):
+        n_real = lp.objective.size + lp.b_ub.size
+        basis = rng.choice(n_real, size=min(_rows(lp), n_real), replace=False)
+        res = solve_lp(lp, basis)
+        _agrees_with_vertex_oracle(lp, res)
+        starts[res.start] += 1
+    assert starts[WARM] >= 25, starts
