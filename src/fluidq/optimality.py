@@ -95,7 +95,8 @@ class NCVerdict:
 
 
 def max_throughput(
-    class_masses: np.ndarray, capacities: np.ndarray, model: NetworkModel
+    class_masses: np.ndarray, capacities: np.ndarray, model: NetworkModel,
+    basic: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Maximum total service rate over the mass polytope, with a maximizer.
 
@@ -103,6 +104,13 @@ def max_throughput(
     succeeds. The objective is divided by its largest rate, so the solver's
     absolute pivot tolerance meets reduced costs of order 1 in any time unit;
     the value is ``rates @ x``, in the model's units.
+
+    ``basic``, an (I, J) mask of pairs, warm-starts the solve at the vertex
+    whose basic variables are those pairs and the slack of the first class
+    row: at the fluid masses of a basic tree that is the tree's allocation,
+    with every slack at 0. A mask that gives no feasible, nonsingular basis
+    (not a tree, or masses off its vertex) falls back to the cold start,
+    with the same result (see ``linprog.solve_lp``).
     """
     rows, cols = lp_columns(model)
     rates = model.service_rates[rows, cols]
@@ -110,10 +118,12 @@ def max_throughput(
         rows == np.arange(model.num_classes)[:, None],
         cols == np.arange(model.num_stations)[:, None],
     ])
+    if basic is not None:
+        basic = np.append(np.flatnonzero(basic[rows, cols]), rows.size)
     res = solve_lp(LinearProgram(
         -rates / rates.max(initial=0.0),
         a_ub=incidence, b_ub=np.concatenate([class_masses, capacities]),
-    ))
+    ), basic)
     psi = np.zeros(model.service_rates.shape)
     psi[rows, cols] = np.clip(res.x, 0.0, None)
     return float(rates @ res.x), psi
@@ -121,7 +131,8 @@ def max_throughput(
 
 def throughput_verdict_lp(model: NetworkModel, sol: FluidSolution) -> ThroughputVerdict:
     """Optimal iff no feasible mass rearrangement serves faster than arrivals."""
-    value, psi = max_throughput(sol.class_masses, model.capacities, model)
+    value, psi = max_throughput(sol.class_masses, model.capacities, model,
+                                basic=sol.allocation > DEFAULT_TOL)
     arrivals = float(model.arrival_rates.sum())
     optimal = value <= arrivals * (1.0 + DEFAULT_TOL)
     return ThroughputVerdict(

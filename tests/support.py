@@ -111,6 +111,60 @@ def max_throughput_oracle(class_masses, capacities, model):
     return out[0]
 
 
+def max_throughput_flow(class_masses, capacities, model):
+    """Maximum service rate over the mass polytope, by successive shortest
+    augmenting paths, sharing nothing with the simplex.
+
+    The polytope is the flows of a network: a source feeds class i up to its
+    mass, class i sends to station j at cost -mu_ij wherever mu_ij > 0, and
+    station j drains to a sink up to its capacity. Augmenting along a
+    cheapest residual source-sink path (Bellman-Ford, as costs are negative)
+    while that path's cost is negative gives a minimum-cost flow (Ahuja,
+    Magnanti & Orlin 1993, ch. 9), whose negated cost is the maximum. Used
+    where vertex enumeration would take too long.
+    """
+    I, J = model.num_classes, model.num_stations
+    source, sink = I + J, I + J + 1
+    residual = np.zeros((I + J + 2,) * 2)
+    cost = np.zeros_like(residual)
+    residual[source, :I] = class_masses
+    residual[I:I + J, sink] = capacities
+    served = model.service_rates > 0
+    residual[:I, I:I + J][served] = np.inf
+    cost[:I, I:I + J] = -model.service_rates
+    cost[I:I + J, :I] = model.service_rates.T
+    # a distance must drop by more than rounding: a cycle of cost 0 that
+    # rounds below 0 would otherwise enter the predecessor graph
+    tol = 1e-12 * model.service_rates.max()
+    for _ in range(10 * (I + J + 2) ** 2):
+        dist = np.full(I + J + 2, np.inf)
+        dist[source] = 0.0
+        pred = np.full(I + J + 2, -1)
+        for _ in range(I + J + 1):
+            reach = dist[:, None] + np.where(residual > 0, cost, np.inf)
+            best = reach.argmin(axis=0)
+            shorter = reach[best, np.arange(best.size)]
+            better = shorter < dist - tol
+            if not better.any():
+                break
+            dist[better] = shorter[better]
+            pred[better] = best[better]
+        if not dist[sink] < -tol:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(int(pred[path[-1]]))
+        arcs = list(zip(path[:0:-1], path[-2::-1]))
+        push = min(residual[u, v] for u, v in arcs)
+        for u, v in arcs:
+            residual[u, v] -= push
+            residual[v, u] += push
+    else:
+        raise AssertionError("augmentation did not terminate")
+    # the flow on (i, j) is its reverse residual
+    return float((model.service_rates * residual[I:I + J, :I].T).sum())
+
+
 def full_allocation_lp(model):
     """The allocation program over every (class, station) pair: I*J
     allocation fractions flattened row-major, then the load, with each pair

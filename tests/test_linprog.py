@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 import fluidq.linprog
+import fluidq.optimality
+import fluidq.static_fluid
 from fluidq import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     NumericalFailure,
+    check_assumptions,
     generate_critical_instance,
     solve_lp,
     solve_static_allocation,
+    throughput_verdict_lp,
     validate_model,
 )
 from fluidq.linprog import COLD, WARM
@@ -203,6 +207,49 @@ def test_allocation_lp_pivot_count():
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.pivots <= 400
+
+
+def _recorded_solves(monkeypatch, module):
+    """The results of every ``solve_lp`` call made through ``module``."""
+    results = []
+
+    def recording(lp, basis=None):
+        results.append(solve_lp(lp, basis))
+        return results[-1]
+
+    monkeypatch.setattr(module, "solve_lp", recording)
+    return results
+
+
+@pytest.mark.parametrize("size", [8, 12, 16, 20, 30])
+def test_face_lp_pivot_count(monkeypatch, size):
+    # started at the allocation vertex; the cold start took 20 pivots at 8x8
+    # and 108 at 30x30 (seed 1), the warm one takes 1
+    solves = _recorded_solves(monkeypatch, fluidq.static_fluid)
+    for seed in (1, 2, 3):
+        model, sol = generate_critical_instance(seed, size, size)
+        solves.clear()
+        assert check_assumptions(model, sol).unique
+        (face,) = solves
+        assert (face.start, face.status) == (WARM, OPTIMAL)
+        assert face.pivots <= 4, (size, seed)
+
+
+# the throughput-optimal draws among the first 400 seeds at 8x8 (the first
+# five of 27), 10x10 (two of 9) and 12x12 (the only one)
+OPTIMAL_DRAWS = [(8, 1), (8, 31), (8, 50), (8, 75), (8, 77), (10, 105), (10, 112), (12, 113)]
+
+
+@pytest.mark.parametrize("size, seed", OPTIMAL_DRAWS)
+def test_max_throughput_pivot_count_on_optimal_draws(monkeypatch, size, seed):
+    # started at the basic tree, which is optimal here; the cold start took
+    # 15 pivots at 8x8 (seed 1), the warm one takes 1
+    model, sol = generate_critical_instance(seed, size, size)
+    solves = _recorded_solves(monkeypatch, fluidq.optimality)
+    assert throughput_verdict_lp(model, sol).optimal
+    (res,) = solves
+    assert (res.start, res.status) == (WARM, OPTIMAL)
+    assert res.pivots <= 4
 
 
 def test_non_finite_program_raises_numerical_failure():

@@ -30,10 +30,12 @@ from fluidq import (
 )
 
 import fluidq.optimality
+import fluidq.static_fluid
 from fluidq.analysis import run_analysis
+from fluidq.linprog import solve_lp
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
-from support import max_throughput_oracle, relabel_model, tune_zero_path
+from support import max_throughput_flow, max_throughput_oracle, relabel_model, tune_zero_path
 from test_golden import CYCLE_4X4, ZERO_PATHS_3X3
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -496,3 +498,31 @@ def test_verdict_does_not_depend_on_labels():
             assert _verdict_in_labels_of(model, cp, sp) == expected, (model, cp, sp)
             relabeled += 1
     assert relabeled == 304
+
+
+def _warm_or_cold(model):
+    """What a warm start must leave unchanged: the verdict, its deciding
+    rule, the assumption flags and every violation."""
+    rep = run_analysis(model)
+    flags = (rep.assumptions.critically_loaded, rep.assumptions.unique, rep.assumptions.is_tree)
+    return (rep.nc.status, rep.nc.basis, flags, rep.assumptions.violations), rep
+
+
+def test_warm_starts_agree_with_cold_starts(monkeypatch):
+    # the face LP and max_throughput start at the allocation's vertex; the
+    # same corpus solved with every basis ignored must give the same answers
+    models = _label_invariance_models()
+    warm = [_warm_or_cold(model) for model in models]
+    with monkeypatch.context() as patch:
+        for module in (fluidq.static_fluid, fluidq.optimality):
+            patch.setattr(module, "solve_lp", lambda lp, basis=None: solve_lp(lp))
+        cold = [_warm_or_cold(model)[0] for model in models]
+    assert [w for w, _ in warm] == cold
+    for model, (_, rep) in zip(models, warm):
+        masses = rep.solution.class_masses
+        # vertex enumeration runs up to 3x3; the flow oracle runs everywhere
+        oracles = [max_throughput_flow(masses, model.capacities, model)]
+        if model.num_classes * model.num_stations <= 9:
+            oracles.append(max_throughput_oracle(masses, model.capacities, model))
+        for oracle in oracles:
+            assert rep.nc.throughput.max_throughput == pytest.approx(oracle, rel=1e-9, abs=0.0)
