@@ -118,12 +118,11 @@ def max_throughput(
         rows == np.arange(model.num_classes)[:, None],
         cols == np.arange(model.num_stations)[:, None],
     ])
-    if basic is not None:
-        basic = np.append(np.flatnonzero(basic[rows, cols]), rows.size)
+    basis = None if basic is None else np.append(np.flatnonzero(basic[rows, cols]), rows.size)
     res = solve_lp(LinearProgram(
         -rates / rates.max(initial=0.0),
         a_ub=incidence, b_ub=np.concatenate([class_masses, capacities]),
-    ), basic)
+    ), basis)
     psi = np.zeros(model.service_rates.shape)
     psi[rows, cols] = np.clip(res.x, 0.0, None)
     return float(rates @ res.x), psi

@@ -100,12 +100,11 @@ def test_max_throughput_is_homogeneous_in_the_rates(raw, unit):
     model = validate_model(raw)
     sol = solve_static_allocation(model)
     expected, _ = max_throughput(sol.class_masses, model.capacities, model)
+    rates = "mu" if unit == "time" else "nu"
     for c in (1e-11, 3e-11, 1e-10, 1e4, 1e8):
-        scaled = validate_model(dict(raw, **{
-            "lambda": [c * v for v in raw["lambda"]],
-            "mu" if unit == "time" else "nu":
-                (np.asarray(raw["mu" if unit == "time" else "nu"], dtype=float) * c).tolist(),
-        }))
+        scaled = dict(raw, **{"lambda": [c * v for v in raw["lambda"]]})
+        scaled[rates] = (np.asarray(raw[rates], dtype=float) * c).tolist()
+        scaled = validate_model(scaled)
         # class masses are invariant in time units and scale with capacity
         masses = sol.class_masses * (1.0 if unit == "time" else c)
         value, _ = max_throughput(masses, scaled.capacities, scaled)
