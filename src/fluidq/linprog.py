@@ -20,7 +20,8 @@ column per row: it inverts the basis matrix once and applies the inverse to
 every column. A basis of the wrong length, with a repeated column or an
 index out of range, singular (condition number past WARM_COND) or
 infeasible falls back to the cold two-phase start, which then runs exactly
-as without a basis; ``LPResult`` records which start ran and why. The
+as without a basis, and so does a warm solution that fails the residual
+check; ``LPResult`` records which start ran and why. The
 tableau is kept C-contiguous, as pivoting is row arithmetic: 82 pivots of
 the 50x50 ``max_throughput`` program took 26 ms on a C-contiguous tableau,
 39 ms on a strided view and 63 ms on a Fortran-ordered copy, against 54 ms
@@ -29,7 +30,7 @@ for the 148 pivots of the cold start (2 cores, numpy 2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class LPResult:
     """``basis`` is the final basis, in the indexing of ``solve_lp``'s
     argument, one column per row the solve kept; ``start`` is WARM when
     phase 2 ran from the given basis, else COLD; ``fallback`` says why a
-    given basis was not used."""
+    given basis was not used, or why its solution was discarded."""
 
     status: str
     x: np.ndarray | None = None
@@ -171,7 +172,9 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LPResult:
     then of ``a_ub`` first: a variable's index, or ``n + k`` for the slack
     of row k of ``a_ub``. When it is given, feasible and well conditioned,
     phase 2 starts there; otherwise the cold two-phase start runs, exactly
-    as without it, and ``fallback`` says why.
+    as without it, and ``fallback`` says why. So it does when the warm
+    solution fails the residual check, which absolute rounding at large
+    coefficients can cause where the cold pivots happen to stay exact.
 
     Raises:
         NumericalFailure: iteration count passed 50 * (variables + rows), or
@@ -211,7 +214,14 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LPResult:
     full = np.zeros(A.shape[1])
     full[basis] = b
     x = full[:n].copy()
-    _check_residuals(lp, x)
+    try:
+        _check_residuals(lp, x)
+    except NumericalFailure as exc:
+        if start == COLD:
+            raise
+        # a warm start must not fail a program that the cold start solves
+        cold = solve_lp(lp)
+        return replace(cold, pivots=cold.pivots + budget.used, fallback=f"warm start: {exc}")
     return LPResult(status=OPTIMAL, x=x, value=float(lp.objective @ x), pivots=budget.used,
                     basis=basis, start=start, fallback=fallback)
 

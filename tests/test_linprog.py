@@ -8,6 +8,7 @@ import fluidq.optimality
 import fluidq.static_fluid
 from fluidq import (
     INFEASIBLE,
+    NC_POSSIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -19,9 +20,11 @@ from fluidq import (
     throughput_verdict_lp,
     validate_model,
 )
+from fluidq.analysis import run_analysis
 from fluidq.linprog import COLD, WARM
 from fluidq.static_fluid import _allocation_lp
 
+from conftest import CASE_A
 from support import vertex_optimum
 
 
@@ -329,6 +332,32 @@ def test_warm_start_from_a_valid_basis_reaches_the_optimum():
     assert (res.start, res.status, res.value) == (WARM, OPTIMAL, 5.0)
     assert res.pivots > 0
     assert np.array_equal(res.x, solve_lp(TRANSPORT_2X2).x)
+
+
+def test_warm_solution_failing_the_residual_check_falls_back(monkeypatch):
+    # a warm tableau whose basic values are off: its solution fails the
+    # residual check, and the cold start answers instead
+    real = fluidq.linprog._warm_start
+
+    def off(A, b, basis):
+        tableau, x_basic, basis = real(A, b, basis)
+        return tableau, x_basic + 1e-3, basis
+
+    monkeypatch.setattr(fluidq.linprog, "_warm_start", off)
+    cold = solve_lp(TRANSPORT_2X2)
+    res = solve_lp(TRANSPORT_2X2, [1, 2, 4, 5])
+    assert res.start == COLD
+    assert res.fallback.startswith("warm start: solution residual")
+    assert (res.status, res.value) == (cold.status, cold.value)
+    assert np.array_equal(res.x, cold.x) and res.pivots > cold.pivots
+
+
+def test_verdict_at_large_capacity_units_matches_the_cold_start():
+    # at nu and lambda times 1e10 the warm face LP's solution misses the
+    # absolute residual bound, where the cold pivots on case_a stay exact
+    raw = dict(CASE_A, **{"lambda": [1e10 * v for v in CASE_A["lambda"]]})
+    raw["nu"] = [1e10 * v for v in CASE_A["nu"]]
+    assert run_analysis(validate_model(raw)).nc.status == NC_POSSIBLE
 
 
 def test_fuzz_from_a_random_basis_against_vertex_oracle():
