@@ -172,9 +172,9 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LPResult:
     then of ``a_ub`` first: a variable's index, or ``n + k`` for the slack
     of row k of ``a_ub``. When it is given, feasible and well conditioned,
     phase 2 starts there; otherwise the cold two-phase start runs, exactly
-    as without it, and ``fallback`` says why. So it does when the warm
-    solution fails the residual check, which absolute rounding at large
-    coefficients can cause where the cold pivots happen to stay exact.
+    as without it, and ``fallback`` says why. It also runs when the warm
+    solution fails the residual check: at large coefficients the rounding
+    of the inverse can pass that absolute bound where cold pivots stay exact.
 
     Raises:
         NumericalFailure: iteration count passed 50 * (variables + rows), or
