@@ -21,11 +21,11 @@ every column. A basis of the wrong length, with a repeated column or an
 index out of range, singular (condition number past WARM_COND) or
 infeasible falls back to the cold two-phase start, which then runs exactly
 as without a basis, and so does a warm solution that fails the residual
-check; ``LPResult`` records which start ran and why. The
-tableau is kept C-contiguous, as pivoting is row arithmetic: 82 pivots of
-the 50x50 ``max_throughput`` program took 26 ms on a C-contiguous tableau,
-39 ms on a strided view and 63 ms on a Fortran-ordered copy, against 54 ms
-for the 148 pivots of the cold start (2 cores, numpy 2.4).
+check; ``LPResult`` records which start ran and why. The tableau is kept
+C-contiguous, as pivoting is row arithmetic: 82 pivots of the 50x50
+``max_throughput`` program took 26 ms on a C-contiguous tableau, 39 ms on a
+strided view and 63 ms on a Fortran-ordered copy, against 54 ms for the 148
+pivots of the cold start (2 cores, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -141,7 +141,8 @@ def _iterate(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     degenerate = 0
     while True:
         reduced = c - c[basis] @ A
-        # numpy's Python-level wrappers (flatnonzero, argmin, min) skipped
+        # array methods and ufunc reductions skip numpy's Python-level
+        # wrappers: on 200 entries flatnonzero takes 1.5 us, .nonzero() 0.5
         eligible = (reduced[:allowed] < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return OPTIMAL
