@@ -37,16 +37,15 @@ blocks of draws and float arithmetic, so its result is bit-identical to
 ``simulate``'s, which stays the reference; user policies, and fewer than
 ``LOCKSTEP_MIN_REPS`` replications, always take ``simulate``.
 
-Both engines start from the one rounding of the fluid split,
-``SystemInstance.core``, made by ``build_system``, and share the fill,
-``_fill``, which all three built-ins run (``IdlePolicy`` over no pairs), and
-the pump's displacement rule, ``NegativePathPump._displace`` (each indexes
-``psi[i][j]`` and takes the engine's ``min``/``max``: builtins on ints,
-numpy's on columns), the checks (``_counts``, ``_violation``), and
-``_Record``, which samples a replication and builds its ``SimResult``. The
-head clip has one closed form, over ``build_system``'s table
-``SystemInstance.upto``. Only the event selection keeps a form per engine,
-for speed: ``bisect_right`` on one list; ``searchsorted`` and a count on columns.
+Both engines start from the one rounding of the fluid split, ``SystemInstance.core``,
+made by ``build_system``, and share the fill, ``_fill``, which all three built-ins
+run (``IdlePolicy`` over no pairs) in an order that marks each class's and station's
+last pair, the pump's displacement rule, ``NegativePathPump._displace`` (each indexes
+``psi[i][j]`` and takes the engine's ``min``/``max`` and constants: builtins and ints
+on ints, numpy's and 0-d arrays on columns), the checks (``_counts``, ``_violation``),
+and ``_Record``, which samples a replication and builds its ``SimResult``. The head
+clip has one closed form, over ``SystemInstance.upto``. Only the event selection
+keeps a form per engine: ``bisect_right`` on one list, one count per column on columns.
 """
 
 from __future__ import annotations
@@ -123,17 +122,18 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
     Raises:
         ValueError: n is a bool, not an integer, or below 1.
         ScalingViolation: the server bound fails, typically capacities near
-            half-integers at a tiny n (use a larger n), or n times a rate is
-            not finite or n times a capacity or class mass does not fit in int64.
+            half-integers at a tiny n (use a larger n), or n times a rate is not
+            finite, or n times a capacity or class mass, the server total or I
+            times the largest server count does not fit in int64.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"scale parameter n must be an integer of at least 1, got {n!r}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         arrivals, capacity = n * model.arrival_rates, n * model.capacities
-        mass = n * sol.class_masses
-    if not np.isfinite(arrivals).all() or max(capacity.max(), mass.max()) >= 2.0**63:
+        mass, servers = n * sol.class_masses, _round_half_up(capacity)
+    if (not np.isfinite(arrivals).all() or max(capacity.max(), mass.max()) >= 2.0**63
+            or max(model.num_classes * int(servers.max()), sum(servers.tolist())) >= 2**63):
         raise ScalingViolation(f"scaling by n = {n} overflows a rate or an int64 count")
-    servers = _round_half_up(capacity)
     server_drift = np.abs(servers / n - model.capacities).sum()
     if server_drift > 0.5 / math.sqrt(n) + 1e-12:
         raise ScalingViolation(
@@ -206,12 +206,12 @@ class GreedyBasic(Policy):
         return _fill(psi, list(state.heads), list(state.servers), self._order, min)
 
     def _lockstep(self, sys: SystemInstance, reps: int):
-        psi, left, rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
-        I, servers, flat = len(heads_left), sys.servers[:, None], psi.reshape(-1, reps)
+        psi, (by_class, by_station), rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
+        servers, flat = sys.servers[:, None], psi.reshape(-1, reps)
 
         def assign(heads: np.ndarray) -> np.ndarray:
             psi.fill(0)
-            left[:I], left[I:] = heads, servers
+            by_class[...], by_station[...] = heads, servers
             _fill(rows, heads_left, servers_left, self._order, np.minimum)
             return flat
         return assign
@@ -257,23 +257,23 @@ class NegativePathPump(Policy):
 
     def prepare(self, sys: SystemInstance) -> None:
         self._core, self._upto = sys.core.tolist(), sys.upto.tolist()
-        self._servers_total = int(sys.servers.sum())
-        self._step = math.ceil(math.sqrt(sys.n))
         self._shift = 0
-        self._max_shift = min((self._core[i][j] for i, j in self._dec), default=0)
+        cap = min((self._core[i][j] for i, j in self._dec), default=0)
+        self._limits = (int(sys.servers.sum()), cap, math.ceil(math.sqrt(sys.n)))
 
-    def _displace(self, psi, heads, shift, minimum, maximum):
+    def _displace(self, psi, total, shift, limits, minimum, maximum):
         """Move ``shift`` at most one step toward its target (the feasibility
-        cap while total heads >= total servers, else 0), apply what the
-        decreasing edges of ``psi`` can give up, and return the moved shift.
-
-        ``psi[i][j]`` and ``heads[i]`` are ints with ``min``/``max``, or columns
-        with ``np.minimum``/``np.maximum``. No row or column sum grows: each
-        class and station on the path has as many decreasing edges as
-        increasing ones, except an open path's first class and last station.
-        """
-        target = (sum(heads) >= self._servers_total) * self._max_shift
-        shift = minimum(maximum(target, shift - self._step), shift + self._step)
+        cap while the head total ``total`` is at least the server total, else 0),
+        apply what the decreasing edges of ``psi`` can give up, and return the
+        moved shift. ``limits`` holds the server total, the cap and the step.
+        ``psi[i][j]``, ``total`` and ``limits`` are ints with ``min``/``max``, or
+        columns and 0-d arrays with ``np.minimum``/``np.maximum``. No row or
+        column sum grows: each class and station on the path has as many
+        decreasing edges as increasing ones, except an open path's first class
+        and last station."""
+        servers_total, cap, step = limits
+        target = (total >= servers_total) * cap
+        shift = minimum(maximum(target, shift - step), shift + step)
         applied = reduce(minimum, [psi[i][j] for i, j in self._dec], shift)
         for i, j in self._dec:
             psi[i][j] -= applied
@@ -285,7 +285,7 @@ class NegativePathPump(Policy):
         heads = state.heads
         # clip rows to the available heads before sizing the displacement
         psi = _clip_to_heads(self._core, self._upto, heads)
-        self._shift = self._displace(psi, heads, self._shift, min, max)
+        self._shift = self._displace(psi, sum(heads), self._shift, self._limits, min, max)
         # work-conserving completion, fastest activities first
         heads_left = [h - sum(row) for h, row in zip(heads, psi)]
         servers_left = [s - sum(col) for s, col in zip(state.servers, zip(*psi))]
@@ -293,19 +293,20 @@ class NegativePathPump(Policy):
 
     def _lockstep(self, sys: SystemInstance, reps: int):
         self.prepare(sys)
-        psi, left, rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
-        I, servers, flat = len(heads_left), sys.servers[:, None], psi.reshape(-1, reps)
-        upto, count, zero = sys.upto[:, :, None], sys.core[:, :, None], np.zeros((), np.int64)
-        row_totals = sys.core.sum(axis=1)[:, None]
+        psi, (by_class, by_station), rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
+        servers, flat = sys.servers[:, None], psi.reshape(-1, reps)
+        upto, count = (sys.upto - sys.core.sum(axis=1)[:, None])[:, :, None], sys.core[:, :, None]
+        zero, limits = np.zeros((), np.int64), tuple(map(np.asarray, self._limits))
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
         def assign(heads: np.ndarray) -> np.ndarray:
             nonlocal shift
-            np.subtract(upto, np.subtract(row_totals, heads, out=left[:I])[:, None], out=psi)
+            np.add(upto, heads[:, None], out=psi)  # upto - e for the excess e = row total - heads
             np.minimum(np.maximum(psi, zero, out=psi), count, out=psi)  # _clip_to_heads on columns
-            shift = self._displace(rows, heads, shift, np.minimum, np.maximum)
-            np.subtract(heads, np.add.reduce(psi, axis=1, out=left[:I]), out=left[:I])
-            np.subtract(servers, np.add.reduce(psi, axis=0, out=left[I:]), out=left[I:])
+            shift = self._displace(rows, np.add.reduce(heads, axis=0), shift, limits,
+                                   np.minimum, np.maximum)
+            np.subtract(heads, np.add.reduce(psi, axis=1, out=by_class), out=by_class)
+            np.subtract(servers, np.add.reduce(psi, axis=0, out=by_station), out=by_station)
             _fill(rows, heads_left, servers_left, self._fastest_first, np.minimum)
             return flat
         return assign
@@ -331,34 +332,40 @@ def make_policy(
     return factory(model, sol, paths)
 
 
-def _fill(psi, heads_left, servers_left, order: list[tuple[int, int]], minimum):
+def _fill(psi, heads_left, servers_left, order: list[tuple[int, int, bool, bool]], minimum):
     """Work-conserving fill: at each pair of ``order`` in turn, put in service
     as many of the class's remaining heads as the station has servers left.
 
     Takes ints with ``minimum=min``, or columns with ``np.minimum``. No
     leftover a built-in policy passes is negative (the head clip bounds rows,
     the core split columns, and ``NegativePathPump._displace`` raises
-    neither), so every step adds at least 0.
+    neither), so every step adds at least 0. A leftover is updated only while
+    ``order``, from ``_by_decreasing_rate``, has its class or station again.
     """
-    for i, j in order:
+    for i, j, class_again, station_again in order:
         k = minimum(heads_left[i], servers_left[j])
         psi[i][j] += k
-        heads_left[i] -= k
-        servers_left[j] -= k
+        if class_again:
+            heads_left[i] -= k
+        if station_again:
+            servers_left[j] -= k
     return psi
 
 
 def _lockstep_buffers(sys: SystemInstance, reps: int):
-    """A built-in's lockstep buffers, which each ``assign`` overwrites: the (I, J, R) assignment,
-    the (I + J, R) leftovers, and the lists of their rows that ``_fill`` and ``_displace`` index."""
-    (I, J), psi = sys.core.shape, np.empty((*sys.core.shape, reps), dtype=np.int64)
-    left = np.empty((I + J, reps), dtype=np.int64)
-    return psi, left, [list(row) for row in psi], list(left[:I]), list(left[I:])
+    """A built-in's lockstep buffers, overwritten by each ``assign``: the (I, J, R) assignment, the
+    (I, R) and (J, R) leftovers, and the lists of rows that ``_fill`` and ``_displace`` index."""
+    psi = np.empty((*sys.core.shape, reps), dtype=np.int64)
+    left = [np.empty((size, reps), dtype=np.int64) for size in sys.core.shape]
+    return psi, left, [list(row) for row in psi], *map(list, left)
 
 
-def _by_decreasing_rate(pairs, model: NetworkModel) -> list[tuple[int, int]]:
-    """The (class, station) positions ``pairs`` by decreasing service rate, ties by position."""
-    return sorted(pairs, key=lambda pos: (-model.service_rates[pos], pos))
+def _by_decreasing_rate(pairs, model: NetworkModel) -> list[tuple[int, int, bool, bool]]:
+    """``_fill``'s order: the (class, station) positions ``pairs`` by decreasing service
+    rate, ties by position, each with whether its class and its station come again later."""
+    order = sorted(pairs, key=lambda pos: (-model.service_rates[pos], pos))
+    last_i, last_j = ({pos[side]: k for k, pos in enumerate(order)} for side in (0, 1))
+    return [(i, j, last_i[i] > k, last_j[j] > k) for k, (i, j) in enumerate(order)]
 
 
 def _clip_to_heads(core, upto, heads) -> list[list[int]]:
@@ -633,17 +640,15 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
 
     Each step handles one event of every replication, on (pairs, R) and
     (classes, R) int64 counts whose column k is replication k for the whole
-    call. Every column is at the same event index, so every ``DRAW_BLOCK``
-    steps each one's own generator draws its next blocks of exponentials and
-    uniforms, exactly what ``simulate(sys, policy, T, seeds[k], warmup,
-    sample_points)`` draws, and the step reads one (R,) row of each
-    (DRAW_BLOCK, R) block. It does the same float arithmetic on the same
-    values: ``np.add.accumulate`` adds in order, as ``accumulate`` does, at
-    any number of pairs. So the k-th result equals that run's in every field.
-    A replication that reaches its ``horizon``, T, is recorded, and its
+    call. Every ``DRAW_BLOCK`` steps each column's own generator draws its
+    next blocks, exactly what ``simulate(sys, policy, T, seeds[k], warmup,
+    sample_points)`` draws, and each step reads one (R,) row of each, with
+    the same float arithmetic (``np.add.accumulate`` adds in order, as
+    ``accumulate`` does): the k-th result equals that run's in every field.
+    A replication that reaches its ``horizon``, T, is recorded and its
     horizon becomes nan, which no time reaches: the column keeps stepping,
-    unrecorded, until the last replication ends. A column's event is one row
-    of ``counts``: arrivals by class, then completions by pair.
+    unrecorded, until the last one ends. A column's event is one row of
+    ``counts``: arrivals by class, then completions by pair.
 
     ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
     ``assign(heads)``, which maps the (classes, R) head counts to the
@@ -651,28 +656,30 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     column per replication: a buffer the policy owns and overwrites on its
     next call, read by the step before that call and copied by a record where
     it samples. Every assignment, and the counting identity, is checked on
-    every step for every column, ended ones too, by a minimum and one product
-    ``G @ psi <= bound`` over the zero-rate pairs, classes and stations;
-    ``_violation`` names the rule only if one broke.
+    every step for every column, ended ones too: each entry, read as uint64,
+    against its station's server count (a negative one fails too, and no sum
+    of entries that pass wraps), and ``G @ psi <= bound`` over the zero-rate
+    pairs, classes and stations. ``_violation`` names the rule, over Python
+    ints, only if one broke.
 
     Raises:
         PolicyViolation: an infeasible assignment; the message names the
             policy, the replication and the event.
     """
     _check_horizon(T, warmup)
-    I, J = sys.model.num_classes, sys.model.num_stations
-    R = len(seeds)
+    (I, J), R = sys.service_rates.shape, len(seeds)
     assign = policy._lockstep(sys, R)
-    rates = sys.service_rates.reshape(I * J, 1)
+    x0, rates = sys.x0[:, None], sys.service_rates.reshape(I * J, 1)
     zero_rate = np.flatnonzero(~(rates > 0))
-    x0 = sys.x0[:, None]
     # the step's scalars as 0-d arrays, which a ufunc takes faster than Python numbers
     servers_total, lam_total, start, zero = map(
         np.asarray, (sys.servers.sum(), sys.arrival_rates.sum(), float(warmup), 0.0))
-    lam_low = np.cumsum(sys.arrival_rates)[:-1]  # all cumulative rates but the last
+    lam_cum = np.append(np.minimum(sys.arrival_rates.cumsum()[:-1], lam_total), lam_total)[:, None]
     delta = _event_heads(I, J)
     pairs = np.eye(I * J, dtype=np.int64).reshape(I, J, -1)
     G = np.vstack([pairs.reshape(I * J, -1)[zero_rate], pairs.sum(1), pairs.sum(0)])
+    # an entry read as uint64 within its station's server count puts no sum of G @ psi past int64
+    per_pair = np.tile(np.maximum(sys.servers, 0), I).astype(np.uint64)[:, None]
 
     # column c is replication c for the whole call; the heads are rows of the bound
     gens = [np.random.default_rng(seed) for seed in seeds]
@@ -690,13 +697,17 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     # times never decrease, every step from then on rewrites it
     final = np.zeros(R, dtype=bool)
     rated, svc_cum = np.empty((2, I * J, R))
+    over, below = np.empty((I * J + len(G), R), dtype=bool), np.empty((I + I * J - 1, R), bool)
+    pairs_over, sums_over, lam_below, svc_below = *np.split(over, [I * J]), *np.split(below, [I])
     svc_total, svc_low = svc_cum[-1], svc_cum[:-1]
 
     def decide(event: int) -> np.ndarray:
         try:
             psi = _counts(assign(heads), (I * J, R)).astype(np.int64, copy=False)
-            found = ((psi.min() < 0 or (G @ psi > bound).any())
-                     and _violation(psi, heads, sys.servers, zero_rate))
+            np.greater(psi.view(np.uint64), per_pair, out=pairs_over)
+            np.greater(G @ psi, bound, out=sums_over)
+            found = (np.logical_or.reduce(over, axis=None)  # then Python ints: no sum wraps
+                     and _violation(psi.astype(object), heads, sys.servers, zero_rate))
         except PolicyViolation as exc:
             found = exc, 0
         if not found:
@@ -712,12 +723,14 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
             if not k:
                 exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in gens])
                 uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in gens])
+                warm = np.minimum.reduce(t) >= warmup  # times never decrease: it stays so
             busy = np.add.reduce(heads, axis=0) >= servers_total
             np.add.accumulate(np.multiply(rates, psi, out=rated), axis=0, out=svc_cum)
             total_rate = lam_total + svc_total
             t_next = t + exponentials[k] / total_rate
             latest = np.maximum.reduce(t_next)  # < T: no column ends; <= first_due: none samples
-            ending = latest >= T and np.greater_equal(t_next, horizon, out=final).any()
+            ending = latest >= T and np.logical_or.reduce(
+                np.greater_equal(t_next, horizon, out=final))
             seg_end = np.where(final, T, t_next) if ending else t_next
 
             if ending or first_due < latest:
@@ -725,30 +738,32 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
                     busy_from = max(t[c], warmup) if busy[c] else math.inf
                     due[c] = records[c].sample(heads[:, c], psi[:, c].reshape(I, J), occupancy[c],
                                                busy_from, seg_end[c], final[c])
-                first_due = due.min()
-            piece = seg_end - np.maximum(t, start)
-            np.add(occupancy, np.maximum(piece, zero, out=piece), out=occupancy, where=busy)
+                first_due = np.minimum.reduce(due)
+            # once every column is past warmup, seg_end - t needs no clamp: it is at least 0
+            piece = seg_end - t if warm else np.maximum(seg_end - np.maximum(t, start), zero)
+            np.add(occupancy, piece, out=occupancy, where=busy)
 
             if ending:
                 for c in np.flatnonzero(final):
                     results[c] = records[c].result(
                         occupancy[c], arrived[:, c], counts[I:, c], heads[:, c], events)
                 horizon[final] = math.nan  # no time reaches it, not even an inf one
-                if np.isnan(horizon).all():
+                if np.logical_and.reduce(np.isnan(horizon)):
                     return results
 
             t = t_next
             u = uniforms[k] * total_rate
-            # bisect_right's count against all rates but the last is its count capped
-            # at the last index, as the cumulative rates never decrease
-            e = np.where(u < lam_total, lam_low.searchsorted(u, "right"),
-                         np.add.reduce(svc_low <= u - lam_total, axis=0, initial=I))
+            # bisect_right's count in lam_cum (all <= lam_total) if u < lam_total, when no service
+            # rate is <= u - lam_total < 0; else I plus its count in the service rates but the last
+            np.less_equal(lam_cum, u, out=lam_below)
+            np.less_equal(svc_low, u - lam_total, out=svc_below)
+            e = np.add.reduce(below, axis=0)
             heads += delta.take(e, 1)
             np.add.at(counts, (e, cols), 1)
             events += 1
 
             psi = decide(events)
-            if not (heads == x0 + arrived - np.add.reduce(completed, axis=1)).all():
+            if not np.logical_and.reduce(heads == x0 + arrived - np.add.reduce(completed, 1), None):
                 raise RuntimeError("event accounting broke the counting identity")
 
 

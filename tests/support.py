@@ -621,6 +621,19 @@ class RefNegativePathPump(RefIdle):
         return psi
 
 
+def plain_fill(psi, heads_left, servers_left, order, minimum):
+    """The work-conserving fill that updates every leftover after every pair:
+    at each (class, station) pair of ``order`` in turn, ``psi[i][j]`` gains as
+    many of the class's heads left as the station has servers left. Ints with
+    ``min``, or columns with ``np.minimum``."""
+    for i, j in order:
+        k = minimum(heads_left[i], servers_left[j])
+        psi[i][j] += k
+        heads_left[i] -= k
+        servers_left[j] -= k
+    return psi
+
+
 def reference_policy(name, model, sol, paths=None):
     """The numpy version of the built-in policy ``name``."""
     if name == "idle":

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 from itertools import accumulate, chain
 from operator import mul, sub
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from support import (
     _ref_round_half_up,
     erlang_c,
     exact_transient,
+    plain_fill,
     reference_policy,
     reference_simulate,
     relabel_model,
@@ -85,6 +87,20 @@ def test_build_system_scaling_violation():
         sol = solve_static_allocation(m)
         with pytest.raises(ScalingViolation, match=message):
             build_system(m, sol, 10)
+
+
+@pytest.mark.parametrize("raw", [
+    {"classes": 2, "stations": 1, "lambda": [1, 1], "nu": [5e18], "mu": [[1], [1]]},
+    {"classes": 1, "stations": 2, "lambda": [1], "nu": [5e18, 5e18], "mu": [[1, 1]]},
+], ids=["classes-times-largest", "server-total"])
+def test_build_system_keeps_in_service_sums_in_int64(raw):
+    # every server count fits in int64, but I times the largest one, or their total, does
+    # not: a sum of in-service counts within the server counts could wrap
+    m = validate_model(raw)
+    with pytest.raises(ScalingViolation, match="overflows"):
+        build_system(m, solve_static_allocation(m), 1)
+    fits = validate_model({**raw, "nu": [4e18 / len(raw["nu"])] * len(raw["nu"])})
+    assert build_system(fits, solve_static_allocation(fits), 1).servers.sum() == 4 * 10**18
 
 
 def test_build_system_rejects_bad_n(case_a):
@@ -722,6 +738,36 @@ def test_fill_never_gets_a_negative_leftover(monkeypatch, name, policy, n):
     assert minimums == {min, np.minimum}
 
 
+@pytest.mark.parametrize("reps", [0, 7], ids=["ints", "columns"])
+def test_flagged_fill_matches_plain_fill(reps):
+    # _by_decreasing_rate marks whether each pair's class and station come again, and _fill
+    # skips the leftover updates that nothing reads: on random orders (random rates with
+    # ties, over random sets of pairs) and random leftovers it fills as the plain fill does
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        I, J = map(int, rng.integers(1, 6, size=2))
+        rates = rng.choice([0.5, 1.0, 2.0, 3.0], size=(I, J))
+        pairs = [divmod(int(k), J) for k in rng.permutation(I * J)[:rng.integers(I * J + 1)]]
+        order = simulator._by_decreasing_rate(pairs, SimpleNamespace(service_rates=rates))
+        plain = [(i, j) for i, j, *_ in order]
+        assert plain == sorted(pairs, key=lambda pos: (-rates[pos], pos))
+        for k, (i, j, class_again, station_again) in enumerate(order):
+            assert class_again == any(a == i for a, _ in plain[k + 1:])
+            assert station_again == any(b == j for _, b in plain[k + 1:])
+        columns = (reps,) if reps else ()
+        start = rng.integers(0, 4, size=(I, J, *columns))
+        heads, servers = (rng.integers(0, 9, size=(size, *columns)) for size in (I, J))
+        if reps:
+            got, want = start.copy(), start.copy()
+            simulator._fill([list(row) for row in got], list(heads.copy()), list(servers.copy()),
+                            order, np.minimum)
+            plain_fill([list(row) for row in want], list(heads), list(servers), plain, np.minimum)
+        else:
+            got = simulator._fill(start.tolist(), heads.tolist(), servers.tolist(), order, min)
+            want = plain_fill(start.tolist(), heads.tolist(), servers.tolist(), plain, min)
+        assert np.array_equal(got, want), (order, start, heads, servers)
+
+
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @pytest.mark.parametrize("name", ["case_a", "case_b", "class_dependent_2x2", "generated_4x4"])
 def test_lockstep_assign_matches_scalar_assign(name, policy):
@@ -894,6 +940,41 @@ def test_lockstep_feasibility_agrees_with_violation(monkeypatch, I, J):
         assert bool(calls) == (found is not None)
         seen.add(found and found[0])
     assert len(seen) == 5  # every rule, and none, came up
+
+
+class _Huge(Policy):
+    """Puts 2**62 customers in service at every pair; in lockstep, in column 1 only,
+    and at event 0 only, so that a run that accepts it still ends."""
+
+    name = "huge"
+
+    def assign(self, state, sys):
+        return [[2**62] * len(state.servers) for _ in state.heads]
+
+    def _lockstep(self, sys, reps):
+        psi = np.zeros((sys.service_rates.size, reps), dtype=np.int64)
+        psi[:, 1] = 2**62
+        first = iter([psi])
+        return lambda heads: next(first, np.zeros_like(psi))
+
+
+def test_lockstep_feasibility_does_not_wrap():
+    # a class's or station's 2 * 2**62 wraps to a negative int64, under every bound: both
+    # engines must still name the class over its heads, as the sum over Python ints does
+    model = validate_model({"classes": 2, "stations": 2, "lambda": [1.0, 1.0],
+                            "nu": [1.0, 1.0], "mu": [[1.0, 1.0], [1.0, 1.0]]})
+    empty = np.zeros((2, 2), dtype=np.int64)
+    sys = simulator.SystemInstance(
+        n=1, arrival_rates=model.arrival_rates, servers=np.array([5, 5]),
+        service_rates=model.service_rates, x0=np.array([3, 3]), core=empty, upto=empty,
+        model=model, solution=None)
+    reason = "class has more customers in service than in the system"
+    with pytest.raises(PolicyViolation) as loop:
+        simulate(sys, _Huge(), 1.0, 1)
+    assert str(loop.value) == f"policy 'huge' at event 0: {reason}"
+    with pytest.raises(PolicyViolation) as lockstep:
+        _simulate_lockstep(sys, _Huge(), 1.0, [1, 2, 3])
+    assert str(lockstep.value) == f"policy 'huge' in replication 1 at event 0: {reason}"
 
 
 def test_lockstep_counting_identity_enforced(case_a, monkeypatch):
