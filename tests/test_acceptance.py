@@ -213,11 +213,13 @@ def test_criterion_7_erlang_c_validation():
         assert int(sys.servers[0]) == 100
         policy = make_policy("greedy-basic", model, sol)
         T, warm = 50.0, 25.0
+        exp = run_nc_experiment(
+            model, sol, policy, [100], T=T, reps=200, seed=7, warmup=warm, sample_points=6
+        )
+        seeds = [derive_seed(7, 100, rep) for rep in range(200)]
+        assert [res.seed for res in exp.results] == seeds
         fractions = []
-        for rep in range(200):
-            res = simulate(
-                sys, policy, T, derive_seed(7, 100, rep), warmup=warm, sample_points=6
-            )
+        for res in exp.results:
             _RESULTS.append((sys, res))
             fractions.append(res.queue_occupancy / (T - warm))
         fractions = np.array(fractions)
