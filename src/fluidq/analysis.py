@@ -149,11 +149,11 @@ def render_report(rep: AnalysisReport) -> str:
         lines.append("simple paths: none")
     else:
         lines.append(f"simple paths ({len(rep.paths)}):")
+        row = "[" + "  ".join(["%.6g"] * rep.model.num_classes) + "]"  # one format per path
         for p in rep.paths:
-            m_str = "[" + "  ".join(f"{v:.6g}" for v in p.class_weights) + "]"
             lines.append(
                 f"  {p.kind:6s} leaves ({p.class_leaf},{p.station_leaf})"
-                f"  class sums {m_str}  weight {p.weight:.6g}"
+                f"  class sums {row % tuple(p.class_weights.tolist())}  weight {p.weight:.6g}"
                 f"  {p.sign_class}  dependence={p.dependence}"
             )
     lines.append(

@@ -2,25 +2,26 @@
 
 Every class-station pair that is not a basic activity induces exactly one
 simple path: the unique tree path between the two vertices, oriented so the
-class is the starting leaf. ``signed_path`` builds each path's record, the
-only place a ``SimplePath`` is made, in one signed walk: +1 on edges
-traversed class-to-station, -1 on edges traversed station-to-class and on
-the leaf pair of a closed path, the per-class signed rate sums, whose total
-is the path's weight and gives its sign class, and the class- or
-pool-dependence that the zero paths' verdicts read. A path's JSON form is
-written in ``analysis.AnalysisReport.to_dict``, with the rest of the
-report's.
+class is the starting leaf. ``_signed_paths`` builds all paths of a call in one
+batch, the only place a ``SimplePath`` is made: +1 on edges traversed class to
+station, -1 on edges traversed station to class and on a closed path's leaf
+pair; the per-class signed rate sums, whose total is the weight and gives the
+sign class; and the class- or pool-dependence the zero paths' verdicts read.
+A simple path meets each class and station at most twice, and fl(a + b) does
+not depend on the order of two terms, so each sum is bit for bit a walk's in
+edge order from 0.0. ``AnalysisReport.to_dict`` writes the JSON form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 import numpy as np
 
 from .model import DEFAULT_TOL, NetworkModel
-from .static_fluid import FluidSolution, _tree_check, spanning_forest, tree_path
+from .static_fluid import FluidSolution, _to_root, _tree_check, spanning_forest, tree_path
 
 OPEN = "open"
 CLOSED = "closed"
@@ -59,52 +60,64 @@ class SimplePath:
 
 
 def signed_path(vertices: Sequence[int], closed: bool, model: NetworkModel) -> SimplePath:
-    """The simple path through ``vertices``, built in one signed walk.
+    """The simple path through ``vertices``: a batch of one, on the path as a tree.
 
     ``vertices`` alternates class, station, class, ... station. Edges at even
     offsets pair a class with its own station and get +1; odd offsets hand
     over to the next class and get -1. The closing leaf-pair edge, present
-    only on closed paths, gets -1. Each edge adds its signed rate to its
-    class's and its station's sum, in edge order. The path is class-dependent
-    if every class sum vanishes, pool-dependent if every station sum does;
-    class-dependence wins when both hold. Either one forces a zero path.
+    only on closed paths, gets -1. The path is class-dependent if every class
+    sum vanishes, pool-dependent if every station sum does; class-dependence
+    wins when both hold. Either one forces a zero path.
 
     Raises:
         ValueError: not a simple path: fewer than 4 or an odd number of
-            vertices, a repeated vertex, or a label outside the model.
+            vertices, a repeated vertex, or a label outside its role (a class
+            label in a station slot, say).
     """
-    vertices = tuple(vertices)
-    if len(vertices) < 4 or len(vertices) % 2 or len(set(vertices)) < len(vertices):
-        raise ValueError("a simple path has an even count of at least 4 distinct vertices")
-    signed: list[SignedEdge] = [
-        ((u, v), +1) if k % 2 == 0 else ((v, u), -1)
-        for k, (u, v) in enumerate(zip(vertices, vertices[1:]))
+    v, I, J = tuple(vertices), model.num_classes, model.num_stations
+    if (len(v) < 4 or len(v) % 2 or len(set(v)) < len(v)
+            or not all(0 < i <= I < j <= I + J for i, j in zip(v[0::2], v[1::2]))):
+        raise ValueError("a simple path alternates at least 2 distinct classes and stations")
+    return _signed_paths(dict(zip(v, v[1:] + v[-1:])), [(v[0], v[-1], closed)], model)[0]
+
+
+def _signed_paths(parent: dict[int, int], leaves: list, model: NetworkModel) -> list[SimplePath]:
+    """Per (class i, station j, closed): the path up the ``parent`` tree from
+    i to the lowest common ancestor, then down to j. With rho_k the rate of
+    edge k and rho_-1 the closing edge's (0.0 if open), vertex k sums
+    rho_k - rho_(k-1) if a class and minus that if a station."""
+    I, tol = model.num_classes, DEFAULT_TOL
+    up = {v: tuple(_to_root(parent, v)) for v in parent}
+    order = sorted(up, key=lambda v: len(up[v]))  # the root, then parents before children
+    rise, fall = {order[0]: ()}, {order[0]: ()}  # the signed steps up each chain and down it
+    for v in order[1:]:
+        e = ((v, parent[v]), +1) if v <= I else ((parent[v], v), -1)  # classes are 1..I
+        rise[v], fall[v] = (e, *rise[parent[v]]), (*fall[parent[v]], (e[0], -e[1]))
+    pad = [0.0] * (I + 1)  # rate[i][j] is mu(i, j) by vertex labels, with -0.0 as 0.0
+    rate = [pad] + [pad + row for row in (model.service_rates + 0.0).tolist()]
+    on_up = {i: set(up[i]).__contains__ for i in model.class_labels if i in up}
+    walks, at, class_sums, dependence = [], [], [], []
+    for p, (i, j, closed) in enumerate(leaves):
+        top = len(up[next(filter(on_up[i], up[j]))])  # the common ancestor's chain length
+        v = up[i][:len(up[i]) - top + 1] + up[j][:len(up[j]) - top][::-1]
+        s = rise[i][:len(up[i]) - top] + fall[j][top - 1:] + (((i, j), -1),) * closed
+        walks.append((v, s))
+        rho = [rate[a][b] for (a, b), _ in s]
+        if not closed:
+            rho.append(0.0)
+        d = list(map(sub, rho, [rho[-1], *rho[:-1]]))
+        at += map((p * I - 1).__add__, v[0::2])  # the classes' places in one (P, I) matrix
+        class_sums += (c := d[0::2])
+        dependence.append(CLASS_DEPENDENT if -tol <= min(c) and max(c) <= tol else POOL_DEPENDENT
+                          if -tol <= min(st := d[1::2]) and max(st) <= tol else NEITHER)
+    w = np.zeros((len(leaves), I))
+    w.put(at, class_sums)
+    w.setflags(write=False)
+    return [  # the fields in order; the rows of w are views
+        SimplePath(CLOSED if len(s) == len(v) else OPEN, v[0], v[-1], v, s, row, weight,
+                   ZERO if abs(weight) <= tol else NEGATIVE if weight < 0 else POSITIVE, dep)
+        for (v, s), row, weight, dep in zip(walks, w, w.sum(axis=1).tolist(), dependence)
     ]
-    if closed:
-        signed.append(((vertices[0], vertices[-1]), -1))
-    per_class: dict[int, float] = {}
-    per_station: dict[int, float] = {}
-    for (i, j), s in signed:
-        term = s * model.rate(i, j)
-        per_class[i] = per_class.get(i, 0.0) + term
-        per_station[j] = per_station.get(j, 0.0) + term
-    class_weights = np.zeros(model.num_classes)
-    for i, v in per_class.items():
-        class_weights[model.class_pos(i)] = v
-    class_weights.setflags(write=False)
-    weight = float(class_weights.sum())
-    if all(abs(v) <= DEFAULT_TOL for v in per_class.values()):
-        dependence = CLASS_DEPENDENT
-    elif all(abs(v) <= DEFAULT_TOL for v in per_station.values()):
-        dependence = POOL_DEPENDENT
-    else:
-        dependence = NEITHER
-    return SimplePath(
-        kind=CLOSED if closed else OPEN, class_leaf=vertices[0], station_leaf=vertices[-1],
-        vertices=vertices, signed_edges=tuple(signed), class_weights=class_weights,
-        weight=weight, dependence=dependence,
-        sign_class=ZERO if abs(weight) <= DEFAULT_TOL else NEGATIVE if weight < 0 else POSITIVE,
-    )
 
 
 def enumerate_simple_paths(
@@ -123,9 +136,9 @@ def enumerate_simple_paths(
     parent, violations = _tree_check(model, sol.basic_edges)
     if violations:
         raise NotATree("; ".join(violations))
-    return [signed_path(tree_path(parent, i, j), (i, j) in acts, model)
-            for i in model.class_labels for j in model.station_labels
-            if (i, j) not in sol.basic_edges]
+    leaves = [(i, j, (i, j) in acts) for i in model.class_labels for j in model.station_labels
+              if (i, j) not in sol.basic_edges]
+    return _signed_paths(parent, leaves, model)
 
 
 def basic_cycle_weights(
@@ -140,8 +153,5 @@ def basic_cycle_weights(
     traversal direction; its zero-ness does not.
     """
     parent, closing = spanning_forest(model, sol.basic_edges)
-    cycles = []
-    for i, j in closing:
-        cycle = (i, *tree_path(parent, j, i)[:-1])  # i -> j -> ... -> back to i
-        cycles.append((cycle, -signed_path(cycle, True, model).weight))
-    return cycles
+    cycles = [(i, *tree_path(parent, j, i)[:-1]) for i, j in closing]  # i -> j -> ... -> i
+    return [(c, -signed_path(c, True, model).weight) for c in cycles]

@@ -127,8 +127,8 @@ def spanning_forest(
 def _to_root(parent: dict[int, int], v: int) -> list[int]:
     """``v`` and its ancestors, up to the root of its tree."""
     chain = [v]
-    while parent[chain[-1]] != chain[-1]:
-        chain.append(parent[chain[-1]])
+    while (v := parent[v]) != chain[-1]:
+        chain.append(v)
     return chain
 
 

@@ -121,6 +121,25 @@ def test_signed_path_rejects_short_sequences(case_a):
                 signed_path(vertices, closed, case_a)
 
 
+def test_signed_path_rejects_labels_outside_their_role():
+    """A label read from the wrong end of the rate matrix would wrap to a real
+    rate; each such sequence is a ValueError, not an IndexError or a path."""
+    m = validate_model({"classes": 3, "stations": 3, "lambda": [1, 1, 1], "nu": [1, 1, 1],
+                        "mu": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]})
+    for vertices in (
+        (1, 4, 2, 3),   # a class label in a station slot
+        (1, 4, 5, 6),   # a station label in a class slot
+        (0, 4, 1, 5),   # label 0 in a class slot
+        (1, 0, 2, 5),   # label 0 in a station slot
+        (-1, 4, 2, 5),  # a negative label in a class slot
+        (1, -4, 2, 5),  # a negative label in a station slot
+        (1, 4, 2, 7),   # past the last station
+    ):
+        for closed in (False, True):
+            with pytest.raises(ValueError):
+                signed_path(vertices, closed, m)
+
+
 def test_path_count_formula():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -203,18 +222,27 @@ def _potential_models():
 
 def test_path_weight_is_reduced_cost_of_tree_potentials():
     """With a_i + b_j = mu_ij on every basic edge, each path's weight is
-    a_i + b_j - mu_ij for its leaf pair (no mu_ij on an open path)."""
-    checked = 0
-    for model in _potential_models():
-        sol = solve_static_allocation(model)
-        pot = tree_potentials(model, sol)
-        bound = 1e-12 * float(model.service_rates.max())
-        for p in enumerate_simple_paths(sol, activity_set(model), model):
-            i, j = p.leaf_pair
-            expected = pot[i] + pot[j] - (model.rate(i, j) if p.kind == CLOSED else 0.0)
-            assert abs(p.weight - expected) <= bound, (p.leaf_pair, p.weight, expected)
-            checked += 1
-    assert checked == 2 * 312
+    a_i + b_j - mu_ij for its leaf pair (no mu_ij on an open path). Checked on
+    the potential models and on the random integer draws of the old-walk
+    oracle test whose basic graph is a spanning tree."""
+    rng = np.random.default_rng(2015)
+    random_models = [_random_integer_model(rng) for _ in range(320)]
+    checked = Counter()
+    for source, models in (("potential", _potential_models()), ("integer", random_models)):
+        for model in models:
+            try:
+                sol = solve_static_allocation(model)
+                paths = enumerate_simple_paths(sol, activity_set(model), model)
+            except (InfeasibleModel, NotATree):
+                continue
+            pot = tree_potentials(model, sol)
+            bound = 1e-12 * float(model.service_rates.max())
+            for p in paths:
+                i, j = p.leaf_pair
+                expected = pot[i] + pot[j] - (model.rate(i, j) if p.kind == CLOSED else 0.0)
+                assert abs(p.weight - expected) <= bound, (p.leaf_pair, p.weight, expected)
+                checked[source] += 1
+    assert checked == {"potential": 2 * 312, "integer": 700}
 
 
 def test_enumeration_requires_tree():
@@ -276,6 +304,31 @@ def _oracle_models():
     rng = np.random.default_rng(2015)
     for _ in range(320):
         yield _random_integer_model(rng)
+
+
+@pytest.mark.parametrize("size", [30, 50])
+def test_batch_matches_old_walks_on_long_paths(size):
+    """On planted instances with paths of up to 20 or 24 vertices and class
+    sums of 30 or 50 entries, every field of every path equals what the
+    separate sign, weight, sign-class and dependence passes give, floats bit
+    for bit."""
+    model, sol = generate_critical_instance(1, size, size)
+    acts = activity_set(model)
+    forest = forest_oracle(2 * size, sol.basic_edges)
+    paths = enumerate_simple_paths(sol, acts, model)
+    assert len(paths) == (size - 1) ** 2
+    for p in paths:
+        closed = p.leaf_pair in acts
+        vertices = tuple(forest.path(*p.leaf_pair))
+        signed = assign_signs(vertices, closed)
+        m, weight = path_weights(signed, model)
+        assert p.kind == (CLOSED if closed else OPEN)
+        assert p.vertices == vertices and p.signed_edges == signed
+        assert p.class_weights.tobytes() == m.tobytes() and not p.class_weights.flags.writeable
+        assert p.weight == weight and p.sign_class == sign_class(weight)
+        assert p.dependence == classify_dependence(signed, model)
+    assert max(len(p.vertices) for p in paths) >= 20
+    assert {p.kind for p in paths} == {OPEN, CLOSED}
 
 
 def test_signed_walk_matches_old_walks():
