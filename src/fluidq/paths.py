@@ -93,8 +93,7 @@ def _signed_paths(parent: dict[int, int], leaves: list, model: NetworkModel) -> 
     for v in order[1:]:
         e = ((v, parent[v]), +1) if v <= I else ((parent[v], v), -1)  # classes are 1..I
         rise[v], fall[v] = (e, *rise[parent[v]]), (*fall[parent[v]], (e[0], -e[1]))
-    pad = [0.0] * (I + 1)  # rate[i][j] is mu(i, j) by vertex labels, with -0.0 as 0.0
-    rate = [pad] + [pad + row for row in (model.service_rates + 0.0).tolist()]
+    rate, K = (model.service_rates + 0.0).tolist(), I + 1  # -0.0 as 0.0
     on_up = {i: set(up[i]).__contains__ for i in model.class_labels if i in up}
     walks, at, class_sums, dependence = [], [], [], []
     for p, (i, j, closed) in enumerate(leaves):
@@ -102,7 +101,7 @@ def _signed_paths(parent: dict[int, int], leaves: list, model: NetworkModel) -> 
         v = up[i][:len(up[i]) - top + 1] + up[j][:len(up[j]) - top][::-1]
         s = rise[i][:len(up[i]) - top] + fall[j][top - 1:] + (((i, j), -1),) * closed
         walks.append((v, s))
-        rho = [rate[a][b] for (a, b), _ in s]
+        rho = [rate[a - 1][b - K] for (a, b), _ in s]
         if not closed:
             rho.append(0.0)
         d = list(map(sub, rho, [rho[-1], *rho[:-1]]))
