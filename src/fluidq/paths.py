@@ -93,7 +93,7 @@ def _signed_paths(parent: dict[int, int], leaves: list, model: NetworkModel) -> 
     for v in order[1:]:
         e = ((v, parent[v]), +1) if v <= I else ((parent[v], v), -1)  # classes are 1..I
         rise[v], fall[v] = (e, *rise[parent[v]]), (*fall[parent[v]], (e[0], -e[1]))
-    rate, K = (model.service_rates + 0.0).tolist(), I + 1  # -0.0 as 0.0
+    rate, K = (model.service_rates + 0.0).tolist(), I + 1  # -0.0 read as 0.0, as 0.0 + -0.0 is
     on_up = {i: set(up[i]).__contains__ for i in model.class_labels if i in up}
     walks, at, class_sums, dependence = [], [], [], []
     for p, (i, j, closed) in enumerate(leaves):

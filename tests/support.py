@@ -314,9 +314,9 @@ def forest_oracle(n_vertices, edges):
     )
 
 
-# The per-path passes the package made before its single signed walk
-# (``signed_path``): signs, weights, sign class and dependence, each its own
-# walk over the path. Kept as the oracle for ``signed_path``.
+# The per-path passes the package made before it built every path in one
+# batch over the basic tree: signs, weights, sign class and dependence, each
+# its own walk over the path. Kept as the oracle for the batch.
 
 
 def assign_signs(vertices, closed):
