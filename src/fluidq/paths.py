@@ -94,10 +94,11 @@ def _signed_paths(parent: dict[int, int], leaves: list, model: NetworkModel) -> 
         e = ((v, parent[v]), +1) if v <= I else ((parent[v], v), -1)  # classes are 1..I
         rise[v], fall[v] = (e, *rise[parent[v]]), (*fall[parent[v]], (e[0], -e[1]))
     rate, K = (model.service_rates + 0.0).tolist(), I + 1  # -0.0 read as 0.0, as 0.0 + -0.0 is
-    on_up = {i: set(up[i]).__contains__ for i in model.class_labels if i in up}
-    walks, at, class_sums, dependence = [], [], [], []
+    walks, at, class_sums, dependence, last = [], [], [], [], None
     for p, (i, j, closed) in enumerate(leaves):
-        top = len(up[next(filter(on_up[i], up[j]))])  # the common ancestor's chain length
+        if i != last:  # leaves come grouped by class
+            on_up, last = set(up[i]).__contains__, i
+        top = len(up[next(filter(on_up, up[j]))])  # the common ancestor's chain length
         v = up[i][:len(up[i]) - top + 1] + up[j][:len(up[j]) - top][::-1]
         s = rise[i][:len(up[i]) - top] + fall[j][top - 1:] + (((i, j), -1),) * closed
         walks.append((v, s))
