@@ -64,10 +64,10 @@ def signed_path(vertices: Sequence[int], closed: bool, model: NetworkModel) -> S
 
     ``vertices`` alternates class, station, class, ... station. Edges at even
     offsets pair a class with its own station and get +1; odd offsets hand
-    over to the next class and get -1. The closing leaf-pair edge, present
-    only on closed paths, gets -1. The path is class-dependent if every class
-    sum vanishes, pool-dependent if every station sum does; class-dependence
-    wins when both hold. Either one forces a zero path.
+    over to the next class and get -1, as does the leaf pair of a closed path.
+    Each class and station sum has at most two terms, so it is a walk's, bit
+    for bit. The path is class-dependent if every class sum vanishes, else
+    pool-dependent if every station sum does; either forces a zero path.
 
     Raises:
         ValueError: not a simple path: fewer than 4 or an odd number of
