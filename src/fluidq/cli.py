@@ -44,10 +44,11 @@ EXIT_NUMERICAL = 5
 
 def _write(files: dict[Path, object]) -> None:
     """Write a command's output files in order: a str as is, anything else as
-    compact JSON. The file open on fd 1 (/dev/stdout, say) is written through
-    fd 1, after ``sys.stdout``; a regular file already there, symlinked or not,
-    is replaced from a temporary file beside it once every file is written. On
-    an OSError, remove the temporary files and each path that did not exist."""
+    compact JSON, unchecked for cycles: every payload is built fresh. The file
+    open on fd 1 (/dev/stdout, say) is written through fd 1, after ``sys.stdout``;
+    a regular file already there, symlinked or not, is replaced from a temporary
+    file beside it once every file is written. On an OSError, remove the
+    temporary files and each path that did not exist."""
     created = [path for path in files if not os.path.lexists(path)]
     staged: dict[Path, Path] = {}  # temporary file -> the file it replaces
     try:
@@ -56,7 +57,8 @@ def _write(files: dict[Path, object]) -> None:
         stdout = None
     try:
         for path, content in files.items():
-            text = content if isinstance(content, str) else json.dumps(content) + "\n"
+            text = (content if isinstance(content, str)
+                    else json.dumps(content, check_circular=False) + "\n")
             if stdout is not None and path.exists() and os.path.samestat(path.stat(), stdout):
                 sys.stdout.flush()
                 with open(1, "w", encoding="utf-8", newline="", closefd=False) as fh:
