@@ -49,8 +49,6 @@ from .paths import (
     signed_path,
 )
 from .optimality import (
-    AllocationPolytope,
-    GammaFamily,
     NC_IMPOSSIBLE,
     NC_POSSIBLE,
     NC_UNKNOWN,
@@ -58,7 +56,6 @@ from .optimality import (
     PerturbationCheck,
     ThroughputVerdict,
     combined_zero_path_check,
-    gamma_family,
     max_throughput,
     nc_verdict,
     throughput_verdict_lp,

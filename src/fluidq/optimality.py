@@ -28,25 +28,6 @@ KAPPA_GRID = (1.0, 0.5, 0.25)
 
 
 @dataclass(frozen=True)
-class AllocationPolytope:
-    """Nonnegative matrices with row sums <= class masses and column sums
-    <= capacities."""
-
-    class_masses: np.ndarray
-    capacities: np.ndarray
-
-    def contains(self, psi: np.ndarray) -> bool:
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != (self.class_masses.size, self.capacities.size):
-            return False
-        return bool(
-            (psi >= -DEFAULT_TOL).all()
-            and (psi.sum(axis=1) <= self.class_masses + DEFAULT_TOL).all()
-            and (psi.sum(axis=0) <= self.capacities + DEFAULT_TOL).all()
-        )
-
-
-@dataclass(frozen=True)
 class ThroughputVerdict:
     optimal: bool
     arrival_total: float | None = None
@@ -207,69 +188,6 @@ def combined_zero_path_check(
     if not zero_paths:
         return None
     return _run_perturbation(sol, model, [p.class_weights for p in zero_paths], None)
-
-
-@dataclass(frozen=True)
-class GammaFamily:
-    """One-parameter family of throughput-maximizing allocations on a
-    four-vertex zero path with perturbed class masses.
-
-    With the interior class i1, interior station j0, leaf class i0 and leaf
-    station j1, mass ``delta`` flows from class i0 to i1 while ``gamma``
-    shuttles capacity between the two stations; the total service rate is
-    constant in gamma exactly because the path weight vanishes.
-    """
-
-    sol: FluidSolution
-    model: NetworkModel
-    path: SimplePath
-    kappa: float
-    delta: float
-    perturbed_x: np.ndarray
-    gamma_max: float
-
-    def allocation(self, gamma: float) -> np.ndarray:
-        if gamma < -DEFAULT_TOL or gamma > self.gamma_max + DEFAULT_TOL:
-            raise ValueError(f"gamma {gamma} outside [0, {self.gamma_max}]")
-        model = self.model
-        i0, j0, i1, j1 = self.path.vertices
-        psi = np.array(self.sol.masses)
-        psi[model.edge_positions((i1, j1))] -= gamma
-        psi[model.edge_positions((i1, j0))] += self.delta + gamma
-        psi[model.edge_positions((i0, j1))] = gamma
-        psi[model.edge_positions((i0, j0))] -= self.delta + gamma
-        return psi
-
-    def throughput(self, gamma: float) -> float:
-        return float((self.model.service_rates * self.allocation(gamma)).sum())
-
-
-def gamma_family(
-    sol: FluidSolution, path: SimplePath, model: NetworkModel, kappa: float
-) -> GammaFamily:
-    """Build the constant-throughput family for a four-vertex zero path."""
-    if path.sign_class != ZERO:
-        raise ValueError("the family is defined along zero paths")
-    if len(path.vertices) != 4:
-        raise ValueError("the family needs a four-vertex path")
-    i0, j0, i1, j1 = path.vertices
-    delta = kappa * float(path.class_weights[model.class_pos(i1)])
-    perturbed_x = sol.class_masses + path.class_weights * kappa
-    gamma_max = min(
-        float(sol.masses[model.edge_positions((i1, j1))]),
-        float(sol.masses[model.edge_positions((i0, j0))]) - delta,
-    )
-    if gamma_max < 0:
-        raise ValueError("kappa too large: the family is empty")
-    return GammaFamily(
-        sol=sol,
-        model=model,
-        path=path,
-        kappa=kappa,
-        delta=delta,
-        perturbed_x=perturbed_x,
-        gamma_max=gamma_max,
-    )
 
 
 def nc_verdict(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import types
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +24,15 @@ from fluidq import (
     POSITIVE,
     UNBOUNDED,
     ZERO,
+    FluidSolution,
     GenerationFailed,
     InfeasibleModel,
     LinearProgram,
+    NetworkModel,
     NumericalFailure,
     PolicyViolation,
     SimResult,
+    SimplePath,
     SystemState,
     activity_set,
     check_assumptions,
@@ -453,6 +457,92 @@ def tune_zero_path(seed: int, num_classes: int, num_stations: int):
                 continue
             return candidate, sol2, report2, paths2
     return None
+
+
+# The allocation polytope and the constant-throughput family along a four-vertex
+# zero path, which only the tests read (criteria 3 and 6 among them).
+
+@dataclass(frozen=True)
+class AllocationPolytope:
+    """Nonnegative matrices with row sums <= class masses and column sums
+    <= capacities."""
+
+    class_masses: np.ndarray
+    capacities: np.ndarray
+
+    def contains(self, psi: np.ndarray) -> bool:
+        psi = np.asarray(psi, dtype=float)
+        if psi.shape != (self.class_masses.size, self.capacities.size):
+            return False
+        return bool(
+            (psi >= -DEFAULT_TOL).all()
+            and (psi.sum(axis=1) <= self.class_masses + DEFAULT_TOL).all()
+            and (psi.sum(axis=0) <= self.capacities + DEFAULT_TOL).all()
+        )
+
+
+@dataclass(frozen=True)
+class GammaFamily:
+    """One-parameter family of throughput-maximizing allocations on a
+    four-vertex zero path with perturbed class masses.
+
+    With the interior class i1, interior station j0, leaf class i0 and leaf
+    station j1, mass ``delta`` flows from class i0 to i1 while ``gamma``
+    shuttles capacity between the two stations; the total service rate is
+    constant in gamma exactly because the path weight vanishes.
+    """
+
+    sol: FluidSolution
+    model: NetworkModel
+    path: SimplePath
+    kappa: float
+    delta: float
+    perturbed_x: np.ndarray
+    gamma_max: float
+
+    def allocation(self, gamma: float) -> np.ndarray:
+        if gamma < -DEFAULT_TOL or gamma > self.gamma_max + DEFAULT_TOL:
+            raise ValueError(f"gamma {gamma} outside [0, {self.gamma_max}]")
+        model = self.model
+        i0, j0, i1, j1 = self.path.vertices
+        psi = np.array(self.sol.masses)
+        psi[model.edge_positions((i1, j1))] -= gamma
+        psi[model.edge_positions((i1, j0))] += self.delta + gamma
+        psi[model.edge_positions((i0, j1))] = gamma
+        psi[model.edge_positions((i0, j0))] -= self.delta + gamma
+        return psi
+
+    def throughput(self, gamma: float) -> float:
+        return float((self.model.service_rates * self.allocation(gamma)).sum())
+
+
+def gamma_family(
+    sol: FluidSolution, path: SimplePath, model: NetworkModel, kappa: float
+) -> GammaFamily:
+    """Build the constant-throughput family for a four-vertex zero path."""
+    if path.sign_class != ZERO:
+        raise ValueError("the family is defined along zero paths")
+    if len(path.vertices) != 4:
+        raise ValueError("the family needs a four-vertex path")
+    i0, j0, i1, j1 = path.vertices
+    delta = kappa * float(path.class_weights[model.class_pos(i1)])
+    perturbed_x = sol.class_masses + path.class_weights * kappa
+    gamma_max = min(
+        float(sol.masses[model.edge_positions((i1, j1))]),
+        float(sol.masses[model.edge_positions((i0, j0))]) - delta,
+    )
+    if gamma_max < 0:
+        raise ValueError("kappa too large: the family is empty")
+    return GammaFamily(
+        sol=sol,
+        model=model,
+        path=path,
+        kappa=kappa,
+        delta=delta,
+        perturbed_x=perturbed_x,
+        gamma_max=gamma_max,
+    )
+
 
 
 def relabel_model(model, class_perm, station_perm):

@@ -10,13 +10,11 @@ import time
 import numpy as np
 
 from fluidq import (
-    AllocationPolytope,
     activity_set,
     build_system,
     check_assumptions,
     derive_seed,
     enumerate_simple_paths,
-    gamma_family,
     generate_critical_instance,
     make_policy,
     run_nc_experiment,
@@ -30,7 +28,7 @@ from fluidq import (
 from fluidq.analysis import run_analysis
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
-from support import erlang_c, tune_zero_path
+from support import AllocationPolytope, erlang_c, gamma_family, tune_zero_path
 
 _RESULTS = []  # SimResult cache shared between criteria 7, 8 and 9
 

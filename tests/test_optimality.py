@@ -8,7 +8,6 @@ from fluidq import (
     NC_IMPOSSIBLE,
     NC_POSSIBLE,
     NC_UNKNOWN,
-    AllocationPolytope,
     FluidSolution,
     NumericalFailure,
     ThroughputVerdict,
@@ -16,7 +15,6 @@ from fluidq import (
     check_assumptions,
     combined_zero_path_check,
     enumerate_simple_paths,
-    gamma_family,
     generate_critical_instance,
     load_model,
     max_throughput,
@@ -35,7 +33,14 @@ from fluidq.analysis import run_analysis
 from fluidq.linprog import solve_lp
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
-from support import max_throughput_flow, max_throughput_oracle, relabel_model, tune_zero_path
+from support import (
+    AllocationPolytope,
+    gamma_family,
+    max_throughput_flow,
+    max_throughput_oracle,
+    relabel_model,
+    tune_zero_path,
+)
 from test_golden import CYCLE_4X4, ZERO_PATHS_3X3
 
 MODELS = Path(__file__).resolve().parents[1] / "models"

@@ -24,7 +24,8 @@ def test_public_names_resolve():
 def test_public_names_are_the_imported_ones():
     # __all__ is derived from the package's imports: the names of the
     # hand-written list it replaced, less three dropped on purpose with the code
-    # they named (save_model, scale_result, ScaledTrajectories), none added
+    # they named (save_model, scale_result, ScaledTrajectories) and three moved to
+    # tests/support.py (AllocationPolytope, GammaFamily, gamma_family), none added
     assert sorted(fluidq.__all__) == sorted([
         "DEFAULT_TOL", "DimensionMismatch", "ModelError", "NegativeServiceRate",
         "NetworkModel", "NonPositiveRate", "activity_set", "load_model", "model_to_dict",
@@ -36,9 +37,9 @@ def test_public_names_are_the_imported_ones():
         "CLASS_DEPENDENT", "CLOSED", "NEGATIVE", "NEITHER", "NotATree", "OPEN",
         "POOL_DEPENDENT", "POSITIVE", "SimplePath", "ZERO", "basic_cycle_weights",
         "enumerate_simple_paths", "signed_path",
-        "AllocationPolytope", "GammaFamily", "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
+        "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
         "NCVerdict", "PerturbationCheck", "ThroughputVerdict",
-        "combined_zero_path_check", "gamma_family", "max_throughput", "nc_verdict",
+        "combined_zero_path_check", "max_throughput", "nc_verdict",
         "throughput_verdict_lp", "throughput_verdict_paths", "zero_path_check",
         "ExperimentResult", "ExperimentRow", "GreedyBasic", "IdlePolicy",
         "NegativePathPump", "Policy", "PolicyViolation",
