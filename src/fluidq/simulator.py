@@ -28,24 +28,29 @@ alone, not on the engine or on how many replications run with it.
 ``run_nc_experiment`` has a second route for many replications of a built-in
 policy: ``_simulate_lockstep`` steps all replications of one scale together,
 one event of each per step, on arrays whose column c is replication c from the
-first event to the last, and the built-ins answer through a vectorized form of
-the same integer algorithm, ``assign(heads)``, into a buffer the policy
-overwrites on its next call (the engine copies what it keeps). A replication
-that reaches T is recorded; its column keeps stepping, unrecorded and still
-checked, until the last one ends. Each replication keeps its own generator,
-blocks of draws and float arithmetic, so its result is bit-identical to
-``simulate``'s, which stays the reference; user policies, and fewer than
-``LOCKSTEP_MIN_REPS`` replications, always take ``simulate``.
+first event to the last. Its integer state is one block, the tally: the bound
+of the feasibility check, then the event counts; one table moves the heads and
+the counts, and one product right after gives the counting identity and the
+head total, from which the engine sets the congestion flag once per step. The
+built-ins answer through a vectorized form of the same integer algorithm,
+``assign(heads, busy)``, into a buffer the policy overwrites on its next call
+(the engine copies what it keeps). A replication that reaches T is recorded;
+its column keeps stepping, unrecorded and still checked, until the last one
+ends. Each replication keeps its own generator, blocks of draws and float
+arithmetic, so its result is bit-identical to ``simulate``'s, which stays the
+reference; user policies, and fewer than ``LOCKSTEP_MIN_REPS`` replications,
+always take ``simulate``.
 
 Both engines start from the one rounding of the fluid split, ``SystemInstance.core``,
 made by ``build_system``, and share the fill, ``_fill``, which all three built-ins
 run (``IdlePolicy`` over no pairs) in an order that marks each class's and station's
 last pair, the pump's displacement rule, ``NegativePathPump._displace`` (each indexes
 ``psi[i][j]`` and takes the engine's ``min``/``max`` and constants: builtins and ints
-on ints, numpy's and 0-d arrays on columns), the checks (``_counts``, ``_violation``),
-and ``_Record``, which samples a replication and builds its ``SimResult``. The head
-clip has one closed form, over ``SystemInstance.upto``. Only the event selection
-keeps a form per engine: ``bisect_right`` on one list, one count per column on columns.
+on ints, numpy's and 0-d arrays on columns; the rule also takes the engine's congestion
+flag), the checks (``_counts``, ``_violation``), and ``_Record``, which samples a
+replication and builds its ``SimResult``. The head clip has one closed form, over
+``SystemInstance.upto``. Only the event selection keeps a form per engine:
+``bisect_right`` on one list, one count per column on columns.
 """
 
 from __future__ import annotations
@@ -209,7 +214,7 @@ class GreedyBasic(Policy):
         psi, (by_class, by_station), rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
         servers, flat = sys.servers[:, None], psi.reshape(-1, reps)
 
-        def assign(heads: np.ndarray) -> np.ndarray:
+        def assign(heads: np.ndarray, busy: np.ndarray) -> np.ndarray:
             psi.fill(0)
             by_class[...], by_station[...] = heads, servers
             _fill(rows, heads_left, servers_left, self._order, np.minimum)
@@ -259,21 +264,21 @@ class NegativePathPump(Policy):
         self._core, self._upto = sys.core.tolist(), sys.upto.tolist()
         self._shift = 0
         cap = min((self._core[i][j] for i, j in self._dec), default=0)
-        self._limits = (int(sys.servers.sum()), cap, math.ceil(math.sqrt(sys.n)))
+        self._servers_total = int(sys.servers.sum())
+        self._limits = (cap, math.ceil(math.sqrt(sys.n)))
 
-    def _displace(self, psi, total, shift, limits, minimum, maximum):
+    def _displace(self, psi, busy, shift, limits, minimum, maximum):
         """Move ``shift`` at most one step toward its target (the feasibility
-        cap while the head total ``total`` is at least the server total, else 0),
-        apply what the decreasing edges of ``psi`` can give up, and return the
-        moved shift. ``limits`` holds the server total, the cap and the step.
-        ``psi[i][j]``, ``total`` and ``limits`` are ints with ``min``/``max``, or
-        columns and 0-d arrays with ``np.minimum``/``np.maximum``. No row or
-        column sum grows: each class and station on the path has as many
+        cap while ``busy``, the engine's flag that the head total is at least the
+        server total, else 0), apply what the decreasing edges of ``psi`` can give
+        up, and return the moved shift. ``limits`` holds the cap and the step.
+        ``psi[i][j]``, ``busy`` and ``limits`` are ints and a bool with
+        ``min``/``max``, or columns and 0-d arrays with ``np.minimum``/``np.maximum``.
+        No row or column sum grows: each class and station on the path has as many
         decreasing edges as increasing ones, except an open path's first class
         and last station."""
-        servers_total, cap, step = limits
-        target = (total >= servers_total) * cap
-        shift = minimum(maximum(target, shift - step), shift + step)
+        cap, step = limits
+        shift = minimum(maximum(busy * cap, shift - step), shift + step)
         applied = reduce(minimum, [psi[i][j] for i, j in self._dec], shift)
         for i, j in self._dec:
             psi[i][j] -= applied
@@ -285,7 +290,8 @@ class NegativePathPump(Policy):
         heads = state.heads
         # clip rows to the available heads before sizing the displacement
         psi = _clip_to_heads(self._core, self._upto, heads)
-        self._shift = self._displace(psi, sum(heads), self._shift, self._limits, min, max)
+        self._shift = self._displace(psi, sum(heads) >= self._servers_total, self._shift,
+                                     self._limits, min, max)
         # work-conserving completion, fastest activities first
         heads_left = [h - sum(row) for h, row in zip(heads, psi)]
         servers_left = [s - sum(col) for s, col in zip(state.servers, zip(*psi))]
@@ -299,12 +305,11 @@ class NegativePathPump(Policy):
         zero, limits = np.zeros((), np.int64), tuple(map(np.asarray, self._limits))
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
-        def assign(heads: np.ndarray) -> np.ndarray:
+        def assign(heads: np.ndarray, busy: np.ndarray) -> np.ndarray:
             nonlocal shift
             np.add(upto, heads[:, None], out=psi)  # upto - e for the excess e = row total - heads
             np.minimum(np.maximum(psi, zero, out=psi), count, out=psi)  # _clip_to_heads on columns
-            shift = self._displace(rows, np.add.reduce(heads, axis=0), shift, limits,
-                                   np.minimum, np.maximum)
+            shift = self._displace(rows, busy, shift, limits, np.minimum, np.maximum)
             np.subtract(heads, np.add.reduce(psi, axis=1, out=by_class), out=by_class)
             np.subtract(servers, np.add.reduce(psi, axis=0, out=by_station), out=by_station)
             _fill(rows, heads_left, servers_left, self._fastest_first, np.minimum)
@@ -634,6 +639,12 @@ def _event_heads(I: int, J: int) -> np.ndarray:
     return np.hstack([np.eye(I, dtype=np.int64), -np.eye(I, dtype=np.int64).repeat(J, axis=1)])
 
 
+def _event_table(I: int, J: int) -> np.ndarray:
+    """Each event's change of the lockstep tally's moving rows: the I head counts, then
+    one count per event, arrivals by class and completions by pair."""
+    return np.vstack([_event_heads(I, J), np.eye(I + I * J, dtype=np.int64)])
+
+
 def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: list[int],
                        warmup: float = 0.0, sample_points: int = 101) -> list[SimResult]:
     """``simulate`` for each seed of ``seeds``, all replications stepped together.
@@ -647,20 +658,29 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     ``accumulate`` does): the k-th result equals that run's in every field.
     A replication that reaches its ``horizon``, T, is recorded and its
     horizon becomes nan, which no time reaches: the column keeps stepping,
-    unrecorded, until the last one ends. A column's event is one row of
-    ``counts``: arrivals by class, then completions by pair.
+    unrecorded, until the last one ends.
+
+    The integer state is one (rows, R) int64 block, ``tally``: zeros for the
+    zero-rate pairs, the server counts and the heads, which together are the
+    ``bound`` of ``G @ psi``, then the arrivals by class and the completions
+    by pair. Its last three parts, ``moving``, are all that changes: a
+    column's event e adds column e of ``_event_table``. Right after, one
+    integer product, ``audit @ moving``, gives each class's heads - arrivals
+    + completions, which must equal x0 (the counting identity), and the head
+    total, from which the engine sets ``busy``, the congestion flag, once per
+    step; the policy and the next step's occupancy integral both read it.
 
     ``policy`` must be a built-in: its ``_lockstep(sys, reps)`` returns
-    ``assign(heads)``, which maps the (classes, R) head counts to the
-    (pairs, R) assignment and keeps any per-replication state of its own, a
-    column per replication: a buffer the policy owns and overwrites on its
-    next call, read by the step before that call and copied by a record where
-    it samples. Every assignment, and the counting identity, is checked on
-    every step for every column, ended ones too: each entry, read as uint64,
-    against its station's server count (a negative one fails too, and no sum
-    of entries that pass wraps), and ``G @ psi <= bound`` over the zero-rate
-    pairs, classes and stations. ``_violation`` names the rule, over Python
-    ints, only if one broke.
+    ``assign(heads, busy)``, which maps the (classes, R) head counts and the
+    (R,) flags to the (pairs, R) assignment and keeps any per-replication state
+    of its own, a column per replication: a buffer the policy owns and
+    overwrites on its next call, read by the step before that call and copied
+    by a record where it samples. Every assignment, and the counting identity,
+    is checked on every step for every column, ended ones too: each entry,
+    read as uint64, against its station's server count (a negative one fails
+    too, and no sum of entries that pass wraps), and ``G @ psi <= bound`` over
+    the zero-rate pairs, stations and classes. ``_violation`` names the rule,
+    over Python ints, only if one broke.
 
     Raises:
         PolicyViolation: an infeasible assignment; the message names the
@@ -675,21 +695,26 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     servers_total, lam_total, start, zero = map(
         np.asarray, (sys.servers.sum(), sys.arrival_rates.sum(), float(warmup), 0.0))
     lam_cum = np.append(np.minimum(sys.arrival_rates.cumsum()[:-1], lam_total), lam_total)[:, None]
-    delta = _event_heads(I, J)
+    table = _event_table(I, J)
     pairs = np.eye(I * J, dtype=np.int64).reshape(I, J, -1)
-    G = np.vstack([pairs.reshape(I * J, -1)[zero_rate], pairs.sum(1), pairs.sum(0)])
+    G = np.vstack([pairs.reshape(I * J, -1)[zero_rate], pairs.sum(0), pairs.sum(1)])
     # an entry read as uint64 within its station's server count puts no sum of G @ psi past int64
     per_pair = np.tile(np.maximum(sys.servers, 0), I).astype(np.uint64)[:, None]
+    # over the moving rows: heads - arrivals + completions by class, and the head total
+    eye = np.eye(I, dtype=np.int64)
+    audit = np.block([[eye, -eye, eye.repeat(J, 1)],
+                      [np.ones((1, I), np.int64), np.zeros((1, I + I * J), np.int64)]])
 
-    # column c is replication c for the whole call; the heads are rows of the bound
+    # column c is replication c for the whole call
     gens = [np.random.default_rng(seed) for seed in seeds]
     records = [_Record(sys, policy, seed, T, warmup, sample_points) for seed in seeds]
     results: list[SimResult | None] = [None] * R
-    cols = np.arange(R)
-    bound = np.concatenate([np.zeros_like(zero_rate), sys.x0, sys.servers])[:, None].repeat(R, 1)
-    heads = bound[-I - J:-J]
-    counts = np.zeros((I + I * J, R), dtype=np.int64)
-    arrived, completed = counts[:I], counts[I:].reshape(I, J, R)
+    tally = np.concatenate([np.zeros_like(zero_rate), sys.servers, sys.x0,
+                            np.zeros(I + I * J, np.int64)])[:, None].repeat(R, 1)
+    bound, moving = tally[:len(G)], tally[len(G) - I:]
+    heads, arrived, completed = moving[:I], moving[I:2 * I], moving[2 * I:]
+    audited, busy = np.empty((I + 1, R), np.int64), np.empty(R, bool)
+    kept, total, drift = audited[:I], audited[I], np.empty((I, R), bool)
     t, occupancy = np.zeros((2, R))
     horizon = np.full(R, T)  # T until the column's replication is recorded, then nan
     due = np.zeros(R)  # time of each column's next sample
@@ -702,11 +727,16 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     svc_total, svc_low = svc_cum[-1], svc_cum[:-1]
 
     def decide(event: int) -> np.ndarray:
+        """Check the counting identity, set ``busy`` and return the checked assignment."""
+        np.matmul(audit, moving, out=audited)
+        if np.count_nonzero(np.not_equal(kept, x0, out=drift)):
+            raise RuntimeError("event accounting broke the counting identity")
+        np.greater_equal(total, servers_total, out=busy)
         try:
-            psi = _counts(assign(heads), (I * J, R)).astype(np.int64, copy=False)
+            psi = _counts(assign(heads, busy), (I * J, R)).astype(np.int64, copy=False)
             np.greater(psi.view(np.uint64), per_pair, out=pairs_over)
             np.greater(G @ psi, bound, out=sums_over)
-            found = (np.logical_or.reduce(over, axis=None)  # then Python ints: no sum wraps
+            found = (np.count_nonzero(over)  # then Python ints: no sum wraps
                      and _violation(psi.astype(object), heads, sys.servers, zero_rate))
         except PolicyViolation as exc:
             found = exc, 0
@@ -724,7 +754,6 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
                 exponentials = np.column_stack([g.standard_exponential(DRAW_BLOCK) for g in gens])
                 uniforms = np.column_stack([g.random(DRAW_BLOCK) for g in gens])
                 warm = np.minimum.reduce(t) >= warmup  # times never decrease: it stays so
-            busy = np.add.reduce(heads, axis=0) >= servers_total
             np.add.accumulate(np.multiply(rates, psi, out=rated), axis=0, out=svc_cum)
             total_rate = lam_total + svc_total
             t_next = t + exponentials[k] / total_rate
@@ -746,7 +775,7 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
             if ending:
                 for c in np.flatnonzero(final):
                     results[c] = records[c].result(
-                        occupancy[c], arrived[:, c], counts[I:, c], heads[:, c], events)
+                        occupancy[c], arrived[:, c], completed[:, c], heads[:, c], events)
                 horizon[final] = math.nan  # no time reaches it, not even an inf one
                 if np.logical_and.reduce(np.isnan(horizon)):
                     return results
@@ -758,13 +787,10 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
             np.less_equal(lam_cum, u, out=lam_below)
             np.less_equal(svc_low, u - lam_total, out=svc_below)
             e = np.add.reduce(below, axis=0)
-            heads += delta.take(e, 1)
-            np.add.at(counts, (e, cols), 1)
+            np.add(moving, table.take(e, 1), out=moving)
             events += 1
 
             psi = decide(events)
-            if not np.logical_and.reduce(heads == x0 + arrived - np.add.reduce(completed, 1), None):
-                raise RuntimeError("event accounting broke the counting identity")
 
 
 def _splitmix64(z: int) -> int:

@@ -786,7 +786,7 @@ def test_lockstep_assign_matches_scalar_assign(name, policy):
     heads = sys.x0[:, None].repeat(reps, 1)  # changed in place, as the engine does
     seen = set()
     for step in range(300):
-        psi = assign(heads)
+        psi = assign(heads, heads.sum(axis=0) >= sys.servers.sum())
         assert psi.shape == (sys.service_rates.size, reps)
         for c, pol in enumerate(scalars):
             state = SystemState(0.0, heads[:, c].tolist(), [], servers)
@@ -804,7 +804,7 @@ def _lockstep_rogue(corrupt):
     def factory(self, sys, reps):
         events = []
 
-        def assign(heads):
+        def assign(heads, busy):
             psi = np.zeros((sys.service_rates.size, heads.shape[1]), dtype=np.int64)
             events.append(len(events))
             if events[-1] < 3:
@@ -856,7 +856,7 @@ def test_lockstep_policy_sees_every_column_to_the_last_step(monkeypatch):
 
     def recording(self, sys, reps):
         assign = lockstep(self, sys, reps)
-        return lambda heads: shapes.append(heads.shape) or assign(heads)
+        return lambda heads, busy: shapes.append(heads.shape) or assign(heads, busy)
 
     monkeypatch.setattr(GreedyBasic, "_lockstep", recording)
     model, sol, paths, sys = _setup("case_a", 2)
@@ -894,7 +894,8 @@ class _FixedOnce(Policy):
 
     def _lockstep(self, sys, reps):
         first = iter([self.psi[:, None]])
-        return lambda heads: next(first, np.zeros((self.psi.size, heads.shape[1]), np.int64))
+        return lambda heads, busy: next(first, np.zeros((self.psi.size, heads.shape[1]),
+                                                        np.int64))
 
 
 @pytest.mark.parametrize("I,J", [(1, 1), (2, 3), (4, 5)])
@@ -955,7 +956,7 @@ class _Huge(Policy):
         psi = np.zeros((sys.service_rates.size, reps), dtype=np.int64)
         psi[:, 1] = 2**62
         first = iter([psi])
-        return lambda heads: next(first, np.zeros_like(psi))
+        return lambda heads, busy: next(first, np.zeros_like(psi))
 
 
 def test_lockstep_feasibility_does_not_wrap():
@@ -989,6 +990,48 @@ def test_lockstep_counting_identity_enforced(case_a, monkeypatch):
     sol, sys = _case_a_setup(case_a, 10)
     with pytest.raises(RuntimeError, match="event accounting broke the counting identity"):
         _simulate_lockstep(sys, GreedyBasic(case_a, sol), 1.0, [1, 2, 3])
+    monkeypatch.undo()
+
+    # the heads stay right, and the event table forgets to count a completion at pair k,
+    # one that replication 1 completes
+    pair = int(simulate(sys, GreedyBasic(case_a, sol), 1.0, 1).completions.argmax())
+
+    def uncounted(I, J):
+        table = event_table(I, J)
+        assert table[2 * I + pair, I + pair] == 1
+        table[2 * I + pair, I + pair] = 0
+        return table
+
+    event_table = simulator._event_table
+    monkeypatch.setattr(simulator, "_event_table", uncounted)
+    with pytest.raises(RuntimeError, match="event accounting broke the counting identity"):
+        _simulate_lockstep(sys, GreedyBasic(case_a, sol), 1.0, [1, 2, 3])
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_lockstep_flag_is_head_total_at_server_total(monkeypatch, policy):
+    # the flag the engine passes on every step is, in every column, whether the heads
+    # total at least the servers
+    model, sol, paths, sys = _setup("case_a", 25)
+    pol = make_policy(policy, model, sol, paths)
+    lockstep, flags, servers_total = type(pol)._lockstep, [], sys.servers.sum()
+
+    def recording(self, sys, reps):
+        assign = lockstep(self, sys, reps)
+
+        def checked(heads, busy):
+            assert busy.dtype == bool
+            assert np.array_equal(busy, heads.sum(axis=0) >= servers_total)
+            flags.extend(busy.tolist())
+            return assign(heads, busy)
+        return checked
+
+    monkeypatch.setattr(type(pol), "_lockstep", recording)
+    seeds = [derive_seed(6, 25, rep) for rep in range(20)]
+    batch = _simulate_lockstep(sys, pol, 1.0, seeds)
+    assert len(flags) == len(seeds) * (max(res.events for res in batch) + 1)
+    # idle serves nobody, so its heads start and stay at or above the servers
+    assert set(flags) == ({True} if policy == "idle" else {False, True})
 
 
 def test_lockstep_leaves_no_state_on_the_policy(case_a):
