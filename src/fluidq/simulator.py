@@ -272,8 +272,8 @@ class NegativePathPump(Policy):
         cap while ``busy``, the engine's flag that the head total is at least the
         server total, else 0), apply what the decreasing edges of ``psi`` can give
         up, and return the moved shift. ``limits`` holds the cap and the step.
-        ``psi[i][j]``, ``busy`` and ``limits`` are ints and a bool with
-        ``min``/``max``, or columns and 0-d arrays with ``np.minimum``/``np.maximum``.
+        ``psi[i][j]`` and ``limits`` are ints and ``busy`` a bool with ``min``/``max``,
+        or columns, 0-d arrays and a bool column with ``np.minimum``/``np.maximum``.
         No row or column sum grows: each class and station on the path has as many
         decreasing edges as increasing ones, except an open path's first class
         and last station."""
