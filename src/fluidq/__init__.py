@@ -46,7 +46,6 @@ from .paths import (
     ZERO,
     basic_cycle_weights,
     enumerate_simple_paths,
-    signed_path,
 )
 from .optimality import (
     NC_IMPOSSIBLE,

@@ -76,15 +76,16 @@ class NCVerdict:
 
 
 def max_throughput(
-    class_masses: np.ndarray, capacities: np.ndarray, model: NetworkModel,
-    basic: np.ndarray | None = None,
+    class_masses: np.ndarray, model: NetworkModel, basic: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Maximum total service rate over the mass polytope, with a maximizer.
 
-    The polytope is never empty (the zero matrix is feasible), so this always
-    succeeds. The objective is divided by its largest rate, so the solver's
-    absolute pivot tolerance meets reduced costs of order 1 in any time unit;
-    the value is ``rates @ x``, in the model's units.
+    The polytope, masses >= 0 on the activities with row sums at most
+    ``class_masses`` and column sums at most ``model.capacities``, is never
+    empty (the zero matrix is feasible), so this always succeeds. The
+    objective is divided by its largest rate, so the solver's absolute pivot
+    tolerance meets reduced costs of order 1 in any time unit; the value is
+    ``rates @ x``, in the model's units.
 
     ``basic``, an (I, J) mask of pairs, warm-starts the solve at the vertex
     whose basic variables are those pairs and the slack of the first class
@@ -102,7 +103,7 @@ def max_throughput(
     basis = None if basic is None else np.append(np.flatnonzero(basic[rows, cols]), rows.size)
     res = solve_lp(LinearProgram(
         -rates / rates.max(initial=0.0),
-        a_ub=incidence, b_ub=np.concatenate([class_masses, capacities]),
+        a_ub=incidence, b_ub=np.concatenate([class_masses, model.capacities]),
     ), basis)
     psi = np.zeros(model.service_rates.shape)
     psi[rows, cols] = np.clip(res.x, 0.0, None)
@@ -111,8 +112,7 @@ def max_throughput(
 
 def throughput_verdict_lp(model: NetworkModel, sol: FluidSolution) -> ThroughputVerdict:
     """Optimal iff no feasible mass rearrangement serves faster than arrivals."""
-    value, psi = max_throughput(sol.class_masses, model.capacities, model,
-                                basic=sol.allocation > DEFAULT_TOL)
+    value, psi = max_throughput(sol.class_masses, model, basic=sol.allocation > DEFAULT_TOL)
     arrivals = float(model.arrival_rates.sum())
     optimal = value <= arrivals * (1.0 + DEFAULT_TOL)
     return ThroughputVerdict(
@@ -157,7 +157,7 @@ def _run_perturbation(
         for factor in KAPPA_GRID:
             step = kappa * factor
             x_pert = sol.class_masses + direction * step
-            value, _ = max_throughput(np.clip(x_pert, 0.0, None), model.capacities, model)
+            value, _ = max_throughput(np.clip(x_pert, 0.0, None), model)
             grid.append((step, value, value <= baseline + DEFAULT_TOL))
     top_step, top_value, _ = grid[0] if grid else (0.0, baseline, True)
     return PerturbationCheck(

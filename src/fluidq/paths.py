@@ -2,26 +2,27 @@
 
 Every class-station pair that is not a basic activity induces exactly one
 simple path: the unique tree path between the two vertices, oriented so the
-class is the starting leaf. ``_signed_paths`` builds all paths of a call in one
-batch, the only place a ``SimplePath`` is made: +1 on edges traversed class to
-station, -1 on edges traversed station to class and on a closed path's leaf
-pair; the per-class signed rate sums, whose total is the weight and gives the
-sign class; and the class- or pool-dependence the zero paths' verdicts read.
-A simple path meets each class and station at most twice, and fl(a + b) does
-not depend on the order of two terms, so each sum is bit for bit a walk's in
-edge order from 0.0. ``AnalysisReport.to_dict`` writes the JSON form.
+class is the starting leaf. ``_signed_paths``, the only walk of the
+``spanning_forest`` and the only place a ``SimplePath`` is made, builds all
+paths of a call in one batch, and the cycles of a non-tree basic graph as
+closed paths: +1 on edges traversed class to station, -1 on edges traversed
+station to class and on a closed path's leaf pair; the per-class signed rate
+sums, whose total is the weight and gives the sign class; and the class- or
+pool-dependence the zero paths' verdicts read. A simple path meets each class
+and station at most twice, and fl(a + b) does not depend on the order of two
+terms, so each sum is bit for bit a walk's in edge order from 0.0.
+``AnalysisReport.to_dict`` writes the JSON form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Sequence
 
 import numpy as np
 
 from .model import DEFAULT_TOL, NetworkModel
-from .static_fluid import FluidSolution, _to_root, _tree_check, spanning_forest, tree_path
+from .static_fluid import FluidSolution, _to_root, _tree_check, spanning_forest
 
 OPEN = "open"
 CLOSED = "closed"
@@ -59,38 +60,17 @@ class SimplePath:
         return (self.class_leaf, self.station_leaf)
 
 
-def signed_path(vertices: Sequence[int], closed: bool, model: NetworkModel) -> SimplePath:
-    """The simple path through ``vertices``: a batch of one, on the path as a tree.
-
-    ``vertices`` alternates class, station, class, ... station. Edges at even
-    offsets pair a class with its own station and get +1; odd offsets hand
-    over to the next class and get -1, as does the leaf pair of a closed path.
-    Each class and station sum has at most two terms, so it is a walk's, bit
-    for bit. The path is class-dependent if every class sum vanishes, else
-    pool-dependent if every station sum does; either forces a zero path.
-
-    Raises:
-        ValueError: not a simple path: fewer than 4 or an odd number of
-            vertices, a repeated vertex, or a label outside its role (a class
-            label in a station slot, say).
-    """
-    v, I, J = tuple(vertices), model.num_classes, model.num_stations
-    if (len(v) < 4 or len(v) % 2 or len(set(v)) < len(v)
-            or not all(0 < i <= I < j <= I + J for i, j in zip(v[0::2], v[1::2]))):
-        raise ValueError("a simple path alternates at least 2 distinct classes and stations")
-    return _signed_paths(dict(zip(v, v[1:] + v[-1:])), [(v[0], v[-1], closed)], model)[0]
-
-
 def _signed_paths(parent: dict[int, int], leaves: list, model: NetworkModel) -> list[SimplePath]:
-    """Per (class i, station j, closed): the path up the ``parent`` tree from
-    i to the lowest common ancestor, then down to j. With rho_k the rate of
-    edge k and rho_-1 the closing edge's (0.0 if open), vertex k sums
-    rho_k - rho_(k-1) if a class and minus that if a station."""
+    """Per (class i, station j, closed): the path up the ``parent`` forest
+    from i to the lowest common ancestor, then down to j, in i's tree. With
+    rho_k the rate of edge k and rho_-1 the closing edge's (0.0 if open),
+    vertex k sums rho_k - rho_(k-1) if a class and minus that if a station."""
     I, tol = model.num_classes, DEFAULT_TOL
     up = {v: tuple(_to_root(parent, v)) for v in parent}
-    order = sorted(up, key=lambda v: len(up[v]))  # the root, then parents before children
-    rise, fall = {order[0]: ()}, {order[0]: ()}  # the signed steps up each chain and down it
-    for v in order[1:]:
+    order = sorted(up, key=lambda v: len(up[v]))  # the roots, then parents before children
+    rise = {v: () for v in order if len(up[v]) == 1}  # the signed steps up each chain
+    fall = dict(rise)  # and down it, empty at every root
+    for v in order[len(rise):]:
         e = ((v, parent[v]), +1) if v <= I else ((parent[v], v), -1)  # classes are 1..I
         rise[v], fall[v] = (e, *rise[parent[v]]), (*fall[parent[v]], (e[0], -e[1]))
     rate, K = (model.service_rates + 0.0).tolist(), I + 1  # -0.0 read as 0.0, as 0.0 + -0.0 is
@@ -146,12 +126,13 @@ def basic_cycle_weights(
 ) -> list[tuple[tuple[int, ...], float]]:
     """Signed weights of the fundamental cycles of the basic graph.
 
-    Diagnostic for non-tree basic graphs: each basic edge outside a spanning
-    forest closes one cycle, whose weight is the alternating signed rate sum
-    around it (class-to-station steps count -1, station-to-class +1): minus
-    its weight as a closed path. The sign of a cycle weight depends on
-    traversal direction; its zero-ness does not.
+    Diagnostic for non-tree basic graphs: each basic edge (i, j) outside a
+    spanning forest closes the cycle i -> j -> ... -> i, the closed forest path
+    from i to j reversed. Its weight, the alternating signed rate sum around it
+    (class-to-station steps count -1, station-to-class +1), is the path's, as
+    reversal negates each class sum exactly; -(0.0 - w) keeps a zero cycle's
+    -0.0. Its sign depends on traversal direction; its zero-ness does not.
     """
     parent, closing = spanning_forest(model, sol.basic_edges)
-    cycles = [(i, *tree_path(parent, j, i)[:-1]) for i, j in closing]  # i -> j -> ... -> i
-    return [(c, -signed_path(c, True, model).weight) for c in cycles]
+    paths = _signed_paths(parent, [(i, j, True) for i, j in closing], model)
+    return [((p.class_leaf, *p.vertices[:0:-1]), -(0.0 - p.weight)) for p in paths]

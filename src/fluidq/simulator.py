@@ -838,7 +838,8 @@ def run_nc_experiment(
 ) -> ExperimentResult:
     """Occupancy statistics across scales: ``reps`` replications per n.
 
-    Replication seeds derive from (seed, n, rep), so the aggregate is
+    Replication seeds derive from (seed, n, rep), with ``seed`` in
+    0 ... 2**63 - 1, the bits ``derive_seed`` keeps, so the aggregate is
     independent of execution order and bitwise reproducible.
 
     A built-in policy (``GreedyBasic``, ``NegativePathPump``, ``IdlePolicy``)
@@ -852,6 +853,8 @@ def run_nc_experiment(
         raise ValueError("n_list must be strictly ascending")
     if reps < 1:
         raise ValueError("need at least one replication")
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in 0 ... 2**63 - 1, got {seed}")
     _check_horizon(T, warmup)
     pol = make_policy(policy, model, sol, paths) if isinstance(policy, str) else policy
     lockstep = (type(pol) in (GreedyBasic, NegativePathPump, IdlePolicy)

@@ -132,22 +132,6 @@ def _to_root(parent: dict[int, int], v: int) -> list[int]:
     return chain
 
 
-def tree_path(parent: dict[int, int], src: int, dst: int) -> list[int]:
-    """Vertices of the forest path from ``src`` to ``dst``.
-
-    Raises:
-        ValueError: the two vertices lie in different trees.
-    """
-    up, down = _to_root(parent, src), _to_root(parent, dst)
-    if up[-1] != down[-1]:
-        raise ValueError(f"vertices {src} and {dst} lie in different trees")
-    # drop the ancestors above the lowest common one
-    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-        up.pop()
-        down.pop()
-    return up + down[-2::-1]
-
-
 def _tree_check(
     model: NetworkModel, edges: frozenset[tuple[int, int]]
 ) -> tuple[dict[int, int], list[str]]:

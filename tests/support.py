@@ -42,6 +42,7 @@ from fluidq import (
     solve_static_allocation,
     validate_model,
 )
+from fluidq.paths import _signed_paths
 from fluidq.simulator import DRAW_BLOCK
 
 ORACLE_TOL = 1e-7
@@ -284,7 +285,7 @@ def forest_oracle(n_vertices, edges):
     Returns ``closing``, the cycle-closing edges (each sorted edge whose ends
     the forest so far already connects); ``spanning``, whether ``edges`` form
     a spanning tree; ``messages``, the tree-check violations; and the
-    functions ``connected(u, v)`` and ``path(src, dst)`` over the forest.
+    function ``path(src, dst)`` over the forest.
     """
     forest: dict[int, list[int]] = {}
     closing = []
@@ -313,7 +314,6 @@ def forest_oracle(n_vertices, edges):
         closing=closing,
         spanning=spanning,
         messages=messages,
-        connected=lambda u, v: v in _reachable(forest, u),
         path=lambda src, dst: _tree_path(forest, src, dst),
     )
 
@@ -374,6 +374,11 @@ def sign_class(weight):
     if abs(weight) <= DEFAULT_TOL:
         return ZERO
     return NEGATIVE if weight < 0 else POSITIVE
+
+
+def path_along(v, closed, model):
+    """The path record along the vertex tuple ``v``, the path as a tree of its own."""
+    return _signed_paths(dict(zip(v, v[1:] + v[-1:])), [(v[0], v[-1], closed)], model)[0]
 
 
 def tree_potentials(model, sol):

@@ -584,20 +584,22 @@ ROUNDS_BADLY = {"classes": 1, "stations": 2, "lambda": [2.8], "nu": [1.4, 1.4], 
         (CASE_A, "--T", "nan", "horizon T"),
         (ROUNDS_BADLY, "--n", "1", "drifted"),
         (SCALE_OVERFLOW, "--n", "10", "overflows"),
+        (CASE_A, "--seed", "-1", "seed must be in 0 ... 2**63 - 1, got -1"),
+        (CASE_A, "--seed", str(2**63), f"seed must be in 0 ... 2**63 - 1, got {2**63}"),
     ],
     ids=["malformed-n", "descending-n", "repeated-n", "n-zero", "reps-zero", "T-zero", "T-inf",
-         "T-nan", "scaling", "scaling-overflow"],
+         "T-nan", "scaling", "scaling-overflow", "seed-negative", "seed-past-63-bits"],
 )
 def test_simulate_invalid_request_exit_2(tmp_path, capsys, payload, flag, value, message):
     model = _write(tmp_path, "m.json", payload)
-    args = {"--n": "10", "--T": "0.1", "--reps": "1", flag: value}
+    args = {"--n": "10", "--T": "0.1", "--reps": "1", "--seed": "1", flag: value}
     code = main([
         "simulate", model, *[a for kv in args.items() for a in kv],
-        "--policy", "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out"),
+        "--policy", "greedy-basic", "--out", str(tmp_path / "out"),
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

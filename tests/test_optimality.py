@@ -19,7 +19,6 @@ from fluidq import (
     load_model,
     max_throughput,
     nc_verdict,
-    signed_path,
     solve_static_allocation,
     throughput_verdict_lp,
     throughput_verdict_paths,
@@ -38,6 +37,7 @@ from support import (
     gamma_family,
     max_throughput_flow,
     max_throughput_oracle,
+    path_along,
     relabel_model,
     tune_zero_path,
 )
@@ -63,7 +63,7 @@ GAP_3X3 = {
 
 def test_max_throughput_case_a_matches_oracle(case_a):
     sol = solve_static_allocation(case_a)
-    value, psi = max_throughput(sol.class_masses, case_a.capacities, case_a)
+    value, psi = max_throughput(sol.class_masses, case_a)
     assert value == pytest.approx(14.0, abs=1e-9)
     oracle = max_throughput_oracle(sol.class_masses, case_a.capacities, case_a)
     assert value == pytest.approx(oracle, abs=1e-7)
@@ -73,14 +73,14 @@ def test_max_throughput_case_a_matches_oracle(case_a):
 
 def test_max_throughput_case_b_matches_oracle(case_b):
     sol = solve_static_allocation(case_b)
-    value, _ = max_throughput(sol.class_masses, case_b.capacities, case_b)
+    value, _ = max_throughput(sol.class_masses, case_b)
     assert value == pytest.approx(13.5, abs=1e-9)
     oracle = max_throughput_oracle(sol.class_masses, case_b.capacities, case_b)
     assert value == pytest.approx(oracle, abs=1e-7)
 
 
 def test_max_throughput_zero_mass(case_a):
-    value, psi = max_throughput(np.zeros(2), case_a.capacities, case_a)
+    value, psi = max_throughput(np.zeros(2), case_a)
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.abs(psi).max() <= 1e-12
 
@@ -91,7 +91,7 @@ def test_max_throughput_random_against_oracle():
         I, J = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         model, sol = generate_critical_instance(int(rng.integers(0, 9999)), I, J)
         x_bar = rng.uniform(0.1, 2.0, I)
-        value, psi = max_throughput(x_bar, model.capacities, model)
+        value, psi = max_throughput(x_bar, model)
         oracle = max_throughput_oracle(x_bar, model.capacities, model)
         assert value == pytest.approx(oracle, abs=1e-7)
         assert AllocationPolytope(x_bar, model.capacities).contains(psi)
@@ -104,7 +104,7 @@ def test_max_throughput_is_homogeneous_in_the_rates(raw, unit):
     # at c = 1e-11 in time units case_a's value was 0
     model = validate_model(raw)
     sol = solve_static_allocation(model)
-    expected, _ = max_throughput(sol.class_masses, model.capacities, model)
+    expected, _ = max_throughput(sol.class_masses, model)
     rates = "mu" if unit == "time" else "nu"
     for c in (1e-11, 3e-11, 1e-10, 1e4, 1e8):
         scaled = dict(raw, **{"lambda": [c * v for v in raw["lambda"]]})
@@ -112,7 +112,7 @@ def test_max_throughput_is_homogeneous_in_the_rates(raw, unit):
         scaled = validate_model(scaled)
         # class masses are invariant in time units and scale with capacity
         masses = sol.class_masses * (1.0 if unit == "time" else c)
-        value, _ = max_throughput(masses, scaled.capacities, scaled)
+        value, _ = max_throughput(masses, scaled)
         assert value == pytest.approx(c * expected, rel=1e-12, abs=0.0), c
 
 
@@ -186,8 +186,8 @@ def test_monotone_in_class_masses(case_a):
     for _ in range(15):
         lo = rng.uniform(0.1, 2.0, 2)
         hi = lo + rng.uniform(0.0, 1.0, 2)
-        v_lo, _ = max_throughput(lo, case_a.capacities, case_a)
-        v_hi, _ = max_throughput(hi, case_a.capacities, case_a)
+        v_lo, _ = max_throughput(lo, case_a)
+        v_hi, _ = max_throughput(hi, case_a)
         assert v_lo <= v_hi + 1e-9
 
 
@@ -313,7 +313,7 @@ def test_gamma_family_needs_zero_path(case_a):
     # a zero path, but an open one of six vertices: 1 - 2 + 1 - 1 + 1 = 0
     m = validate_model({"classes": 3, "stations": 3, "lambda": [1, 1, 1], "nu": [1, 1, 1],
                         "mu": [[1, 0, 0], [2, 1, 0], [0, 1, 1]]})
-    six = signed_path((1, 4, 2, 5, 3, 6), False, m)
+    six = path_along((1, 4, 2, 5, 3, 6), False, m)
     assert six.sign_class == "zero"
     with pytest.raises(ValueError, match="four-vertex"):
         gamma_family(solve_static_allocation(m), six, m, kappa=0.01)

@@ -36,7 +36,7 @@ def test_public_names_are_the_imported_ones():
         "check_assumptions", "generate_critical_instance", "solve_static_allocation",
         "CLASS_DEPENDENT", "CLOSED", "NEGATIVE", "NEITHER", "NotATree", "OPEN",
         "POOL_DEPENDENT", "POSITIVE", "SimplePath", "ZERO", "basic_cycle_weights",
-        "enumerate_simple_paths", "signed_path",
+        "enumerate_simple_paths",
         "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
         "NCVerdict", "PerturbationCheck", "ThroughputVerdict",
         "combined_zero_path_check", "max_throughput", "nc_verdict",

@@ -336,6 +336,17 @@ def test_run_nc_experiment_requires_ascending(case_a):
         run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=0, seed=1)
 
 
+def test_run_nc_experiment_rejects_seeds_outside_63_bits(case_a):
+    """derive_seed keeps 63 bits of the base seed, so -1 and 2**63 - 1, or 5
+    and 5 + 2**63, would run the same replications under different seeds."""
+    sol = solve_static_allocation(case_a)
+    for seed, alias in ((-1, 2**63 - 1), (2**63, 0), (5 + 2**63, 5)):
+        assert derive_seed(seed, 10, 3) == derive_seed(alias, 10, 3)
+        with pytest.raises(ValueError, match=r"seed must be in 0 \.\.\. 2\*\*63 - 1"):
+            run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=seed)
+        run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=alias)
+
+
 def test_make_policy_names(case_a):
     sol = solve_static_allocation(case_a)
     paths = enumerate_simple_paths(sol, activity_set(case_a), case_a)

@@ -13,6 +13,7 @@ from fluidq import (
     NotATree,
     NumericalFailure,
     activity_set,
+    basic_cycle_weights,
     check_assumptions,
     enumerate_simple_paths,
     generate_critical_instance,
@@ -394,7 +395,7 @@ def _edge_sets(rng, count):
 
 
 def test_spanning_forest_agrees_with_graph_walks():
-    from fluidq.static_fluid import _tree_check, spanning_forest, tree_path
+    from fluidq.static_fluid import _tree_check, spanning_forest
 
     rng = np.random.default_rng(23)
     seen_cycles = seen_trees = seen_split = 0
@@ -420,12 +421,9 @@ def test_spanning_forest_agrees_with_graph_walks():
             with pytest.raises(NotATree) as raised:
                 enumerate_simple_paths(sol, activity_set(model), model)
             assert str(raised.value) == "; ".join(oracle.messages)
-        for u, v in itertools.product(parent, repeat=2):
-            if oracle.connected(u, v):
-                assert tree_path(parent, u, v) == oracle.path(u, v)
-            else:
-                with pytest.raises(ValueError):
-                    tree_path(parent, u, v)
+        # each closing edge (i, j), then the forest path back from j to i
+        cycles = [c for c, _ in basic_cycle_weights(sol, model)]
+        assert cycles == [(i, *oracle.path(j, i)[:-1]) for i, j in closing]
         seen_cycles += bool(closing)
         seen_trees += oracle.spanning
         seen_split += "basic graph is disconnected" in messages
