@@ -54,7 +54,6 @@ from .optimality import (
     NCVerdict,
     PerturbationCheck,
     ThroughputVerdict,
-    combined_zero_path_check,
     max_throughput,
     nc_verdict,
     throughput_verdict_lp,

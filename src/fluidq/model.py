@@ -70,12 +70,16 @@ class NetworkModel:
             return label - self.num_classes - 1
         raise ValueError(f"{label} is not a station label of this model")
 
-    def rate(self, class_label: int, station_label: int) -> float:
-        """Service rate of the (class, station) pair, by vertex labels."""
-        return float(self.service_rates[self.edge_positions((class_label, station_label))])
-
     def edge_positions(self, edge: tuple[int, int]) -> tuple[int, int]:
         return self.class_pos(edge[0]), self.station_pos(edge[1])
+
+
+def _as_int(value: Any, name: str) -> int:
+    """A seed, a count or a size as an int, if it is an int or a numpy
+    integer: a bool, a float or anything else is a ValueError, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _rates(raw: Mapping[str, Any], name: str) -> np.ndarray:

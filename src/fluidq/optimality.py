@@ -181,15 +181,6 @@ def zero_path_check(
     return _run_perturbation(sol, model, [path.class_weights], path)
 
 
-def combined_zero_path_check(
-    sol: FluidSolution, zero_paths: list[SimplePath], model: NetworkModel
-) -> PerturbationCheck | None:
-    """Single check with equal mass placed on every zero path at once."""
-    if not zero_paths:
-        return None
-    return _run_perturbation(sol, model, [p.class_weights for p in zero_paths], None)
-
-
 def nc_verdict(
     model: NetworkModel,
     sol: FluidSolution,
@@ -222,7 +213,8 @@ def nc_verdict(
     agree = critical_tree and lp_v.optimal == path_v.optimal
     zero_paths = [p for p in paths if p.sign_class == ZERO] if agree else []
     evidence = tuple(zero_path_check(sol, p, model) for p in zero_paths)
-    combined = combined_zero_path_check(sol, zero_paths, model) if len(zero_paths) > 1 else None
+    combined = (_run_perturbation(sol, model, [p.class_weights for p in zero_paths], None)
+                if len(zero_paths) > 1 else None)
     all_dependent = bool(zero_paths) and all(
         p.dependence in (CLASS_DEPENDENT, POOL_DEPENDENT) for p in zero_paths
     )

@@ -63,7 +63,7 @@ from operator import add, gt, sub
 
 import numpy as np
 
-from .model import NetworkModel, lp_columns
+from .model import NetworkModel, _as_int, lp_columns
 from .optimality import throughput_verdict_paths
 from .paths import SimplePath
 from .static_fluid import FluidSolution
@@ -131,7 +131,8 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
             finite, or n times a capacity or class mass, the server total or I
             times the largest server count does not fit in int64.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    n = _as_int(n, "scale parameter n")
+    if n < 1:
         raise ValueError(f"scale parameter n must be an integer of at least 1, got {n!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         arrivals, capacity = n * model.arrival_rates, n * model.capacities
@@ -171,10 +172,7 @@ class SystemState:
 
     def __init__(self, t: float, heads: list[int], in_service: list[list[int]],
                  servers: list[int]):
-        self.t = t
-        self.heads = heads
-        self.in_service = in_service
-        self.servers = servers
+        self.t, self.heads, self.in_service, self.servers = t, heads, in_service, servers
 
 
 class Policy:
@@ -561,10 +559,12 @@ def simulate(
     per block, so the loop does its arithmetic on Python floats.
 
     Raises:
+        ValueError: ``seed`` is a bool or not an integer, or the horizon is invalid.
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
     """
     _check_horizon(T, warmup)
+    seed = _as_int(seed, "seed")
     rng = np.random.default_rng(seed)
     I, J = sys.model.num_classes, sys.model.num_stations
     rates = sys.service_rates.ravel().tolist()
@@ -801,8 +801,9 @@ def _splitmix64(z: int) -> int:
 
 
 def derive_seed(base: int, n: int, rep: int) -> int:
-    """Stable per-replication seed: base xor a mix of (n, rep)."""
-    return (int(base) ^ _splitmix64((int(n) << 32) | (int(rep) & 0xFFFFFFFF))) & 0x7FFFFFFFFFFFFFFF
+    """Stable per-replication seed: base, an integer, xor a mix of (n, rep)."""
+    mix = _splitmix64((int(n) << 32) | (int(rep) & 0xFFFFFFFF))
+    return (_as_int(base, "seed") ^ mix) & 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -840,7 +841,8 @@ def run_nc_experiment(
 
     Replication seeds derive from (seed, n, rep), with ``seed`` in
     0 ... 2**63 - 1, the bits ``derive_seed`` keeps, so the aggregate is
-    independent of execution order and bitwise reproducible.
+    independent of execution order and bitwise reproducible. ``reps`` and
+    ``seed`` must be ints or numpy integers; a bool or a float is a ValueError.
 
     A built-in policy (``GreedyBasic``, ``NegativePathPump``, ``IdlePolicy``)
     with at least ``LOCKSTEP_MIN_REPS`` replications runs each scale's
@@ -851,6 +853,7 @@ def run_nc_experiment(
     n_list = list(n_list)
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
+    reps, seed = _as_int(reps, "reps"), _as_int(seed, "seed")
     if reps < 1:
         raise ValueError("need at least one replication")
     if not 0 <= seed < 2**63:
@@ -875,6 +878,6 @@ def run_nc_experiment(
         results.extend(batch)
         arr = np.array([res.queue_occupancy for res in batch])
         rows.append(ExperimentRow(
-            n=n, reps=reps, mean=float(arr.mean()), median=float(np.median(arr)),
+            n=sys.n, reps=reps, mean=float(arr.mean()), median=float(np.median(arr)),
             q10=float(np.quantile(arr, 0.1)), q90=float(np.quantile(arr, 0.9))))
     return ExperimentResult(rows=rows, results=results)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, NumericalFailure, solve_lp
-from .model import DEFAULT_TOL, NetworkModel, lp_columns, validate_model
+from .model import DEFAULT_TOL, NetworkModel, _as_int, lp_columns, validate_model
 
 
 class InfeasibleModel(RuntimeError):
@@ -285,13 +285,14 @@ def generate_critical_instance(
     allocation. Deterministic in ``seed``.
 
     Raises:
-        ValueError: a size below 1 or a negative seed.
+        ValueError: a size or a seed that is a bool or not an integer, a size
+            below 1 or a negative seed.
         GenerationFailed: the draw fails a check, which only numerical trouble can cause.
     """
-    I, J = num_classes, num_stations
+    I, J = _as_int(num_classes, "num_classes"), _as_int(num_stations, "num_stations")
     if I < 1 or J < 1:
         raise ValueError("need at least one class and one station")
-    if seed < 0:
+    if _as_int(seed, "seed") < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)

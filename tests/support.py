@@ -349,7 +349,7 @@ def path_weights(signed_edges, model):
     """Per-class signed rate sums and their total along signed edges."""
     m = np.zeros(model.num_classes)
     for (i, j), s in signed_edges:
-        m[model.class_pos(i)] += s * model.rate(i, j)
+        m[model.class_pos(i)] += s * float(model.service_rates[model.edge_positions((i, j))])
     m.setflags(write=False)
     return m, float(m.sum())
 
@@ -360,7 +360,7 @@ def classify_dependence(signed_edges, model):
     per_class: dict[int, float] = {}
     per_station: dict[int, float] = {}
     for (i, j), s in signed_edges:
-        term = s * model.rate(i, j)
+        term = s * float(model.service_rates[model.edge_positions((i, j))])
         per_class[i] = per_class.get(i, 0.0) + term
         per_station[j] = per_station.get(j, 0.0) + term
     if all(abs(v) <= DEFAULT_TOL for v in per_class.values()):
@@ -397,7 +397,8 @@ def tree_potentials(model, sol):
         v = stack.pop()
         for w in adj.get(v, ()):
             if w not in pot:
-                pot[w] = model.rate(min(v, w), max(v, w)) - pot[v]
+                edge = (min(v, w), max(v, w))
+                pot[w] = float(model.service_rates[model.edge_positions(edge)]) - pot[v]
                 stack.append(w)
     return pot
 

@@ -19,14 +19,14 @@ def test_case_a_validates(case_a):
     assert case_a.num_stations == 3
     assert list(case_a.class_labels) == [1, 2]
     assert list(case_a.station_labels) == [3, 4, 5]
-    assert case_a.rate(2, 3) == 1.0
+    assert case_a.service_rates[case_a.edge_positions((2, 3))] == 1.0
 
 
 @pytest.mark.parametrize("class_label, station_label", [(1, 2), (0, 3), (3, 4), (1, 6)])
 def test_rate_refuses_labels_outside_range(case_a, class_label, station_label):
     # (1, 2) would read mu[0][2] through station position -1
     with pytest.raises(ValueError):
-        case_a.rate(class_label, station_label)
+        case_a.edge_positions((class_label, station_label))
 
 
 def test_minimal_model(minimal):

@@ -39,7 +39,7 @@ def test_public_names_are_the_imported_ones():
         "enumerate_simple_paths",
         "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
         "NCVerdict", "PerturbationCheck", "ThroughputVerdict",
-        "combined_zero_path_check", "max_throughput", "nc_verdict",
+        "max_throughput", "nc_verdict",
         "throughput_verdict_lp", "throughput_verdict_paths", "zero_path_check",
         "ExperimentResult", "ExperimentRow", "GreedyBasic", "IdlePolicy",
         "NegativePathPump", "Policy", "PolicyViolation",

@@ -213,7 +213,8 @@ def test_path_weight_is_reduced_cost_of_tree_potentials():
             bound = 1e-12 * float(model.service_rates.max())
             for p in paths:
                 i, j = p.leaf_pair
-                expected = pot[i] + pot[j] - (model.rate(i, j) if p.kind == CLOSED else 0.0)
+                mu_ij = float(model.service_rates[model.edge_positions((i, j))])
+                expected = pot[i] + pot[j] - (mu_ij if p.kind == CLOSED else 0.0)
                 assert abs(p.weight - expected) <= bound, (p.leaf_pair, p.weight, expected)
                 checked[source] += 1
     assert checked == {"potential": 2 * 312, "integer": 700}

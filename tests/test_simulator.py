@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields, replace
 from itertools import accumulate, chain
@@ -345,6 +346,70 @@ def test_run_nc_experiment_rejects_seeds_outside_63_bits(case_a):
         with pytest.raises(ValueError, match=r"seed must be in 0 \.\.\. 2\*\*63 - 1"):
             run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=seed)
         run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=alias)
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, False, np.float64(1.0), "1"],
+                         ids=["1.9", "1.0", "True", "False", "np.float64", "str"])
+def test_non_integer_seeds_are_refused_at_every_entry(case_a, bad):
+    """A bool or a float is refused, not truncated: int(1.9) and True would
+    otherwise run seed 1's replications under another seed."""
+    sol = solve_static_allocation(case_a)
+    sys = build_system(case_a, sol, 10)
+    entries = [
+        lambda: simulate(sys, IdlePolicy(), 0.1, bad),
+        lambda: run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=bad),
+        lambda: derive_seed(bad, 10, 0),
+        lambda: generate_critical_instance(bad, 2, 2),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            entry()
+
+
+@pytest.mark.parametrize("reps", [2, 16])
+def test_numpy_integer_seeds_run_the_int_replications(case_a, reps):
+    # two replications take the loop route, 16 the lockstep route
+    sol = solve_static_allocation(case_a)
+    runs = [run_nc_experiment(case_a, sol, "greedy-basic", [10], T=0.2, reps=reps, seed=seed,
+                              sample_points=3) for seed in (7, np.int64(7), np.uint32(7))]
+    for other in runs[1:]:
+        assert other.summary() == runs[0].summary()
+        assert [r.seed for r in other.results] == [r.seed for r in runs[0].results]
+        assert all(type(r.seed) is int for r in other.results)
+    assert derive_seed(np.int64(7), 10, 1) == derive_seed(7, 10, 1)
+    sys = build_system(case_a, sol, 10)
+    res = simulate(sys, GreedyBasic(case_a, sol), 0.2, np.int64(5), sample_points=3)
+    assert type(res.seed) is int
+    assert res.queue_occupancy == simulate(sys, GreedyBasic(case_a, sol), 0.2, 5,
+                                           sample_points=3).queue_occupancy
+    m1, _ = generate_critical_instance(np.int64(3), 2, 2)
+    m2, _ = generate_critical_instance(3, 2, 2)
+    assert np.array_equal(m1.service_rates, m2.service_rates)
+
+
+def test_run_nc_experiment_refuses_bool_and_float_reps(case_a):
+    sol = solve_static_allocation(case_a)
+    for reps in (True, 2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=reps, seed=1)
+    with pytest.raises(ValueError, match="need at least one replication"):
+        run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=0, seed=1)
+    exp = run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=np.int64(2), seed=1)
+    assert type(exp.rows[0].reps) is int and len(exp.results) == 2
+
+
+def test_numpy_integer_scales_give_int_n(case_a):
+    sol = solve_static_allocation(case_a)
+    assert type(build_system(case_a, sol, np.int64(10)).n) is int
+    exp = run_nc_experiment(case_a, sol, "greedy-basic", [np.int64(10), np.int32(20)], T=0.1,
+                            reps=2, seed=1, sample_points=3)
+    assert [row.n for row in exp.rows] == [10, 20]
+    assert all(type(row.n) is int for row in exp.rows)
+    assert all(type(res.n) is int for res in exp.results)
+    json.dumps(exp.summary())
+    plain = run_nc_experiment(case_a, sol, "greedy-basic", [10, 20], T=0.1, reps=2, seed=1,
+                              sample_points=3)
+    assert exp.summary() == plain.summary()
 
 
 def test_make_policy_names(case_a):

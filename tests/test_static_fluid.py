@@ -152,6 +152,10 @@ def test_generator_deterministic():
 def test_generator_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         generate_critical_instance(1, 0, 2)
+    # refused, not drawn: with 2.5 classes the spanning-tree walk could never end
+    for I, J in ((2.5, 2), (True, 2), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate_critical_instance(1, I, J)
 
 
 def test_generated_masses_fill_polytope():
