@@ -15,15 +15,7 @@ from .model import (
     model_to_dict,
     validate_model,
 )
-from .linprog import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    LPResult,
-    NumericalFailure,
-    solve_lp,
-)
+from .linprog import NumericalFailure
 from .static_fluid import (
     AssumptionReport,
     FluidSolution,
@@ -44,7 +36,6 @@ from .paths import (
     POSITIVE,
     SimplePath,
     ZERO,
-    basic_cycle_weights,
     enumerate_simple_paths,
 )
 from .optimality import (
@@ -54,10 +45,7 @@ from .optimality import (
     NCVerdict,
     PerturbationCheck,
     ThroughputVerdict,
-    max_throughput,
     nc_verdict,
-    throughput_verdict_lp,
-    throughput_verdict_paths,
     zero_path_check,
 )
 from .simulator import (

@@ -15,6 +15,9 @@ method terminates, and it is deterministic in the input.
 Tolerances are absolute, so a caller scales its objective to entries of
 order 1 (``optimality.max_throughput`` divides by its largest rate).
 
+The solver is internal, reached as ``fluidq.linprog.*``; its three builders
+agree in shape by construction, so ``LinearProgram`` checks no shapes.
+
 Warm start. ``solve_lp(lp, basis)`` starts phase 2 at a given basis, one
 column per row: it inverts the basis matrix once and applies the inverse to
 every column. A basis of the wrong length, with a repeated column or an
@@ -62,7 +65,7 @@ class NumericalFailure(RuntimeError):
 class LinearProgram:
     """min objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
-    A block left out has no rows.
+    A block left out has no rows; a given one, a bool matrix too, becomes float.
     """
 
     objective: np.ndarray
@@ -73,18 +76,12 @@ class LinearProgram:
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
-        if obj.ndim != 1:
-            raise ValueError(f"objective has shape {obj.shape}, expected a vector")
         object.__setattr__(self, "objective", obj)
         n = obj.size
         for kind in ("eq", "ub"):
             a, b = getattr(self, "a_" + kind), getattr(self, "b_" + kind)
             a = np.zeros((0, n)) if a is None else np.asarray(a, dtype=float)
             b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
-            if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
-                raise ValueError(
-                    f"{kind} block has shapes {a.shape} and {b.shape}, expected (m, {n}) and (m,)"
-                )
             object.__setattr__(self, "a_" + kind, a)
             object.__setattr__(self, "b_" + kind, b)
 

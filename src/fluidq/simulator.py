@@ -483,11 +483,13 @@ class SimResult:
     invariants_checked: bool
 
 
-def _check_horizon(T: float, warmup: float) -> None:
+def _check_run(T: float, warmup: float, sample_points: int) -> None:
     if not 0 < T < math.inf:
         raise ValueError(f"horizon T must be positive and finite, not {T}")
     if not 0 <= warmup < T:
         raise ValueError("warmup must lie in [0, T)")
+    if _as_int(sample_points, "sample_points") < 2:  # _Record samples at both ends, 0 and T
+        raise ValueError(f"sample_points must be at least 2, got {sample_points}")
 
 
 class _Record:
@@ -559,11 +561,11 @@ def simulate(
     per block, so the loop does its arithmetic on Python floats.
 
     Raises:
-        ValueError: ``seed`` is a bool or not an integer, or the horizon is invalid.
+        ValueError: a bool or non-integer ``seed``, or an invalid horizon or ``sample_points``.
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
     """
-    _check_horizon(T, warmup)
+    _check_run(T, warmup, sample_points)
     seed = _as_int(seed, "seed")
     rng = np.random.default_rng(seed)
     I, J = sys.model.num_classes, sys.model.num_stations
@@ -683,10 +685,11 @@ def _simulate_lockstep(sys: SystemInstance, policy: Policy, T: float, seeds: lis
     over Python ints, only if one broke.
 
     Raises:
+        ValueError: the horizon or ``sample_points`` is invalid, as in ``simulate``.
         PolicyViolation: an infeasible assignment; the message names the
             policy, the replication and the event.
     """
-    _check_horizon(T, warmup)
+    _check_run(T, warmup, sample_points)
     (I, J), R = sys.service_rates.shape, len(seeds)
     assign = policy._lockstep(sys, R)
     x0, rates = sys.x0[:, None], sys.service_rates.reshape(I * J, 1)
@@ -801,9 +804,16 @@ def _splitmix64(z: int) -> int:
 
 
 def derive_seed(base: int, n: int, rep: int) -> int:
-    """Stable per-replication seed: base, an integer, xor a mix of (n, rep)."""
-    mix = _splitmix64((int(n) << 32) | (int(rep) & 0xFFFFFFFF))
-    return (_as_int(base, "seed") ^ mix) & 0x7FFFFFFFFFFFFFFF
+    """Stable per-replication seed: ``base``, in 0 ... 2**63 - 1, xor a mix of
+    (n, rep), each in 0 ... 2**32 - 1, the bits kept; any other input, a bool
+    or a float included, would share another's stream and is a ValueError."""
+    base = _as_int(base, "seed")
+    if not 0 <= base < 2**63:
+        raise ValueError(f"seed must be in 0 ... 2**63 - 1, got {base}")
+    n, rep = _as_int(n, "scale parameter n"), _as_int(rep, "replication index rep")
+    if not (0 <= n < 2**32 and 0 <= rep < 2**32):
+        raise ValueError(f"n and rep must be in 0 ... 2**32 - 1, got {n} and {rep}")
+    return (base ^ _splitmix64((n << 32) | rep)) & 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -849,16 +859,19 @@ def run_nc_experiment(
     replications in lockstep on arrays; any other policy, or fewer
     replications, runs ``simulate`` once per replication. Both routes give
     bit-identical results.
+
+    Raises:
+        ValueError: before any draw, on either route, for an ``n_list`` not strictly
+            ascending or an invalid ``reps``, ``seed``, horizon or ``sample_points``.
     """
     n_list = list(n_list)
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
-    reps, seed = _as_int(reps, "reps"), _as_int(seed, "seed")
+    reps = _as_int(reps, "reps")
     if reps < 1:
         raise ValueError("need at least one replication")
-    if not 0 <= seed < 2**63:
-        raise ValueError(f"seed must be in 0 ... 2**63 - 1, got {seed}")
-    _check_horizon(T, warmup)
+    derive_seed(seed, 0, 0)  # refuses the seed as every replication's call would
+    _check_run(T, warmup, sample_points)
     pol = make_policy(policy, model, sol, paths) if isinstance(policy, str) else policy
     lockstep = (type(pol) in (GreedyBasic, NegativePathPump, IdlePolicy)
                 and reps >= LOCKSTEP_MIN_REPS)

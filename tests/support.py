@@ -17,17 +17,14 @@ import numpy as np
 from fluidq import (
     CLASS_DEPENDENT,
     DEFAULT_TOL,
-    INFEASIBLE,
     NEGATIVE,
     NEITHER,
     POOL_DEPENDENT,
     POSITIVE,
-    UNBOUNDED,
     ZERO,
     FluidSolution,
     GenerationFailed,
     InfeasibleModel,
-    LinearProgram,
     NetworkModel,
     NumericalFailure,
     PolicyViolation,
@@ -38,10 +35,10 @@ from fluidq import (
     check_assumptions,
     enumerate_simple_paths,
     generate_critical_instance,
-    solve_lp,
     solve_static_allocation,
     validate_model,
 )
+from fluidq.linprog import INFEASIBLE, UNBOUNDED, LinearProgram, solve_lp
 from fluidq.paths import _signed_paths
 from fluidq.simulator import DRAW_BLOCK
 

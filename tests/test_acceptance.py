@@ -20,12 +20,11 @@ from fluidq import (
     run_nc_experiment,
     simulate,
     solve_static_allocation,
-    throughput_verdict_lp,
-    throughput_verdict_paths,
     validate_model,
     zero_path_check,
 )
 from fluidq.analysis import run_analysis
+from fluidq.optimality import throughput_verdict_lp, throughput_verdict_paths
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
 from support import AllocationPolytope, erlang_c, gamma_family, tune_zero_path

@@ -7,21 +7,16 @@ import fluidq.linprog
 import fluidq.optimality
 import fluidq.static_fluid
 from fluidq import (
-    INFEASIBLE,
     NC_POSSIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
     NumericalFailure,
     check_assumptions,
     generate_critical_instance,
-    solve_lp,
     solve_static_allocation,
-    throughput_verdict_lp,
     validate_model,
 )
 from fluidq.analysis import run_analysis
-from fluidq.linprog import COLD, WARM
+from fluidq.linprog import COLD, INFEASIBLE, OPTIMAL, UNBOUNDED, WARM, LinearProgram, solve_lp
+from fluidq.optimality import throughput_verdict_lp
 from fluidq.static_fluid import _allocation_lp
 
 from conftest import CASE_A
@@ -51,22 +46,6 @@ def test_infeasible_reported():
 def test_unbounded_reported():
     lp = LinearProgram([-1.0])
     assert solve_lp(lp).status == UNBOUNDED
-
-
-@pytest.mark.parametrize(
-    "objective, blocks",
-    [
-        ([1.0, 1.0], dict(a_eq=[[1.0]], b_eq=[1.0])),
-        ([1.0, 1.0], dict(a_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])),
-        ([1.0, 1.0], dict(a_ub=[1.0, 1.0], b_ub=[1.0])),
-        ([1.0, 1.0], dict(b_ub=[1.0])),
-        ([[1.0, 1.0]], {}),
-    ],
-    ids=["a_eq-too-narrow", "b_eq-wrong-length", "a_ub-1d", "b_ub-without-a_ub", "objective-2d"],
-)
-def test_mismatched_coefficients_rejected(objective, blocks):
-    with pytest.raises(ValueError):
-        LinearProgram(objective, **blocks)
 
 
 def _random_transportation(rng):

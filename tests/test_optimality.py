@@ -16,11 +16,8 @@ from fluidq import (
     enumerate_simple_paths,
     generate_critical_instance,
     load_model,
-    max_throughput,
     nc_verdict,
     solve_static_allocation,
-    throughput_verdict_lp,
-    throughput_verdict_paths,
     validate_model,
     zero_path_check,
 )
@@ -29,6 +26,7 @@ import fluidq.optimality
 import fluidq.static_fluid
 from fluidq.analysis import run_analysis
 from fluidq.linprog import solve_lp
+from fluidq.optimality import max_throughput, throughput_verdict_lp, throughput_verdict_paths
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2, MINIMAL
 from support import (

@@ -24,23 +24,25 @@ def test_public_names_resolve():
 def test_public_names_are_the_imported_ones():
     # __all__ is derived from the package's imports: the names of the
     # hand-written list it replaced, less three dropped on purpose with the code
-    # they named (save_model, scale_result, ScaledTrajectories) and three moved to
-    # tests/support.py (AllocationPolytope, GammaFamily, gamma_family), none added
+    # they named (save_model, scale_result, ScaledTrajectories), three moved to
+    # tests/support.py (AllocationPolytope, GammaFamily, gamma_family) and ten
+    # left to their modules as internals: the LP solver (LinearProgram, LPResult,
+    # solve_lp, OPTIMAL, INFEASIBLE, UNBOUNDED in fluidq.linprog) and the
+    # verdict's building blocks (max_throughput, throughput_verdict_lp and
+    # throughput_verdict_paths in fluidq.optimality, basic_cycle_weights in
+    # fluidq.paths); none added
     assert sorted(fluidq.__all__) == sorted([
         "DEFAULT_TOL", "DimensionMismatch", "ModelError", "NegativeServiceRate",
         "NetworkModel", "NonPositiveRate", "activity_set", "load_model", "model_to_dict",
         "validate_model",
-        "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LinearProgram", "LPResult",
-        "NumericalFailure", "solve_lp",
+        "NumericalFailure",
         "AssumptionReport", "FluidSolution", "GenerationFailed", "InfeasibleModel",
         "check_assumptions", "generate_critical_instance", "solve_static_allocation",
         "CLASS_DEPENDENT", "CLOSED", "NEGATIVE", "NEITHER", "NotATree", "OPEN",
-        "POOL_DEPENDENT", "POSITIVE", "SimplePath", "ZERO", "basic_cycle_weights",
-        "enumerate_simple_paths",
+        "POOL_DEPENDENT", "POSITIVE", "SimplePath", "ZERO", "enumerate_simple_paths",
         "NC_IMPOSSIBLE", "NC_POSSIBLE", "NC_UNKNOWN",
-        "NCVerdict", "PerturbationCheck", "ThroughputVerdict",
-        "max_throughput", "nc_verdict",
-        "throughput_verdict_lp", "throughput_verdict_paths", "zero_path_check",
+        "NCVerdict", "PerturbationCheck", "ThroughputVerdict", "nc_verdict",
+        "zero_path_check",
         "ExperimentResult", "ExperimentRow", "GreedyBasic", "IdlePolicy",
         "NegativePathPump", "Policy", "PolicyViolation",
         "ScalingViolation", "SimResult", "SystemInstance", "SystemState", "build_system",

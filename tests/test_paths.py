@@ -15,7 +15,6 @@ from fluidq import (
     ZERO,
     InfeasibleModel,
     activity_set,
-    basic_cycle_weights,
     enumerate_simple_paths,
     generate_critical_instance,
     load_model,
@@ -23,6 +22,7 @@ from fluidq import (
     validate_model,
 )
 from fluidq.analysis import run_analysis
+from fluidq.paths import basic_cycle_weights
 
 from support import (
     assign_signs,

@@ -28,10 +28,10 @@ from fluidq import (
     run_nc_experiment,
     simulate,
     solve_static_allocation,
-    throughput_verdict_paths,
     validate_model,
 )
 from fluidq import simulator
+from fluidq.optimality import throughput_verdict_paths
 from fluidq.simulator import _simulate_lockstep
 
 from conftest import CASE_A, CASE_B, CLASS_DEPENDENT_2X2
@@ -256,6 +256,50 @@ def test_derive_seed_stable():
     assert derive_seed(1, 25, 0) == derive_seed(1, 25, 0)
     assert derive_seed(1, 25, 0) != derive_seed(1, 25, 1)
     assert derive_seed(1, 25, 0) != derive_seed(2, 25, 0)
+    # in-range inputs, the ends of every range included, keep their streams
+    assert [derive_seed(*args) for args in [
+        (0, 0, 0), (1, 25, 0), (1001, 400, 29), (2**63 - 1, 2**32 - 1, 2**32 - 1),
+    ]] == [7070836379803831727, 2394611267605583499, 3200690543696581799, 1956407806741107679]
+
+
+@pytest.mark.parametrize("args,alias,match", [
+    ((1, 10.7, 0), (1, 10, 0), "n must be an integer"),
+    ((1, 10, True), (1, 10, 1), "rep must be an integer"),
+    ((1, 2**40, 0), (1, 0, 0), r"n and rep must be in 0 \.\.\. 2\*\*32 - 1"),
+    ((1, 10, 2**32), (1, 10, 0), r"n and rep must be in 0 \.\.\. 2\*\*32 - 1"),
+    ((1, 10, -1), (1, 10, 2**32 - 1), r"n and rep must be in 0 \.\.\. 2\*\*32 - 1"),
+    ((-1, 10, 0), (2**63 - 1, 10, 0), r"seed must be in 0 \.\.\. 2\*\*63 - 1"),
+], ids=["float-n", "bool-rep", "n-past-32-bits", "rep-past-32-bits", "negative-rep",
+        "negative-base"])
+def test_derive_seed_refuses_inputs_that_alias_another_stream(args, alias, match):
+    # each refused input would otherwise draw the stream of ``alias``
+    with pytest.raises(ValueError, match=match):
+        derive_seed(*args)
+    derive_seed(*alias)
+
+
+@pytest.mark.parametrize("points", [2.5, True, np.float64(3.0), "3", -1, 0, 1],
+                         ids=["2.5", "True", "np.float64", "str", "-1", "0", "1"])
+def test_sample_points_must_be_an_integer_of_at_least_2(case_a, monkeypatch, points):
+    """_Record samples at both ends, 0 and T; every entry refuses another
+    count before any draw, on the loop and the lockstep routes alike."""
+    sol = solve_static_allocation(case_a)
+    sys = build_system(case_a, sol, 10)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made before sample_points was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    entries = [
+        lambda: simulate(sys, IdlePolicy(), 0.1, 1, sample_points=points),
+        lambda: _simulate_lockstep(sys, IdlePolicy(), 0.1, [1, 2], 0.0, points),
+        *(lambda reps=reps: run_nc_experiment(case_a, sol, "greedy-basic", [10], T=0.1,
+                                              reps=reps, seed=1, sample_points=points)
+          for reps in (2, simulator.LOCKSTEP_MIN_REPS)),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="sample_points must be"):
+            entry()
 
 
 def test_policy_violation_detected(case_a):
@@ -339,13 +383,16 @@ def test_run_nc_experiment_requires_ascending(case_a):
 
 def test_run_nc_experiment_rejects_seeds_outside_63_bits(case_a):
     """derive_seed keeps 63 bits of the base seed, so -1 and 2**63 - 1, or 5
-    and 5 + 2**63, would run the same replications under different seeds."""
+    and 5 + 2**63, would run the same replications under different seeds;
+    both refuse the first of each pair."""
     sol = solve_static_allocation(case_a)
     for seed, alias in ((-1, 2**63 - 1), (2**63, 0), (5 + 2**63, 5)):
-        assert derive_seed(seed, 10, 3) == derive_seed(alias, 10, 3)
-        with pytest.raises(ValueError, match=r"seed must be in 0 \.\.\. 2\*\*63 - 1"):
-            run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=seed)
-        run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1, seed=alias)
+        for entry in (lambda s: derive_seed(s, 10, 3),
+                      lambda s: run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=1,
+                                                  seed=s)):
+            with pytest.raises(ValueError, match=r"seed must be in 0 \.\.\. 2\*\*63 - 1"):
+                entry(seed)
+            entry(alias)
 
 
 @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, np.float64(1.0), "1"],
@@ -740,19 +787,26 @@ BLOCK_CASES = (
 ])
 def test_lockstep_equals_simulate(name, policy, n, warmup, sample_points, T, blocks, reps,
                                   tail):
-    # the last of 2 or more sample points lies at exactly T; with ``blocks``, every
-    # replication reads from at least that many blocks of draws and they end in
-    # different blocks; with ``tail``, the last replication runs at least that
-    # many events past the first one's end, while the ended columns keep stepping
+    # both routes refuse fewer than 2 sample points alike, and the last of 2 or
+    # more lies at exactly T; with ``blocks``, every replication reads from at
+    # least that many blocks of draws and they end in different blocks; with
+    # ``tail``, the last replication runs at least that many events past the
+    # first one's end, while the ended columns keep stepping
     model, sol, paths, sys = _setup(name, n)
     pol = make_policy(policy, model, sol, paths)
     seeds = [derive_seed(8, n, rep) for rep in range(reps)]
+    if sample_points < 2:
+        with pytest.raises(ValueError, match="sample_points must be at least 2"):
+            _simulate_lockstep(sys, pol, T, seeds, warmup, sample_points)
+        with pytest.raises(ValueError, match="sample_points must be at least 2"):
+            simulate(sys, pol, T, seeds[0], warmup=warmup, sample_points=sample_points)
+        return
     batch = _simulate_lockstep(sys, pol, T, seeds, warmup, sample_points)
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
         expected = simulate(sys, pol, T, seed, warmup=warmup, sample_points=sample_points)
         assert expected.sample_times.size == sample_points
-        assert sample_points < 2 or expected.sample_times[-1] == T
+        assert expected.sample_times[-1] == T
         assert expected.events > 0
         _assert_same_result(got, expected)
     events = [res.events for res in batch]

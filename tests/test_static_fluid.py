@@ -13,7 +13,6 @@ from fluidq import (
     NotATree,
     NumericalFailure,
     activity_set,
-    basic_cycle_weights,
     check_assumptions,
     enumerate_simple_paths,
     generate_critical_instance,
@@ -21,6 +20,7 @@ from fluidq import (
     solve_static_allocation,
     validate_model,
 )
+from fluidq.paths import basic_cycle_weights
 
 from support import allocation_unique_by_ranges, forest_oracle, relabel_model
 
