@@ -5,11 +5,8 @@ from types import ModuleType as _ModuleType
 
 from .model import (
     DEFAULT_TOL,
-    DimensionMismatch,
     ModelError,
-    NegativeServiceRate,
     NetworkModel,
-    NonPositiveRate,
     activity_set,
     load_model,
     model_to_dict,

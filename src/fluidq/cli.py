@@ -10,6 +10,15 @@ policy/model mismatch for simulation, 5 numerical failure of the LP solver.
 argparse rejects never reaches a command: argparse prints its usage and its
 own error line and raises ``SystemExit(2)``.
 
+Errors: the library raises ``ModelError``, a ``ValueError``, for model data,
+and its subclass ``InfeasibleModel`` for a model that no allocation serves;
+other ``ValueError``s for invalid requests, ``ScalingViolation``,
+``GenerationFailed`` and ``NotATree`` among them; ``NumericalFailure`` for
+solver trouble; and ``PolicyViolation`` for an infeasible assignment. ``main``
+maps ``NumericalFailure`` to 5 and every ``ValueError`` or ``OSError`` to 2.
+A ``PolicyViolation`` reports a bug in a policy, not bad input, and ``main``
+does not catch it.
+
 Every command writes its output files through ``_write``. A failure while
 writing removes every output file the command created, the partly written one
 included, and leaves a file that was already there whole; ``simulate`` then
@@ -32,8 +41,8 @@ from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
 from .model import NetworkModel, load_model, model_to_dict
 from .optimality import throughput_verdict_paths
-from .simulator import POLICIES, ExperimentResult, ScalingViolation, make_policy, run_nc_experiment
-from .static_fluid import GenerationFailed, InfeasibleModel, generate_critical_instance
+from .simulator import POLICIES, ExperimentResult, make_policy, run_nc_experiment
+from .static_fluid import generate_critical_instance
 
 EXIT_OK = 0
 EXIT_INVALID_MODEL = 2
@@ -208,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, InfeasibleModel, GenerationFailed, ScalingViolation) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
 

@@ -29,18 +29,6 @@ class ModelError(ValueError):
     """Candidate model data cannot form a valid network."""
 
 
-class DimensionMismatch(ModelError):
-    pass
-
-
-class NonPositiveRate(ModelError):
-    pass
-
-
-class NegativeServiceRate(ModelError):
-    pass
-
-
 @dataclass(frozen=True)
 class NetworkModel:
     """Immutable primitive data of a multiclass parallel-server network."""
@@ -85,10 +73,10 @@ def _as_int(value: Any, name: str) -> int:
 def _rates(raw: Mapping[str, Any], name: str) -> np.ndarray:
     """``raw[name]`` as a fresh read-only float array, if every entry is an int
     or a float: a bool or a string is refused, not converted, and so is a
-    numpy array of either. Rows of unequal length are a DimensionMismatch."""
+    numpy array of either. Rows of unequal length are a ModelError."""
     entries = np.asarray(raw[name], dtype=object)
     if entries.ndim == 1 and entries.size and all(np.ndim(v) == 1 for v in entries):
-        raise DimensionMismatch(f"{name} has rows of unequal lengths {[len(v) for v in entries]}")
+        raise ModelError(f"{name} has rows of unequal lengths {[len(v) for v in entries]}")
     if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
                for v in entries.flat):
         raise TypeError(f"{name} entries must be ints or floats")
@@ -106,11 +94,10 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     Raises:
         ModelError: data that is not a mapping, a count that is not an
             integer, or a rate that is not an int or a float (a bool or string
-            is refused, not converted), or malformed array data.
-        DimensionMismatch: counts below one, missing fields, rows of unequal
-            length or arrays whose lengths disagree with the declared counts.
-        NonPositiveRate: an arrival rate or capacity that is not > 0.
-        NegativeServiceRate: a service rate below zero.
+            is refused, not converted), or malformed array data; counts below
+            one, missing fields, rows of unequal length or arrays whose lengths
+            disagree with the declared counts; an arrival rate or capacity
+            that is not > 0, or a service rate below zero.
     """
     if not isinstance(raw, Mapping):
         raise ModelError(f"a model is a JSON object, not {type(raw).__name__}")
@@ -118,8 +105,8 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
         counts = (raw["classes"], raw["stations"])
         lam, nu, mu = (_rates(raw, name) for name in ("lambda", "nu", "mu"))
     except KeyError as exc:
-        raise DimensionMismatch(f"missing model field {exc}") from None
-    except DimensionMismatch:
+        raise ModelError(f"missing model field {exc}") from None
+    except ModelError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model data: {exc}") from None
@@ -128,20 +115,20 @@ def validate_model(raw: Mapping[str, Any]) -> NetworkModel:
     num_classes, num_stations = (int(c) for c in counts)
 
     if num_classes < 1 or num_stations < 1:
-        raise DimensionMismatch("need at least one class and one station")
+        raise ModelError("need at least one class and one station")
     for name, arr, shape in (("lambda", lam, (num_classes,)), ("nu", nu, (num_stations,)),
                              ("mu", mu, (num_classes, num_stations))):
         if arr.shape != shape:
-            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+            raise ModelError(f"{name} has shape {arr.shape}, expected {shape}")
     for name, arr in (("lambda", lam), ("nu", nu), ("mu", mu)):
         if not np.isfinite(arr).all():
             raise ModelError(f"{name} contains a non-finite entry")
     if (lam <= 0).any():
-        raise NonPositiveRate("every arrival rate must be strictly positive")
+        raise ModelError("every arrival rate must be strictly positive")
     if (nu <= 0).any():
-        raise NonPositiveRate("every capacity must be strictly positive")
+        raise ModelError("every capacity must be strictly positive")
     if (mu < 0).any():
-        raise NegativeServiceRate("service rates must be nonnegative")
+        raise ModelError("service rates must be nonnegative")
 
     return NetworkModel(
         num_classes=num_classes,

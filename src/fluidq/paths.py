@@ -38,7 +38,7 @@ NEITHER = "neither"
 SignedEdge = tuple[tuple[int, int], int]
 
 
-class NotATree(RuntimeError):
+class NotATree(ValueError):
     """Path enumeration requires the basic graph to be a spanning tree; the
     message is the tree test's violations, joined by "; "."""
 

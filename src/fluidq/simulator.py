@@ -78,7 +78,7 @@ LOCKSTEP_MIN_REPS = 16
 DRAW_BLOCK = 256
 
 
-class ScalingViolation(RuntimeError):
+class ScalingViolation(ValueError):
     """Rounded server counts drifted more than 0.5/sqrt(n) from n times the
     capacities, or scaling overflowed: a rate past the float range or a count
     past int64. The first-order bound cannot fail (see ``build_system``):
@@ -861,16 +861,19 @@ def run_nc_experiment(
     bit-identical results.
 
     Raises:
-        ValueError: before any draw, on either route, for an ``n_list`` not strictly
-            ascending or an invalid ``reps``, ``seed``, horizon or ``sample_points``.
+        ValueError: before any draw, on either route, for an n that ``build_system``
+            or ``derive_seed`` refuses, a ScalingViolation included, an ``n_list``
+            not strictly ascending or an invalid ``reps``, ``seed``, horizon or
+            ``sample_points``.
     """
-    n_list = list(n_list)
-    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+    systems = [build_system(model, sol, n) for n in n_list]
+    if any(a.n >= b.n for a, b in zip(systems, systems[1:])):
         raise ValueError("n_list must be strictly ascending")
     reps = _as_int(reps, "reps")
     if reps < 1:
         raise ValueError("need at least one replication")
-    derive_seed(seed, 0, 0)  # refuses the seed as every replication's call would
+    # refuses the seed, the largest n and the last rep as their replications' calls would
+    derive_seed(seed, systems[-1].n if systems else 0, reps - 1)
     _check_run(T, warmup, sample_points)
     pol = make_policy(policy, model, sol, paths) if isinstance(policy, str) else policy
     lockstep = (type(pol) in (GreedyBasic, NegativePathPump, IdlePolicy)
@@ -878,9 +881,8 @@ def run_nc_experiment(
 
     rows: list[ExperimentRow] = []
     results: list[SimResult] = []
-    for n in n_list:
-        sys = build_system(model, sol, n)
-        seeds = [derive_seed(seed, n, rep) for rep in range(reps)]
+    for sys in systems:
+        seeds = [derive_seed(seed, sys.n, rep) for rep in range(reps)]
         if lockstep:
             batch = _simulate_lockstep(sys, pol, T, seeds, warmup, sample_points)
         else:

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, NumericalFailure, solve_lp
-from .model import DEFAULT_TOL, NetworkModel, _as_int, lp_columns, validate_model
+from .model import DEFAULT_TOL, ModelError, NetworkModel, _as_int, lp_columns, validate_model
 
 
-class InfeasibleModel(RuntimeError):
+class InfeasibleModel(ModelError):
     """No allocation can serve all arrival rates."""
 
 
-class GenerationFailed(RuntimeError):
+class GenerationFailed(ValueError):
     """A generated instance is infeasible or fails a check."""
 
 

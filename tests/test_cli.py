@@ -12,8 +12,12 @@ import fluidq.cli
 import fluidq.simulator
 import fluidq.static_fluid
 from fluidq import (
+    GenerationFailed,
     InfeasibleModel,
+    ModelError,
+    NotATree,
     NumericalFailure,
+    ScalingViolation,
     generate_critical_instance,
     load_model,
     make_policy,
@@ -295,6 +299,37 @@ def test_numerical_failure_exit_5(tmp_path, capsys, monkeypatch):
         assert main(argv) == 5, command
         assert "numerical failure" in capsys.readouterr().err, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+@pytest.mark.parametrize("error, code, err", [
+    (ModelError("service rates must be nonnegative"), 2, "error: service rates must be nonnegative"),
+    (InfeasibleModel("no allocation"), 2, "error: no allocation"),
+    (ScalingViolation("overflow"), 2, "error: overflow"),
+    (GenerationFailed("bad draw"), 2, "error: bad draw"),
+    (NotATree("a cycle"), 2, "error: a cycle"),
+    (OSError("disk"), 2, "error: disk"),
+    (NumericalFailure("stalled"), 5, "error: numerical failure: stalled"),
+], ids=["ModelError", "InfeasibleModel", "ScalingViolation", "GenerationFailed", "NotATree",
+        "OSError", "NumericalFailure"])
+def test_main_maps_each_error_family_to_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                      error, code, err):
+    # main catches families, not a list of types: every library error for bad
+    # input is a ValueError (exit 2), as is an OSError, and solver trouble exits 5
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(fluidq.cli, "load_model", fail)
+    monkeypatch.setattr(fluidq.cli, "generate_critical_instance", fail)
+    runs = [
+        ["analyze", "a.json"],
+        ["simulate", "a.json", "--n", "10", "--T", "0.1", "--reps", "1",
+         "--policy", "greedy-basic", "--seed", "1", "--out", str(tmp_path / "out")],
+        ["generate", "--I", "2", "--J", "2", "--seed", "1", "--out", str(tmp_path / "g.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == code, argv[0]
+        assert capsys.readouterr() == ("", err + "\n"), argv[0]
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

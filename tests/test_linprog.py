@@ -286,20 +286,29 @@ TRANSPORT_2X2 = LinearProgram(
 )
 
 
-@pytest.mark.parametrize("basis, reason", [
-    ([0, 3, 4], "basis has shape (3,), the program has 4 rows"),
-    ([0, 3, 4, 5, 1], "basis has shape (5,), the program has 4 rows"),
-    ([0, 3, 4, 4], "basis repeats a column"),
+# two equality rows whose columns differ by 1e-11: the basis [0, 1] has an
+# inverse, so only the WARM_COND check refuses it (at WARM_COND = inf it warm-starts)
+NEAR_SINGULAR = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0 + 1e-11]], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("lp, basis, reason", [
+    (TRANSPORT_2X2, [0, 3, 4], "basis has shape (3,), the program has 4 rows"),
+    (TRANSPORT_2X2, [0, 3, 4, 5, 1], "basis has shape (5,), the program has 4 rows"),
+    (TRANSPORT_2X2, [0, 3, 4, 4], "basis repeats a column"),
     # the four shipments close a cycle: x_00 - x_01 - x_10 + x_11 = 0 on every row
-    ([0, 1, 2, 3], "basis is singular"),
+    (TRANSPORT_2X2, [0, 1, 2, 3], "basis is singular"),
+    # no basic column touches supply row 1: a zero row of the basis matrix
+    (TRANSPORT_2X2, [0, 1, 4, 5], "basis is singular"),
+    (NEAR_SINGULAR, [0, 1], "basis is singular"),
     # both supplies shipped to demand 0: its slack is 4 - 2 - 3 = -1
-    ([0, 2, 4, 5], "basis is infeasible"),
-    ([0, 3, 4, 6], "basis names a column outside 0..5"),
-    ([-1, 3, 4, 5], "basis names a column outside 0..5"),
-], ids=["short", "long", "repeated", "singular", "infeasible", "past-the-end", "negative"])
-def test_warm_start_fallbacks_are_the_cold_start(basis, reason):
-    cold = solve_lp(TRANSPORT_2X2)
-    res = solve_lp(TRANSPORT_2X2, basis)
+    (TRANSPORT_2X2, [0, 2, 4, 5], "basis is infeasible"),
+    (TRANSPORT_2X2, [0, 3, 4, 6], "basis names a column outside 0..5"),
+    (TRANSPORT_2X2, [-1, 3, 4, 5], "basis names a column outside 0..5"),
+], ids=["short", "long", "repeated", "singular", "zero-row", "ill-conditioned", "infeasible",
+        "past-the-end", "negative"])
+def test_warm_start_fallbacks_are_the_cold_start(lp, basis, reason):
+    cold = solve_lp(lp)
+    res = solve_lp(lp, basis)
     assert (res.start, res.fallback) == (COLD, reason)
     assert (res.status, res.value, res.pivots) == (cold.status, cold.value, cold.pivots)
     assert np.array_equal(res.x, cold.x) and np.array_equal(res.basis, cold.basis)

@@ -30,11 +30,13 @@ def test_public_names_are_the_imported_ones():
     # solve_lp, OPTIMAL, INFEASIBLE, UNBOUNDED in fluidq.linprog) and the
     # verdict's building blocks (max_throughput, throughput_verdict_lp and
     # throughput_verdict_paths in fluidq.optimality, basic_cycle_weights in
-    # fluidq.paths); none added
+    # fluidq.paths), and three subclasses folded into ModelError, which now
+    # raises their messages (DimensionMismatch, NonPositiveRate and
+    # NegativeServiceRate); none added: 53 names
+    assert len(fluidq.__all__) == 53
     assert sorted(fluidq.__all__) == sorted([
-        "DEFAULT_TOL", "DimensionMismatch", "ModelError", "NegativeServiceRate",
-        "NetworkModel", "NonPositiveRate", "activity_set", "load_model", "model_to_dict",
-        "validate_model",
+        "DEFAULT_TOL", "ModelError", "NetworkModel", "activity_set", "load_model",
+        "model_to_dict", "validate_model",
         "NumericalFailure",
         "AssumptionReport", "FluidSolution", "GenerationFailed", "InfeasibleModel",
         "check_assumptions", "generate_critical_instance", "solve_static_allocation",

@@ -381,6 +381,27 @@ def test_run_nc_experiment_requires_ascending(case_a):
         run_nc_experiment(case_a, sol, "idle", [10], T=0.1, reps=0, seed=1)
 
 
+@pytest.mark.parametrize("bad", ["a", None, 20.5, True, 0, -5, 2**80, 2**32],
+                         ids=["str", "None", "20.5", "True", "0", "-5", "overflow", "2**32"])
+def test_run_nc_experiment_refuses_a_bad_scale_before_any_draw(case_a, monkeypatch, bad):
+    """Every n is refused as build_system, then a replication's derive_seed,
+    refuses it (a ScalingViolation too), before the ascending check and
+    before any replication runs, on the loop and the lockstep routes alike;
+    20.5 and 2**32 once ran every replication at n = 10 first."""
+    sol = solve_static_allocation(case_a)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made before every n was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for reps in (2, simulator.LOCKSTEP_MIN_REPS):
+        with pytest.raises(ValueError) as expected:
+            derive_seed(1, build_system(case_a, sol, bad).n, reps - 1)
+        with pytest.raises(ValueError) as raised:
+            run_nc_experiment(case_a, sol, "greedy-basic", [10, bad], T=0.1, reps=reps, seed=1)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_run_nc_experiment_rejects_seeds_outside_63_bits(case_a):
     """derive_seed keeps 63 bits of the base seed, so -1 and 2**63 - 1, or 5
     and 5 + 2**63, would run the same replications under different seeds;
