@@ -40,7 +40,6 @@ from pathlib import Path
 from .analysis import _fields, render_report, run_analysis
 from .linprog import NumericalFailure
 from .model import NetworkModel, load_model, model_to_dict
-from .optimality import throughput_verdict_paths
 from .simulator import POLICIES, ExperimentResult, make_policy, run_nc_experiment
 from .static_fluid import generate_critical_instance
 
@@ -122,8 +121,9 @@ def _trajectories_csv(result: ExperimentResult, model: NetworkModel) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_analysis(load_model(args.model))
-    model, sol, paths = report.model, report.solution, report.paths or []
-    if args.policy == "negative-path" and throughput_verdict_paths(paths).optimal:
+    model, sol = report.model, report.solution
+    policy = make_policy(args.policy, model, sol, report.paths or [])
+    if args.policy == "negative-path" and policy.path is None:
         print("error: policy 'negative-path' needs a negative simple path", file=sys.stderr)
         return EXIT_POLICY_MISMATCH
     out = Path(args.out)
@@ -132,7 +132,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not existing.is_dir():
         raise NotADirectoryError(f"--out: {existing} is not a directory")
     n_list = [int(v) for v in args.n.split(",")]
-    policy = make_policy(args.policy, model, sol, paths)
     result = run_nc_experiment(model, sol, policy, n_list, args.T, args.reps, args.seed)
 
     out.mkdir(parents=True, exist_ok=True)

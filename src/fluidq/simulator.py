@@ -49,7 +49,7 @@ last pair, the pump's displacement rule, ``NegativePathPump._displace`` (each in
 on ints, numpy's and 0-d arrays on columns; the rule also takes the engine's congestion
 flag), the checks (``_counts``, ``_violation``), and ``_Record``, which samples a
 replication and builds its ``SimResult``. The head clip has one closed form, over
-``SystemInstance.upto``. Only the event selection keeps a form per engine:
+``SystemInstance.ahead``. Only the event selection keeps a form per engine:
 ``bisect_right`` on one list, one count per column on columns.
 """
 
@@ -59,13 +59,14 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
+from numbers import Real
 from operator import add, gt, sub
 
 import numpy as np
 
-from .model import NetworkModel, _as_int, lp_columns
+from .model import NetworkModel, _as_int, activity_set, lp_columns
 from .optimality import throughput_verdict_paths
-from .paths import SimplePath
+from .paths import SimplePath, enumerate_simple_paths
 from .static_fluid import FluidSolution
 
 
@@ -96,7 +97,7 @@ def _round_half_up(values) -> np.ndarray:
 @dataclass(frozen=True)
 class SystemInstance:
     """Integer-sized system at scale n, tied to its fluid solution. Its arrays,
-    the clip table ``upto`` too, are read-only: all replications share them."""
+    the clip table ``ahead`` too, are read-only: all replications share them."""
 
     n: int
     arrival_rates: np.ndarray   # (I,) events per unit time, n * fluid rate
@@ -104,7 +105,7 @@ class SystemInstance:
     service_rates: np.ndarray   # (I, J) per-server completion rates, the model's
     x0: np.ndarray              # (I,) integer initial head counts
     core: np.ndarray            # (I, J) integer fluid split, within the server counts
-    upto: np.ndarray            # (I, J) the class's core counts to the pair, slowest first
+    ahead: np.ndarray           # (I, J) the class's core counts kept before the pair's
     model: NetworkModel
     solution: FluidSolution
 
@@ -120,9 +121,9 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
 
     ``core``, the one rounding of the fluid split, is n * masses rounded half
     up, each column then shaved one customer at a time off its largest entry
-    down to its server count. ``upto``, the head clip's table, sums each
-    class's ``core`` counts slowest pair first (ties by station) up to and
-    including each pair. The t = 0 state and ``NegativePathPump`` read both.
+    down to its server count. ``ahead``, the head clip's table, holds at each pair
+    its class's ``core`` counts at the pairs kept before it: the faster ones, then
+    those of equal rate at a higher station. The t = 0 state and the pump read both.
 
     Raises:
         ValueError: n is a bool, not an integer, or below 1.
@@ -149,12 +150,13 @@ def build_system(model: NetworkModel, sol: FluidSolution, n: int) -> SystemInsta
     for column, cap in zip(core.T, servers):
         while column.sum() > cap:
             column[column.argmax()] -= 1
-    slowest = np.argsort(model.service_rates, axis=1, kind="stable")
-    upto = np.take_along_axis(np.take_along_axis(core, slowest, 1).cumsum(1), slowest.argsort(1), 1)
-    for arr in (arrivals, servers, x0, core, upto):
+    fastest = np.argsort(model.service_rates, axis=1, kind="stable")[:, ::-1]
+    kept = np.take_along_axis(core, fastest, 1)
+    ahead = np.take_along_axis(kept.cumsum(1) - kept, fastest.argsort(1), 1)
+    for arr in (arrivals, servers, x0, core, ahead):
         arr.setflags(write=False)
     return SystemInstance(n=n, arrival_rates=arrivals, servers=servers,
-                          service_rates=model.service_rates, x0=x0, core=core, upto=upto,
+                          service_rates=model.service_rates, x0=x0, core=core, ahead=ahead,
                           model=model, solution=sol)
 
 
@@ -244,13 +246,17 @@ class NegativePathPump(Policy):
     congestion clears, the displacement unwinds at the same pace: sustained
     displacement erodes the donor class at fluid rate and must stay
     transient. This is a stand-in heuristic that demonstrates drainability
-    at desk scale; without a negative path it is inert and only the baseline
-    acts.
+    at desk scale. It enumerates the model's simple paths if ``paths`` is None
+    (``NotATree`` off a tree); with no negative path among them, as with ``[]``,
+    it is inert and only the baseline acts.
     """
 
     name = "negative-path"
 
-    def __init__(self, model: NetworkModel, sol: FluidSolution, paths: list[SimplePath] = ()):
+    def __init__(self, model: NetworkModel, sol: FluidSolution,
+                 paths: list[SimplePath] | None = None):
+        if paths is None:
+            paths = enumerate_simple_paths(sol, activity_set(model), model)
         self.path = throughput_verdict_paths(paths).witness_path
         self._fastest_first = _by_decreasing_rate(
             zip(*(c.tolist() for c in lp_columns(model))), model)
@@ -259,7 +265,7 @@ class NegativePathPump(Policy):
         self._inc = [model.edge_positions(e) for e, s in edges if s < 0]
 
     def prepare(self, sys: SystemInstance) -> None:
-        self._core, self._upto = sys.core.tolist(), sys.upto.tolist()
+        self._core, self._ahead = sys.core.tolist(), sys.ahead.tolist()
         self._shift = 0
         cap = min((self._core[i][j] for i, j in self._dec), default=0)
         self._servers_total = int(sys.servers.sum())
@@ -287,7 +293,7 @@ class NegativePathPump(Policy):
     def assign(self, state: SystemState, sys: SystemInstance) -> list[list[int]]:
         heads = state.heads
         # clip rows to the available heads before sizing the displacement
-        psi = _clip_to_heads(self._core, self._upto, heads)
+        psi = _clip_to_heads(self._core, self._ahead, heads)
         self._shift = self._displace(psi, sum(heads) >= self._servers_total, self._shift,
                                      self._limits, min, max)
         # work-conserving completion, fastest activities first
@@ -299,14 +305,14 @@ class NegativePathPump(Policy):
         self.prepare(sys)
         psi, (by_class, by_station), rows, heads_left, servers_left = _lockstep_buffers(sys, reps)
         servers, flat = sys.servers[:, None], psi.reshape(-1, reps)
-        upto, count = (sys.upto - sys.core.sum(axis=1)[:, None])[:, :, None], sys.core[:, :, None]
+        ahead, count = sys.ahead[:, :, None], sys.core[:, :, None]
         zero, limits = np.zeros((), np.int64), tuple(map(np.asarray, self._limits))
         shift = np.zeros(reps, dtype=np.int64)  # the displacement of each replication
 
         def assign(heads: np.ndarray, busy: np.ndarray) -> np.ndarray:
             nonlocal shift
-            np.add(upto, heads[:, None], out=psi)  # upto - e for the excess e = row total - heads
-            np.minimum(np.maximum(psi, zero, out=psi), count, out=psi)  # _clip_to_heads on columns
+            np.subtract(heads[:, None], ahead, out=psi)  # _clip_to_heads on columns
+            np.minimum(np.maximum(psi, zero, out=psi), count, out=psi)
             shift = self._displace(rows, busy, shift, limits, np.minimum, np.maximum)
             np.subtract(heads, np.add.reduce(psi, axis=1, out=by_class), out=by_class)
             np.subtract(servers, np.add.reduce(psi, axis=0, out=by_station), out=by_station)
@@ -317,7 +323,7 @@ class NegativePathPump(Policy):
 
 POLICIES = {
     "greedy-basic": lambda model, sol, paths: GreedyBasic(model, sol),
-    "negative-path": lambda model, sol, paths: NegativePathPump(model, sol, paths or ()),
+    "negative-path": NegativePathPump,
     "idle": lambda model, sol, paths: IdlePolicy(),
 }
 
@@ -371,15 +377,11 @@ def _by_decreasing_rate(pairs, model: NetworkModel) -> list[tuple[int, int, bool
     return [(i, j, last_i[i] > k, last_j[j] > k) for k, (i, j) in enumerate(order)]
 
 
-def _clip_to_heads(core, upto, heads) -> list[list[int]]:
-    """A copy of ``core`` with each row cut to its head count, slowest pairs first:
-    excess e leaves clip(upto - e, 0, count); conditionals beat ``min``/``max`` here."""
-    psi = []
-    for row, sums, h in zip(core, upto, heads):
-        e = sum(row) - h
-        psi.append([c if u - e >= c else u - e if u > e else 0 for c, u in zip(row, sums)]
-                   if e > 0 else row[:])
-    return psi
+def _clip_to_heads(core, ahead, heads) -> list[list[int]]:
+    """A copy of ``core`` with each row cut to its head count h, slowest pairs first:
+    each pair keeps clip(h - ahead, 0, count); conditionals beat ``min``/``max`` here."""
+    return [[c if h - a >= c else h - a if h > a else 0 for c, a in zip(row, sums)]
+            for row, sums, h in zip(core, ahead, heads)]
 
 
 def _counts(psi, shape: tuple[int, int]) -> np.ndarray:
@@ -484,10 +486,10 @@ class SimResult:
 
 
 def _check_run(T: float, warmup: float, sample_points: int) -> None:
-    if not 0 < T < math.inf:
-        raise ValueError(f"horizon T must be positive and finite, not {T}")
-    if not 0 <= warmup < T:
-        raise ValueError("warmup must lie in [0, T)")
+    if isinstance(T, bool) or not isinstance(T, Real) or not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive, finite and a real number, not {T!r}")
+    if isinstance(warmup, bool) or not isinstance(warmup, Real) or not 0 <= warmup < T:
+        raise ValueError(f"warmup must be a real number in [0, T), not {warmup!r}")
     if _as_int(sample_points, "sample_points") < 2:  # _Record samples at both ends, 0 and T
         raise ValueError(f"sample_points must be at least 2, got {sample_points}")
 
@@ -536,14 +538,8 @@ class _Record:
         )
 
 
-def simulate(
-    sys: SystemInstance,
-    policy: Policy,
-    T: float,
-    seed: int,
-    warmup: float = 0.0,
-    sample_points: int = 101,
-) -> SimResult:
+def simulate(sys: SystemInstance, policy: Policy, T: float, seed: int, warmup: float = 0.0,
+             sample_points: int = 101) -> SimResult:
     """Run one replication on [0, T]; deterministic in ``seed``.
 
     The policy is invoked at time zero on the initial split and again after
@@ -561,7 +557,7 @@ def simulate(
     per block, so the loop does its arithmetic on Python floats.
 
     Raises:
-        ValueError: a bool or non-integer ``seed``, or an invalid horizon or ``sample_points``.
+        ValueError: an invalid ``seed`` (a bool or non-integer), T, warmup or ``sample_points``.
         PolicyViolation: the policy returned an infeasible assignment; the
             message identifies the policy and the event index.
     """
@@ -580,7 +576,7 @@ def simulate(
     lam_total = float(sys.arrival_rates.sum())
     lam_cum = np.cumsum(sys.arrival_rates).tolist()
 
-    initial = _clip_to_heads(sys.core.tolist(), sys.upto.tolist(), heads)
+    initial = _clip_to_heads(sys.core.tolist(), sys.ahead.tolist(), heads)
     state = SystemState(0.0, heads, initial, servers)
     policy.prepare(sys)
 
@@ -854,17 +850,17 @@ def run_nc_experiment(
     independent of execution order and bitwise reproducible. ``reps`` and
     ``seed`` must be ints or numpy integers; a bool or a float is a ValueError.
 
-    A built-in policy (``GreedyBasic``, ``NegativePathPump``, ``IdlePolicy``)
-    with at least ``LOCKSTEP_MIN_REPS`` replications runs each scale's
-    replications in lockstep on arrays; any other policy, or fewer
-    replications, runs ``simulate`` once per replication. Both routes give
-    bit-identical results.
+    A policy name is built by ``make_policy`` with ``paths``. A built-in policy
+    (``GreedyBasic``, ``NegativePathPump``, ``IdlePolicy``) with at least
+    ``LOCKSTEP_MIN_REPS`` replications runs each scale's replications in lockstep
+    on arrays; any other policy, or fewer replications, runs ``simulate`` once per
+    replication. Both routes give bit-identical results.
 
     Raises:
         ValueError: before any draw, on either route, for an n that ``build_system``
             or ``derive_seed`` refuses, a ScalingViolation included, an ``n_list``
-            not strictly ascending or an invalid ``reps``, ``seed``, horizon or
-            ``sample_points``.
+            not strictly ascending or an invalid ``reps``, ``seed``, ``T``, ``warmup``
+            or ``sample_points``.
     """
     systems = [build_system(model, sol, n) for n in n_list]
     if any(a.n >= b.n for a, b in zip(systems, systems[1:])):

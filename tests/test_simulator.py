@@ -130,7 +130,8 @@ def _shipped_and_planted_4x4():
 
 def test_build_system_core_matches_reference():
     # the rounded split, then one customer off a column's largest entry until it fits;
-    # the clip table sums each class's split slowest pair first, ties by station
+    # the clip table sums each class's split at the pairs kept before each: the
+    # faster ones, then those of equal rate at a higher station
     shaved = reordered = 0
     for model, sol in _shipped_and_planted_4x4():
         for n in (16, 25, 37, 100, 401, 1600):  # n >= J**2: the server counts round
@@ -138,18 +139,18 @@ def test_build_system_core_matches_reference():
             rounded = _ref_round_half_up(n * sol.masses)
             expected = rounded.copy()
             _ref_clip_columns(expected, sys.servers)
-            upto = np.zeros_like(expected)
+            ahead = np.zeros_like(expected)
             for i, row in enumerate(model.service_rates.tolist()):
                 total = 0
-                for j in sorted(range(len(row)), key=lambda j: (row[j], j)):
+                for j in sorted(range(len(row)), key=lambda j: (row[j], j), reverse=True):
+                    ahead[i, j] = total
                     total += int(expected[i, j])
-                    upto[i, j] = total
-            assert sys.core.dtype == sys.upto.dtype == np.int64
+            assert sys.core.dtype == sys.ahead.dtype == np.int64
             assert np.array_equal(sys.core, expected), (model, n)
-            assert np.array_equal(sys.upto, upto), (model, n)
+            assert np.array_equal(sys.ahead, ahead), (model, n)
             shaved += not np.array_equal(rounded, expected)
-            reordered += not np.array_equal(upto, expected.cumsum(axis=1))
-            for table in (sys.core, sys.upto):
+            reordered += not np.array_equal(ahead, expected[:, ::-1].cumsum(1)[:, ::-1] - expected)
+            for table in (sys.core, sys.ahead):
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0, 0] += 1
@@ -163,7 +164,7 @@ def test_system_arrays_are_read_only(case_a):
             sys.servers[0] += 1
 
     sol, sys = _case_a_setup(case_a, 25)
-    names = ("arrival_rates", "servers", "service_rates", "x0", "core", "upto")
+    names = ("arrival_rates", "servers", "service_rates", "x0", "core", "ahead")
     before = {name: getattr(sys, name).copy() for name in names}
     with pytest.raises(ValueError):
         simulate(sys, Meddling(case_a, sol), 0.2, 1)
@@ -508,6 +509,55 @@ def test_pump_inert_without_negative_path(class_dependent_2x2):
     sys = build_system(class_dependent_2x2, sol, 20)
     res = simulate(sys, pump, T=0.3, seed=77)
     assert res.events > 0
+
+
+def test_pump_enumerates_paths_when_omitted(case_a):
+    # without paths the pump finds the model's witness itself, so a run by name with
+    # no paths is the pump's run, not the baseline's, on the loop and lockstep routes
+    sol = solve_static_allocation(case_a)
+    paths = enumerate_simple_paths(sol, activity_set(case_a), case_a)
+    given = make_policy("negative-path", case_a, sol, paths)
+    derived = make_policy("negative-path", case_a, sol)
+    assert given.path is not None and derived.path is not None
+    assert (derived.path.leaf_pair, derived.path.signed_edges, derived.path.weight) == (
+        given.path.leaf_pair, given.path.signed_edges, given.path.weight)
+    assert make_policy("negative-path", case_a, sol, []).path is None  # [] stays inert
+    for reps in (3, simulator.LOCKSTEP_MIN_REPS):
+        kwargs = dict(n_list=[10, 40], T=1.0, reps=reps, seed=5, sample_points=5)
+        with_paths = run_nc_experiment(case_a, sol, "negative-path", paths=paths, **kwargs)
+        without = run_nc_experiment(case_a, sol, "negative-path", **kwargs)
+        inert = run_nc_experiment(case_a, sol, "negative-path", paths=[], **kwargs)
+        for got, expected in zip(without.results, with_paths.results):
+            _assert_same_result(got, expected)
+        assert ([r.queue_occupancy for r in inert.results]
+                != [r.queue_occupancy for r in with_paths.results])
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, 1j])
+def test_horizon_and_warmup_must_be_real(case_a, monkeypatch, bad):
+    """A bool or non-real T or warmup is a ValueError before any draw, on the loop
+    and lockstep routes alike; ints and numpy floats pass."""
+    sol = solve_static_allocation(case_a)
+    sys = build_system(case_a, sol, 10)
+    assert simulate(sys, IdlePolicy(), np.float64(0.1), 1, warmup=np.float32(0)).events > 0
+    assert simulate(sys, IdlePolicy(), 1, 1, warmup=0).T == 1
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was made before the horizon was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for T, warmup, message in ((bad, 0.0, "horizon T must be positive, finite and a real"),
+                               (0.1, bad, "warmup must be a real number in")):
+        entries = [
+            lambda: simulate(sys, IdlePolicy(), T, 1, warmup=warmup),
+            lambda: _simulate_lockstep(sys, IdlePolicy(), T, [1, 2], warmup),
+            *(lambda reps=reps: run_nc_experiment(case_a, sol, "greedy-basic", [10], T=T,
+                                                  reps=reps, seed=1, warmup=warmup)
+              for reps in (2, simulator.LOCKSTEP_MIN_REPS)),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match=message):
+                entry()
 
 
 def test_warmup_validation(case_a):
@@ -1079,7 +1129,7 @@ def test_lockstep_feasibility_agrees_with_violation(monkeypatch, I, J):
         empty = np.zeros((I, J), dtype=np.int64)
         sys = simulator.SystemInstance(
             n=1, arrival_rates=model.arrival_rates, servers=servers,
-            service_rates=model.service_rates, x0=heads, core=empty, upto=empty, model=model,
+            service_rates=model.service_rates, x0=heads, core=empty, ahead=empty, model=model,
             solution=None)
         calls.clear()
         try:
@@ -1118,7 +1168,7 @@ def test_lockstep_feasibility_does_not_wrap():
     empty = np.zeros((2, 2), dtype=np.int64)
     sys = simulator.SystemInstance(
         n=1, arrival_rates=model.arrival_rates, servers=np.array([5, 5]),
-        service_rates=model.service_rates, x0=np.array([3, 3]), core=empty, upto=empty,
+        service_rates=model.service_rates, x0=np.array([3, 3]), core=empty, ahead=empty,
         model=model, solution=None)
     reason = "class has more customers in service than in the system"
     with pytest.raises(PolicyViolation) as loop:
