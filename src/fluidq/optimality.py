@@ -52,7 +52,6 @@ class PerturbationCheck:
 
     path: SimplePath | None         # None for the combined multi-path check
     kappa: float
-    perturbed_x: np.ndarray
     perturbed_max: float
     baseline: float
     satisfied: bool
@@ -163,7 +162,6 @@ def _run_perturbation(
     return PerturbationCheck(
         path=path,
         kappa=top_step,
-        perturbed_x=sol.class_masses + direction * top_step,
         perturbed_max=top_value,
         baseline=baseline,
         satisfied=all(ok for (_, _, ok) in grid),

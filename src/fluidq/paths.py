@@ -22,7 +22,7 @@ from operator import sub
 import numpy as np
 
 from .model import DEFAULT_TOL, NetworkModel
-from .static_fluid import FluidSolution, _to_root, _tree_check, spanning_forest
+from .static_fluid import FluidSolution, _to_root, spanning_forest
 
 OPEN = "open"
 CLOSED = "closed"
@@ -110,10 +110,10 @@ def enumerate_simple_paths(
 
     Raises:
         NotATree: the basic graph is not a spanning tree of all vertices, by
-            ``static_fluid._tree_check``, the test ``check_assumptions`` runs
-            too; the message is its violations.
+            ``static_fluid.spanning_forest``, the test ``check_assumptions``
+            runs too; the message is its violations.
     """
-    parent, violations = _tree_check(model, sol.basic_edges)
+    parent, _, violations = spanning_forest(model, sol.basic_edges)
     if violations:
         raise NotATree("; ".join(violations))
     leaves = [(i, j, (i, j) in acts) for i in model.class_labels for j in model.station_labels
@@ -133,6 +133,6 @@ def basic_cycle_weights(
     reversal negates each class sum exactly; -(0.0 - w) keeps a zero cycle's
     -0.0. Its sign depends on traversal direction; its zero-ness does not.
     """
-    parent, closing = spanning_forest(model, sol.basic_edges)
+    parent, closing, _ = spanning_forest(model, sol.basic_edges)
     paths = _signed_paths(parent, [(i, j, True) for i, j in closing], model)
     return [((p.class_leaf, *p.vertices[:0:-1]), -(0.0 - p.weight)) for p in paths]

@@ -103,13 +103,17 @@ def solve_static_allocation(model: NetworkModel) -> FluidSolution:
 
 def spanning_forest(
     model: NetworkModel, edges: frozenset[tuple[int, int]]
-) -> tuple[dict[int, int], list[tuple[int, int]]]:
-    """Spanning forest of the class-station graph with edge set ``edges``.
+) -> tuple[dict[int, int], list[tuple[int, int]], list[str]]:
+    """Spanning forest of the class-station graph with edge set ``edges``,
+    and the spanning-tree test, the only one: ``check_assumptions``,
+    ``paths.enumerate_simple_paths`` and ``paths.basic_cycle_weights`` each
+    make this one call.
 
     Edges are taken in sorted order: each either joins two trees, which hangs
     the re-rooted tree of its station below its class, or closes a cycle.
     Returns parent pointers over every vertex label (a root is its own
-    parent) and the cycle-closing edges, in order.
+    parent), the cycle-closing edges, in order, and the violations, which
+    are empty iff ``edges`` form a spanning tree.
     """
     parent = {v: v for v in (*model.class_labels, *model.station_labels)}
     closing = []
@@ -121,25 +125,6 @@ def spanning_forest(
         while parent[v] != v:
             parent[v], above, v = above, v, parent[v]
         parent[v] = above
-    return parent, closing
-
-
-def _to_root(parent: dict[int, int], v: int) -> list[int]:
-    """``v`` and its ancestors, up to the root of its tree."""
-    chain = [v]
-    while (v := parent[v]) != chain[-1]:
-        chain.append(v)
-    return chain
-
-
-def _tree_check(
-    model: NetworkModel, edges: frozenset[tuple[int, int]]
-) -> tuple[dict[int, int], list[str]]:
-    """The spanning-tree test of the class-station graph, the only one:
-    ``check_assumptions`` and ``paths.enumerate_simple_paths`` both call it.
-    Returns the parent pointers of the spanning forest of ``edges`` and the
-    violations, which are empty iff ``edges`` form a spanning tree."""
-    parent, closing = spanning_forest(model, edges)
     violations = []
     expected = len(parent) - 1
     if len(edges) != expected:
@@ -149,7 +134,15 @@ def _tree_check(
     # the forest connects all I+J vertices iff it has I+J-1 edges
     if len(edges) - len(closing) < expected:
         violations.append("basic graph is disconnected")
-    return parent, violations
+    return parent, closing, violations
+
+
+def _to_root(parent: dict[int, int], v: int) -> list[int]:
+    """``v`` and its ancestors, up to the root of its tree."""
+    chain = [v]
+    while (v := parent[v]) != chain[-1]:
+        chain.append(v)
+    return chain
 
 
 def _uniqueness_check(model: NetworkModel, sol: FluidSolution) -> list[str]:
@@ -224,7 +217,7 @@ def check_assumptions(model: NetworkModel, sol: FluidSolution) -> AssumptionRepo
         if abs(total - 1.0) > DEFAULT_TOL
     ]
     uniqueness = _uniqueness_check(model, sol)
-    _, tree = _tree_check(model, sol.basic_edges)
+    *_, tree = spanning_forest(model, sol.basic_edges)
     return AssumptionReport(
         critically_loaded=not load,
         unique=not uniqueness,

@@ -37,7 +37,7 @@ def _rows(draw):
 
 @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @hypothesis.given(_rows())
-def _clip_keeps_the_fastest_pairs_first(case):
+def test_clip_keeps_the_fastest_pairs_first(case):
     core, rates, heads = case
     I, J = len(core), len(core[0])
     # at n = 1 with integer masses and a server per customer and one more, ``core``
@@ -59,9 +59,3 @@ def _clip_keeps_the_fastest_pairs_first(case):
                 if (mu[j], j) < (mu[k], k) and kept[j] > 0:
                     assert kept[k] == row[k], (row, mu, h, kept)
 
-
-def test_clip_keeps_the_fastest_pairs_first():
-    # a plain test around the property: on a failure, hypothesis's pytest plugin
-    # imports libcst to write a patch, and under warnings-as-errors that import's
-    # DeprecationWarning is an internal error that ends the whole session
-    _clip_keeps_the_fastest_pairs_first()
